@@ -21,7 +21,7 @@ from .graded_algebra import GrassmannAlgebra, check_superconformal
 from .pluricanonical import (SuperPointFamily, build_model, minimal_nu,
                              pluri_canonical_rank, pushforward_over_superpoint,
                              random_deformation, threshold_table,
-                             verify_embedding)
+                             verify_embedding, witness_str)
 from .riemann_roch import parity_representatives, theta_characteristics
 from .serialize import (curve_from_json, divisor_to_json, dumps,
                         model_from_json, model_to_json, supercurve_to_json,
@@ -104,8 +104,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    cells = threshold_table(args.genus or 6, args.nu or 6,
-                            parallel=args.parallel)
+    cells = threshold_table(args.genus or 6, args.nu or 6)
     if args.format == "json":
         payload = []
         for c in cells:
@@ -125,11 +124,7 @@ def cmd_thresholds(args) -> int:
     for c in cells:
         line = f"g={c.g} nu={c.nu} {c.verdict()}"
         if c.witness is not None:
-            P, Q = c.witness
-            if P == Q:
-                line += f" witness x=y={P!r}"
-            else:
-                line += f" witness x={P!r}, y={Q!r}"
+            line += f" witness {witness_str(c.witness)}"
         lines.append(line)
     _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -317,8 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thresholds", help="very-ampleness grid")
     p.add_argument("--genus", type=int, default=6, help="largest genus")
     p.add_argument("--nu", type=int, default=6, help="largest power")
-    p.add_argument("--parallel", action="store_true",
-                   help="evaluate cells concurrently (same output)")
     _add_common(p, curve=False)
     p.set_defaults(func=cmd_thresholds)
 

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import polyq
 from .polyq import Poly
-from .fieldext import QuadExt, field_conj, make_sqrt
+from .fieldext import QuadExt, make_sqrt
 from .series import TSeries
 
 Scalar = Union[Fraction, QuadExt]
@@ -553,9 +553,6 @@ class Divisor:
 
     def is_zero(self) -> bool:
         return not self.data
-
-    def effective_part(self) -> "Divisor":
-        return Divisor({p: n for p, n in self.data.items() if n > 0})
 
     def galois_stable(self) -> bool:
         """True when conjugate points carry equal coefficients, so the

@@ -167,13 +167,6 @@ def qext(u, v, d: int):
     return QuadExt(u, v, d)
 
 
-def field_conj(x):
-    """Galois conjugate over the base: flips the sign of the sqrt part."""
-    if isinstance(x, QuadExt):
-        return x.conj()
-    return x
-
-
 def _ext_d(row: Sequence) -> Optional[int]:
     for x in row:
         if isinstance(x, QuadExt):

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: kernels, ranks, incremental column spaces."""
+"""Exact rational linear algebra: kernels and incremental column spaces."""
 
 from __future__ import annotations
 
@@ -38,26 +38,6 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fr
             v[pc] = -mat[i][fc]
         basis.append(v)
     return basis
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rk = 0
-    ncols = max((len(r) for r in mat), default=0)
-    for c in range(ncols):
-        pr = next((i for i in range(rk, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[rk], mat[pr] = mat[pr], mat[rk]
-        pv = mat[rk][c]
-        for i in range(rk + 1, len(mat)):
-            if mat[i][c] != 0:
-                f = mat[i][c] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rk])]
-        rk += 1
-        if rk == len(mat):
-            break
-    return rk
 
 
 class ColumnSpace:

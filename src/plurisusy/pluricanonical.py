@@ -10,8 +10,6 @@ section module of a first-order deformation over a 0|1-dimensional base.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -24,13 +22,21 @@ from .fieldext import rows_independent
 from .graded_algebra import GrassmannAlgebra
 from .linalg import ColumnSpace
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, branch_roots,
-                           canonical_divisor, h0, parity_representatives,
-                           reduce_weierstrass, rr_space)
+                           canonical_divisor, clearing_frame, h0,
+                           parity_representatives, reduce_weierstrass,
+                           rr_space)
 from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
 
 
 def _power_divisor(X: SplitSupercurve, k: int) -> Divisor:
     return reduce_weierstrass(X.curve, k * X.L.rep)
+
+
+def summand_powers(nu: int) -> Tuple[int, int]:
+    """(k_even, k_odd): the powers of L whose sections make up the even
+    and the odd summand of the nu-th Berezinian power.  L^nu carries the
+    parity of nu, since the bundle itself is odd."""
+    return (nu, nu + 1) if nu % 2 == 0 else (nu + 1, nu)
 
 
 @dataclass(frozen=True)
@@ -77,20 +83,17 @@ def pluri_canonical_rank(X: SplitSupercurve, nu: int) -> RankReport:
     K = canonical_divisor(curve)
     D_nu = _power_divisor(X, nu)
     D_nu1 = _power_divisor(X, nu + 1)
-    h0_nu = h0(curve, D_nu)
-    h0_nu1 = h0(curve, D_nu1)
+    h0s = {nu: h0(curve, D_nu), nu + 1: h0(curve, D_nu1)}
     h1_nu = h0(curve, reduce_weierstrass(curve, K - D_nu))
     h1_nu1 = h0(curve, reduce_weierstrass(curve, K - D_nu1))
     hyp = h1_nu == 0 and h1_nu1 == 0
 
-    f_lo = (nu - 1) * g - nu + 1
-    f_hi = (2 * nu - 1) * g - 2 * nu + 1
-    formula = RankPair(f_lo, f_hi) if nu % 2 == 0 else RankPair(f_hi, f_lo)
-
+    k_even, k_odd = summand_powers(nu)
+    alt = {nu: (nu - 1) * g - nu + 1, nu + 1: (2 * nu - 1) * g - 2 * nu + 1}
+    formula = RankPair(alt[k_even], alt[k_odd])
     if hyp:
-        rank = RankPair(h0_nu, h0_nu1) if nu % 2 == 0 else RankPair(h0_nu1, h0_nu)
-        return RankReport(nu, rank, True, formula)
-    return RankReport(nu, RankPair(h0_nu, h0_nu1), False, formula,
+        return RankReport(nu, RankPair(h0s[k_even], h0s[k_odd]), True, formula)
+    return RankReport(nu, RankPair(h0s[nu], h0s[nu + 1]), False, formula,
                       note="hypotheses fail; point-base value")
 
 
@@ -140,12 +143,17 @@ class VeryAmpleReport:
     note: str = ""
 
     def witness_str(self) -> str:
-        if self.witness is None:
-            return ""
-        P, Q = self.witness
-        if P == Q:
-            return f"x=y={P!r}"
-        return f"x={P!r}, y={Q!r}"
+        return witness_str(self.witness)
+
+
+def witness_str(witness: Optional[Tuple[CurvePoint, CurvePoint]]) -> str:
+    """Witness pair as "x=P, y=Q", or "x=y=P" for a tangent witness."""
+    if witness is None:
+        return ""
+    P, Q = witness
+    if P == Q:
+        return f"x=y={P!r}"
+    return f"x={P!r}, y={Q!r}"
 
 
 def _effective_points(curve: HyperellipticCurve, rep: Divisor,
@@ -219,7 +227,7 @@ def very_ample_check(X: SplitSupercurve, nu: int) -> VeryAmpleReport:
         raise RuntimeError(f"unexpected residual degree {d1} at genus {g}")
 
     # The other summand against a single point.
-    m2 = nu + 1 if nu % 2 == 0 else nu
+    _, m2 = summand_powers(nu)
     cond2_ok = True
     d2 = (2 * g - 2) - m2 * (g - 1) + 1
     if d2 < 0:
@@ -298,33 +306,22 @@ class ThresholdCell:
         return "FAIL"
 
 
-def threshold_table(g_max: int = 6, nu_max: int = 6,
-                    parallel: bool = False) -> List[ThresholdCell]:
+def threshold_table(g_max: int = 6, nu_max: int = 6) -> List[ThresholdCell]:
     """Very-ampleness grid over 2 <= g <= g_max, 3 <= nu <= nu_max,
     quantified over theta characteristics through the parity
-    representatives.  Cells are pure, so they may be evaluated
-    concurrently; results are collected in fixed cell order either way
-    and are identical to the serial run."""
-    jobs = []
+    representatives."""
+    cells = []
     for g in range(2, g_max + 1):
         curve = standard_curve(g)
         even, odd = parity_representatives(curve)
         Xe = make_split_supercurve(curve, even)
         Xo = make_split_supercurve(curve, odd)
         for nu in range(3, nu_max + 1):
-            jobs.append((g, nu, Xe, Xo))
-
-    def cell(job):
-        g, nu, Xe, Xo = job
-        re_ = very_ample_check(Xe, nu)
-        ro = very_ample_check(Xo, nu)
-        witness = re_.witness if not re_.passed else ro.witness
-        return ThresholdCell(g, nu, re_.passed, ro.passed, witness)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            return list(pool.map(cell, jobs))
-    return [cell(j) for j in jobs]
+            re_ = very_ample_check(Xe, nu)
+            ro = very_ample_check(Xo, nu)
+            witness = re_.witness if not re_.passed else ro.witness
+            cells.append(ThresholdCell(g, nu, re_.passed, ro.passed, witness))
+    return cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,8 +358,7 @@ def build_model(X: SplitSupercurve, nu: int,
             f"power {nu} is not very ample ({report.note}; "
             f"witness {report.witness_str()})")
     curve = X.curve
-    k_even = nu if nu % 2 == 0 else nu + 1
-    k_odd = nu + 1 if nu % 2 == 0 else nu
+    k_even, k_odd = summand_powers(nu)
     D_even = _power_divisor(X, k_even)
     D_odd = _power_divisor(X, k_odd)
     even_sections = tuple(rr_space(curve, D_even))
@@ -489,6 +485,16 @@ def verify_embedding(M: PluriCanonicalModel,
                            tangent_failures, odd_failures)
 
 
+def _chart_point(curve: HyperellipticCurve) -> CurvePoint:
+    """The first rational finite branch point W, which bounds the chart
+    cover {C minus infinity, C minus W}."""
+    points = curve.rational_branch_points()
+    if not points:
+        raise ValueError(f"{curve!r} has no rational finite branch point "
+                         f"to serve as the chart point W")
+    return points[0]
+
+
 class SuperPointFamily:
     """Family over the 0|1-dimensional base Lambda[eta]: the split fiber
     with the transition of each pushforward summand twisted by
@@ -501,7 +507,7 @@ class SuperPointFamily:
     def __init__(self, fiber: SplitSupercurve,
                  deformation: FunctionFieldElement):
         curve = fiber.curve
-        W = curve.rational_branch_points()[0]
+        W = _chart_point(curve)
         h = deformation
         if not isinstance(h, FunctionFieldElement):
             h = curve.one_fn() * h
@@ -544,7 +550,7 @@ def random_deformation(curve: HyperellipticCurve, rng=None,
     infinity."""
     if rng is None:
         rng = random.Random(seed)
-    W = curve.rational_branch_points()[0]
+    W = _chart_point(curve)
     basis = rr_space(curve, Divisor({W: 3, curve.infinity(): 3}))
     while True:
         coeffs = [rng.randint(-5, 5) for _ in basis]
@@ -560,15 +566,15 @@ def random_deformation(curve: HyperellipticCurve, rng=None,
 @dataclass(frozen=True)
 class _CechFrame:
     den: tuple
-    capA: int
-    capB: int
+    n_x: int
+    n_y: int
     space: ColumnSpace
 
 
 def _cech_frame(curve: HyperellipticCurve, D: Divisor, W: CurvePoint,
                 N: int) -> _CechFrame:
     """Echelonized span of the two chart section spaces inside the
-    overlap space, in a fixed polynomial coordinate frame.  Cached per
+    overlap space, in the clearing frame of D + N inf + N W.  Cached per
     (divisor, chart point, truncation); the cache is what lets many
     deformation cochains reuse one reduction."""
     key = (D.key(), W.x, N)
@@ -576,25 +582,10 @@ def _cech_frame(curve: HyperellipticCurve, D: Divisor, W: CurvePoint,
     if cached is not None:
         return cached
     inf = curve.infinity()
-    b0 = rr_space(curve, D + Divisor({inf: N}))
-    b1 = rr_space(curve, D + Divisor({W: N}))
-    big = D + Divisor({inf: N, W: N})
-
-    need = defaultdict(int)
-    for P, m in big.items():
-        if P.at_infinity or m <= 0:
-            continue
-        e = (m + 1) // 2 if P.is_branch() else m
-        need[P.x] = max(need[P.x], e)
-    den = polyq.ONE
-    for x0 in sorted(need):
-        den = polyq.mul(den, polyq.pow_(polyq.poly([-x0, 1]), need[x0]))
-
-    V = big[inf] + 2 * polyq.deg(den)
-    capA = max(0, V // 2 + 1)
-    capB = max(0, (V - (2 * curve.genus + 1)) // 2 + 1)
-    frame = _CechFrame(den, capA, capB, ColumnSpace(capA + capB))
-    for b in b0 + b1:
+    _, den, n_x, n_y = clearing_frame(curve, D + Divisor({inf: N, W: N}))
+    frame = _CechFrame(den, n_x, n_y, ColumnSpace(n_x + n_y))
+    for b in (rr_space(curve, D + Divisor({inf: N}))
+              + rr_space(curve, D + Divisor({W: N}))):
         frame.space.add(_frame_coords(frame, b))
     curve._echelon_cache[key] = frame
     return frame
@@ -606,14 +597,14 @@ def _frame_coords(frame: _CechFrame, u: FunctionFieldElement) -> List[Fraction]:
     factor = polyq.exact_div(frame.den, u.den)
     A = polyq.mul(u.A, factor)
     B = polyq.mul(u.B, factor)
-    if polyq.deg(A) >= frame.capA or polyq.deg(B) >= frame.capB:
+    if polyq.deg(A) >= frame.n_x or polyq.deg(B) >= frame.n_y:
         raise RuntimeError("truncation bound exceeded: pole profile "
                            "does not fit the coordinate frame")
-    row = [Fraction(0)] * (frame.capA + frame.capB)
+    row = [Fraction(0)] * (frame.n_x + frame.n_y)
     for i, c in enumerate(A):
         row[i] = c
     for i, c in enumerate(B):
-        row[frame.capA + i] = c
+        row[frame.n_x + i] = c
     return row
 
 
@@ -626,7 +617,7 @@ def _eta_drop(curve: HyperellipticCurve, D: Divisor, W: CurvePoint,
     if not a or h.is_zero():
         return 0
     frame = _cech_frame(curve, D, W, N)
-    residual = ColumnSpace(frame.capA + frame.capB)
+    residual = ColumnSpace(frame.n_x + frame.n_y)
     for ak in a:
         r = frame.space.reduce(_frame_coords(frame, h * ak))
         if any(c != 0 for c in r):
@@ -673,8 +664,7 @@ def pushforward_over_superpoint(F: SuperPointFamily, nu: int,
     W = F.chart_point
     h = F.deformation
 
-    k_even = nu if nu % 2 == 0 else nu + 1
-    k_odd = nu + 1 if nu % 2 == 0 else nu
+    k_even, k_odd = summand_powers(nu)
     drops: Dict[str, int] = {}
     for label, D in (("even", _power_divisor(X, k_even)),
                      ("odd", _power_divisor(X, k_odd))):

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
-from .fieldext import QuadExt, make_sqrt
+from .fieldext import QuadExt
 from .linalg import kernel_basis
 
 
@@ -47,36 +47,35 @@ def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement
     return result
 
 
+def clearing_frame(curve: HyperellipticCurve, D: Divisor
+                   ) -> Tuple[Dict[Fraction, int], polyq.Poly, int, int]:
+    """Coordinate frame of L(D): (exps, d, n_x, n_y).
+
+    d(x) is the monic product of (x - x0)^exps[x0] over the affine fibres
+    of D; it clears every pole D allows, since x - x0 vanishes to order 2
+    at a branch point and to order 1 elsewhere.  Each function of L(D) is
+    then (p + q y)/d with p spanned by x^i, i < n_x, and q by x^j, j < n_y:
+    pole orders at infinity are 2i for x^i and 2j + 2g + 1 for x^j y, and
+    these caps are exact by parity."""
+    exps: Dict[Fraction, int] = {}
+    for P, n in D.items():
+        if not P.at_infinity:
+            e = (n + 1) // 2 if P.is_branch() else n
+            exps[P.x] = max(exps.get(P.x, 0), e)
+    d = polyq.ONE
+    for x0, e in sorted(exps.items()):
+        if e:
+            d = polyq.mul(d, polyq.pow_(polyq.poly([-x0, 1]), e))
+    bound = D[curve.infinity()] + 2 * polyq.deg(d)
+    n_x = max(0, bound // 2 + 1)
+    n_y = max(0, (bound - 2 * curve.genus - 1) // 2 + 1)
+    return exps, d, n_x, n_y
+
+
 def _rr_space_uncached(curve, D):
     if D.degree() < 0:
         return []
-    inf = curve.infinity()
-    n_inf = D[inf]
-
-    fibers: Dict[Fraction, List[Tuple[CurvePoint, int]]] = {}
-    for P, n in D.items():
-        if not P.at_infinity:
-            fibers.setdefault(P.x, []).append((P, n))
-
-    # clear affine poles of D with a polynomial denominator d(x)
-    clear: Dict[Fraction, int] = {}
-    for x0, pts in fibers.items():
-        if any(P.is_branch() for P, _ in pts):
-            m = max(n for _, n in pts)
-            clear[x0] = (m + 1) // 2 if m > 0 else 0
-        else:
-            clear[x0] = max(0, max(n for _, n in pts))
-    d = polyq.ONE
-    for x0 in sorted(clear):
-        if clear[x0]:
-            d = polyq.mul(d, polyq.pow_(polyq.poly([-x0, Fraction(1)]), clear[x0]))
-
-    # candidates (p + q y)/d; pole orders at infinity are 2i for x^i and
-    # 2j + 2g + 1 for x^j y, and these bounds are exact by parity
-    bound = n_inf + 2 * polyq.deg(d)
-    n_x = bound // 2 + 1 if bound >= 0 else 0
-    n_y = (bound - 2 * curve.genus - 1) // 2 + 1
-    n_y = max(0, n_y)
+    exps, d, n_x, n_y = clearing_frame(curve, D)
     ncand = n_x + n_y
     if ncand == 0:
         return []
@@ -92,33 +91,22 @@ def _rr_space_uncached(curve, D):
             out.append(curve._poly_series_at(polyq.pow_(polyq.X, j), P, cut) * ys)
         return out
 
+    # at each point above a fibre the candidates must vanish to order
+    # ord_P(d) - D[P]; an inert fibre needs its + sheet only, since
+    # _split_rows adds the conjugate conditions
     rows: List[List[Fraction]] = []
-    for x0 in sorted(set(fibers) | set(clear)):
-        e = clear.get(x0, 0)
+    for x0, e in sorted(exps.items()):
         if polyq.eval_at(curve.f, x0) == 0:
-            W = curve.branch_point(x0)
-            r = 2 * e - D[W]
+            points = [(curve.branch_point(x0), 2 * e)]
+        else:
+            P = curve.point(x0, sign=1)
+            points = [(P, e), (P.conjugate(), e)] if P.is_rational() else [(P, e)]
+        for P, order in points:
+            r = order - D[P]
             if r > 0:
-                series = candidate_series(W, r)
+                series = candidate_series(P, r)
                 for k in range(r):
                     rows.extend(_split_rows([s.coeff(k) for s in series]))
-        else:
-            y0 = make_sqrt(polyq.eval_at(curve.f, x0))
-            if isinstance(y0, QuadExt):
-                P = curve.point(x0, sign=1)
-                r = e - D[P]
-                if r > 0:
-                    series = candidate_series(P, r)
-                    for k in range(r):
-                        rows.extend(_split_rows([s.coeff(k) for s in series]))
-            else:
-                for sign in (1, -1):
-                    P = curve.point(x0, sign=sign)
-                    r = e - D[P]
-                    if r > 0:
-                        series = candidate_series(P, r)
-                        for k in range(r):
-                            rows.extend(_split_rows([s.coeff(k) for s in series]))
 
     basis_vecs = kernel_basis(rows, ncand)
     basis = []
@@ -212,9 +200,6 @@ class DivisorClass:
 
     def h1(self) -> int:
         return h1(self.curve, self.rep)
-
-    def is_effective_class(self) -> bool:
-        return self.h0() >= 1
 
     def __eq__(self, other):
         if not isinstance(other, DivisorClass):

@@ -18,7 +18,7 @@ import sympy as sp
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
-from .fieldext import make_sqrt
+from .fieldext import make_sqrt, rational_sqrt
 from .pluricanonical import PluriCanonicalModel
 from .riemann_roch import ThetaCharacteristic, theta_from_subset
 from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
@@ -46,22 +46,10 @@ def point_to_json(P: CurvePoint) -> Dict:
     # P.y = u + v*sqrt(d) with d squarefree and f(x) = d*s^2; report the
     # coordinates relative to sqrt(f(x)) itself.
     fx = polyq.eval_at(P.curve.f, P.x)
-    s = _exact_sqrt(fx / P.y.d)
+    s = rational_sqrt(fx / P.y.d)
+    if s is None:
+        raise ValueError(f"{fx / P.y.d} is not a rational square")
     return {"x": str(P.x), "y_in_ext": [str(P.y.u), str(P.y.v / s)]}
-
-
-def _exact_sqrt(q: Fraction) -> Fraction:
-    num = _isqrt_exact(q.numerator)
-    den = _isqrt_exact(q.denominator)
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n: int) -> int:
-    import math
-    r = math.isqrt(n)
-    if r * r != n:
-        raise ValueError(f"{n} is not a perfect square")
-    return r
 
 
 def point_from_json(curve: HyperellipticCurve, obj: Dict) -> CurvePoint:

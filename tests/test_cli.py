@@ -141,13 +141,6 @@ def test_thresholds_table(capsys):
     ]
 
 
-def test_thresholds_parallel_matches(capsys):
-    a = run(capsys, "thresholds", "--genus", "3", "--nu", "5")
-    b = run(capsys, "thresholds", "--genus", "3", "--nu", "5", "--parallel")
-    assert a[0] == b[0] == 0
-    assert a[1] == b[1]
-
-
 def test_census(capsys):
     code, out, _ = run(capsys, "theta-census", "--genus", "2")
     assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from plurisusy.curve import Divisor, standard_curve
+from plurisusy.curve import Divisor, HyperellipticCurve, standard_curve
 from plurisusy.pluricanonical import (SuperPointFamily, ThresholdCell,
                                       build_model,
                                       canonical_nonembedding_demo,
@@ -228,16 +228,6 @@ def test_threshold_mixed_cell():
     assert cells[(2, 3)].verdict() == "FAIL"
 
 
-def test_threshold_parallel_matches_serial():
-    serial = threshold_table(4, 5)
-    parallel = threshold_table(4, 5, parallel=True)
-    assert len(serial) == len(parallel)
-    for a, b in zip(serial, parallel):
-        assert (a.g, a.nu, a.even_pass, a.odd_pass) == \
-               (b.g, b.nu, b.even_pass, b.odd_pass)
-        assert a.witness == b.witness
-
-
 # ---------------------------------------------------------------------------
 # models
 # ---------------------------------------------------------------------------
@@ -329,6 +319,16 @@ def test_family_rejects_irrational_poles():
     fn = C2.function(polyq.ONE, polyq.ZERO, den).inverse().inverse()
     with pytest.raises(ValueError):
         SuperPointFamily(X2E, fn)
+
+
+def test_no_rational_branch_point_is_scope_error():
+    # y^2 = x^5 - 2 has no rational finite branch point to serve as W
+    C = HyperellipticCurve([-2, 0, 0, 0, 0, 1])
+    X = make_split_supercurve(C, Divisor({C.infinity(): 1}))
+    with pytest.raises(ValueError, match="no rational finite branch point"):
+        SuperPointFamily(X, C.x_fn())
+    with pytest.raises(ValueError, match="no rational finite branch point"):
+        random_deformation(C, seed=0)
 
 
 def test_random_deformation_seeded():
