@@ -51,9 +51,9 @@ def _write(path: Optional[str], text: str) -> None:
 
 
 def _get_curve(args) -> HyperellipticCurve:
-    if getattr(args, "curve", None):
+    if getattr(args, "curve", None) is not None:
         return curve_from_json(_load_json(args.curve))
-    if getattr(args, "genus", None):
+    if getattr(args, "genus", None) is not None:
         return standard_curve(args.genus)
     raise UsageError("need --curve FILE or --genus G")
 
@@ -104,7 +104,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    cells = threshold_table(args.genus or 6, args.nu or 6)
+    cells = threshold_table(args.genus, args.nu)
     if args.format == "json":
         payload = []
         for c in cells:
@@ -204,8 +204,6 @@ def cmd_dual(args) -> int:
 
 
 def cmd_moduli_dim(args) -> int:
-    if not args.genus:
-        raise UsageError("need --genus G")
     dim = moduli_dimension(args.genus)
     if args.format == "json":
         _write(args.out, dumps({"even": dim.even, "odd": dim.odd,

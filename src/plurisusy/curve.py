@@ -54,6 +54,9 @@ class HyperellipticCurve:
         self.genus = (d - 1) // 2
         self._rr_cache: Dict = {}
         self._echelon_cache: Dict = {}
+        self._roots: Optional[Tuple[List[Tuple[Fraction, int]], Poly]] = None
+        self._branch: Dict[Fraction, CurvePoint] = {}
+        self._local: Dict[CurvePoint, _Local] = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -89,13 +92,13 @@ class HyperellipticCurve:
 
     def branch_point(self, r) -> "CurvePoint":
         r = _as_fraction(r)
-        if polyq.eval_at(self.f, r) != 0:
+        P = self._branch_points().get(r)
+        if P is None:
             raise ValueError(f"{r} is not a root of f")
-        return CurvePoint(self, r, Fraction(0))
+        return P
 
     def rational_branch_points(self) -> List["CurvePoint"]:
-        roots, _ = polyq.rational_roots(self.f)
-        return [self.branch_point(r) for r, _m in roots]
+        return list(self._branch_points().values())
 
     # -- functions ---------------------------------------------------------
 
@@ -115,12 +118,45 @@ class HyperellipticCurve:
         return FunctionFieldElement(self, polyq.poly(A), polyq.poly(B), polyq.poly(den))
 
     # -- local expansions ----------------------------------------------------
+    #
+    # Each curve caches its local data: the factorisation of f, and per
+    # point x(t), y(t), the powers x^i(t) and the inverses 1/d(t) of the
+    # denominators seen there.  A series is kept at the largest cut asked
+    # for so far and regrown to at least twice that cut when a caller needs
+    # more; a smaller cut gets an exact truncation, equal to a fresh solve.
+    # Internal callers read the cache and call the public x_series_at_branch,
+    # y_series_at and y_series_at_infinity only to grow it.
+
+    def _f_roots(self) -> Tuple[List[Tuple[Fraction, int]], Poly]:
+        """Rational roots of f with multiplicities, and the cofactor."""
+        if self._roots is None:
+            self._roots = polyq.rational_roots(self.f)
+            self._branch = {r: CurvePoint(self, r, Fraction(0))
+                            for r, _m in self._roots[0]}
+        return self._roots
+
+    def _branch_points(self) -> Dict[Fraction, "CurvePoint"]:
+        """The rational branch points, keyed by x-coordinate and in
+        increasing order."""
+        self._f_roots()
+        return self._branch
+
+    def _local_at(self, P: "CurvePoint") -> "_Local":
+        loc = self._local.get(P)
+        if loc is None:
+            loc = self._local[P] = _Local()
+        return loc
 
     def x_series_at_branch(self, r: Fraction, cut: int) -> TSeries:
         """Series of x - r in the parameter t = y at the branch point (r, 0),
         solving f(x(t)) = t^2 by fixed point iteration."""
+        loc = self._local_at(self.branch_point(r))
+        if loc.x is None or loc.x.cut < cut:
+            loc.x = self._solve_branch(r, _grown(loc.x, cut))
+        return loc.x.truncate(cut)
+
+    def _solve_branch(self, r: Fraction, cut: int) -> TSeries:
         fshift = polyq.shift(self.f, r)  # f(r+s), constant term 0
-        assert fshift and fshift[0] == 0
         u = fshift[1:]  # f(r+s) = s * u(s), u(0) != 0
         t2 = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), Fraction(1)], cut)
         s = t2.scale(1 / u[0])
@@ -129,32 +165,78 @@ class HyperellipticCurve:
             if nxt.val == s.val and nxt.coeffs == s.coeffs and nxt.cut == s.cut:
                 break
             s = nxt
-        check = _compose_poly(fshift, s, cut) - t2
-        assert check.is_empty() or check.first_nonzero() is None, "branch series failed"
+        if (_compose_poly(fshift, s, cut) - t2).first_nonzero() is not None:
+            raise RuntimeError("branch series failed")
         return s
 
     def y_series_at(self, P: "CurvePoint", cut: int) -> TSeries:
         """Series of y in the local parameter at a finite point."""
-        assert not P.at_infinity
-        if P.y == 0:
-            return TSeries.from_poly_coeffs([Fraction(0), Fraction(1)], cut)
-        fshift = polyq.shift(self.f, P.x)
-        fx = TSeries.from_poly_coeffs(list(fshift), cut)
-        return fx.sqrt_with(P.y)
+        if P.at_infinity:
+            raise ValueError("y_series_at needs a finite point")
+        loc = self._local_at(P)
+        if loc.y is None or loc.y.cut < cut:
+            c = _grown(loc.y, cut)
+            if P.y == 0:
+                loc.y = TSeries.from_poly_coeffs([Fraction(0), Fraction(1)], c)
+            else:
+                fx = TSeries.from_poly_coeffs(list(polyq.shift(self.f, P.x)), c)
+                loc.y = fx.sqrt_with(P.y)
+        return loc.y.truncate(cut)
 
     def y_series_at_infinity(self, cut: int) -> TSeries:
         """Series of y at infinity: y = t^-(2g+1) sqrt(G(t^2)) where
-        G(s) = f(1/s) * s^(2g+1) has nonzero constant term lead(f)."""
+        G(s) = f(1/s) * s^(2g+1) has nonzero constant term lead(f).  The
+        window reaches at least t^(-2g), just past the leading term."""
         m = 2 * self.genus + 1
-        G = list(reversed(list(self.f)))
-        coeffs: List = []
-        for c in G:
-            coeffs.append(c)
-            coeffs.append(Fraction(0))
-        inner_cut = max(cut + m, 1)
-        inner = TSeries.from_poly_coeffs(coeffs, inner_cut)
-        root0 = make_sqrt(polyq.lead(self.f))
-        return inner.sqrt_with(root0).shift(-m)
+        cut = max(cut, 1 - m)
+        loc = self._local_at(self.infinity())
+        if loc.y is None or loc.y.cut < cut:
+            coeffs: List = []
+            for c in reversed(self.f):
+                coeffs.append(c)
+                coeffs.append(Fraction(0))
+            inner = TSeries.from_poly_coeffs(coeffs, _grown(loc.y, cut) + m)
+            root0 = make_sqrt(polyq.lead(self.f))
+            loc.y = inner.sqrt_with(root0).shift(-m)
+        return loc.y.truncate(cut)
+
+    def _y_at(self, P: "CurvePoint", cut: int) -> TSeries:
+        """y(t) at P, read from the cache when it reaches cut."""
+        y = self._local_at(P).y
+        if P.at_infinity:
+            cut = max(cut, -2 * self.genus)
+        if y is not None and y.cut >= cut:
+            return y.truncate(cut)
+        if P.at_infinity:
+            return self.y_series_at_infinity(cut)
+        return self.y_series_at(P, cut)
+
+    def _powers_at(self, P: "CurvePoint", n: int, cut: int) -> List[TSeries]:
+        """x^0(t), ..., x^n(t) (at least) at a finite point P, built as
+        x^(i+1) = x^i * x and exact below cut or beyond."""
+        loc = self._local_at(P)
+        powers = loc.powers
+        if not powers or powers[0].cut < cut:
+            c = _grown(powers[0] if powers else None, cut)
+            if P.y == 0:
+                x = self.x_series_at_branch(P.x, c) \
+                    + TSeries.from_poly_coeffs([P.x], c)
+            else:
+                x = TSeries.from_poly_coeffs([P.x, Fraction(1)], c)
+            powers = loc.powers = [TSeries.from_poly_coeffs([Fraction(1)], c), x]
+        c = powers[0].cut
+        while len(powers) <= n:
+            powers.append((powers[1] * powers[-1]).truncate(c))
+        return powers
+
+    def _inverse_at(self, d: Poly, P: "CurvePoint", cut: int) -> TSeries:
+        """1/d(t) at P, inverted from d's window below cut or beyond."""
+        inverses = self._local_at(P).inverses
+        hit = inverses.get(d)
+        if hit is None or hit[0] < cut:
+            c = cut if hit is None else max(cut, 2 * hit[0])
+            hit = inverses[d] = (c, self._poly_series_at(d, P, c).inverse())
+        return hit[1]
 
     def _poly_series_at(self, p: Poly, P: "CurvePoint", cut: int) -> TSeries:
         """Laurent series of the polynomial function p(x) at P."""
@@ -171,32 +253,41 @@ class HyperellipticCurve:
                 if 0 <= k < len(coeffs):
                     coeffs[k] = c
             return TSeries(lo, coeffs, cut)
-        if P.y == 0:
-            xs = self.x_series_at_branch(P.x, cut)
-            shifted = polyq.shift(p, P.x)
-            return _compose_poly(shifted, xs, cut)
-        return TSeries.from_poly_coeffs(list(polyq.shift(p, P.x)), cut)
+        acc: List = [Fraction(0)] * cut
+        for c, s in zip(p, self._powers_at(P, polyq.deg(p), cut)):
+            if c and s.val < cut:
+                for k, a in enumerate(s.coeffs[:cut - s.val], s.val):
+                    acc[k] += c * a
+        return TSeries(0, acc, cut)
+
+    def _poly_val(self, p: Poly, P: "CurvePoint") -> int:
+        """Valuation at P of the nonzero polynomial function p(x)."""
+        if P.at_infinity:
+            return -2 * polyq.deg(p)
+        m = polyq.mult_at(p, P.x)
+        return 2 * m if P.y == 0 else m
 
     def laurent_at(self, fn: "FunctionFieldElement", P: "CurvePoint",
                    nterms: int = 1) -> TSeries:
-        """Exact Laurent expansion of fn at P, valid through at least nterms
-        coefficients starting at the true valuation."""
+        """Exact Laurent expansion of fn at P: the window runs from the
+        valuation v up to the cut v + nterms (nterms at least 1)."""
         v = self.valuation(fn, P)
-        target = v + nterms
-        cut = max(target, 1) + 2 * self.genus + 4 + 2 * polyq.deg(fn.den)
-        for _ in range(12):
-            num = self._poly_series_at(fn.A, P, cut)
-            if fn.B:
-                ys = (self.y_series_at_infinity(cut) if P.at_infinity
-                      else self.y_series_at(P, cut))
-                num = num + self._poly_series_at(fn.B, P, cut) * ys
-            den = self._poly_series_at(fn.den, P, cut)
-            q = num / den
-            if q.cut >= target:
-                assert q.first_nonzero() == v, "series disagrees with valuation"
-                return q
-            cut += target - q.cut + 4
-        raise RuntimeError("laurent_at did not reach requested precision")
+        nterms = max(nterms, 1)
+        vd = self._poly_val(fn.den, P)
+        cut = v + vd + nterms  # the numerator starts at t^(v + vd)
+        q = self._poly_series_at(fn.A, P, cut)
+        if fn.B:
+            # the B y window must reach cut past the leading terms of y and B
+            bcut = ycut = cut
+            if P.at_infinity:
+                bcut = cut + 2 * self.genus + 1
+                ycut = cut + 2 * polyq.deg(fn.B)
+            q = q + self._poly_series_at(fn.B, P, bcut) * self._y_at(P, ycut)
+        if fn.den != polyq.ONE:
+            q = q * self._inverse_at(fn.den, P, vd + nterms)
+        if q.first_nonzero() != v:
+            raise RuntimeError("series disagrees with valuation")
+        return q
 
     def evaluate(self, fn: "FunctionFieldElement", P: "CurvePoint") -> Scalar:
         """Value of fn at a point where it has no pole."""
@@ -212,22 +303,16 @@ class HyperellipticCurve:
         if fn.is_zero():
             raise ValueError("the zero function has no valuation")
         A, B, den = fn.A, fn.B, fn.den
-        if P.at_infinity:
-            cands = []
-            if A:
-                cands.append(-2 * polyq.deg(A))
-            if B:
-                cands.append(-(2 * self.genus + 1) - 2 * polyq.deg(B))
-            return min(cands) + 2 * polyq.deg(den)
-        x0 = P.x
-        if P.y == 0:
-            cands = []
-            if A:
-                cands.append(2 * polyq.mult_at(A, x0))
-            if B:
-                cands.append(1 + 2 * polyq.mult_at(B, x0))
-            return min(cands) - 2 * polyq.mult_at(den, x0)
-        return self._val_num_at(A, B, P) - polyq.mult_at(den, x0)
+        if not (P.at_infinity or P.y == 0):
+            return self._val_num_at(A, B, P) - polyq.mult_at(den, P.x)
+        # y has odd valuation here and x even, so A and B y never cancel
+        y_val = -(2 * self.genus + 1) if P.at_infinity else 1
+        cands = []
+        if A:
+            cands.append(self._poly_val(A, P))
+        if B:
+            cands.append(self._poly_val(B, P) + y_val)
+        return min(cands) - self._poly_val(den, P)
 
     def _val_num_at(self, A: Poly, B: Poly, P: "CurvePoint") -> int:
         """Valuation of A + B y at a finite non-branch point, by series
@@ -250,12 +335,11 @@ class HyperellipticCurve:
         norm = polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), self.f))
         M = polyq.mult_at(norm, x0)
         cut = M + 1
-        s = TSeries.from_poly_coeffs(list(polyq.shift(A, x0)), cut)
-        s = s + TSeries.from_poly_coeffs(list(polyq.shift(B, x0)), cut) \
-            * self.y_series_at(P, cut)
-        lead = s.first_nonzero()
-        assert lead is not None and lead == M, "norm bound violated"
-        return k + lead
+        s = self._poly_series_at(A, P, cut) \
+            + self._poly_series_at(B, P, cut) * self._y_at(P, cut)
+        if s.first_nonzero() != M:
+            raise RuntimeError("norm bound violated")
+        return k + M
 
     # -- divisors ------------------------------------------------------------
 
@@ -287,7 +371,8 @@ class HyperellipticCurve:
         # numerator A + B y
         A, B = fn.A, fn.B
         norm = polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), self.f))
-        assert norm, "nonzero function with zero norm"
+        if not norm:
+            raise RuntimeError("nonzero function with zero norm")
         roots, cof = polyq.rational_roots(norm)
         if polyq.deg(cof) > 0:
             raise UnrepresentableSupportError(
@@ -296,7 +381,9 @@ class HyperellipticCurve:
             if polyq.eval_at(self.f, x0) == 0:
                 W = self.branch_point(x0)
                 vW = self.valuation(FunctionFieldElement(self, A, B, polyq.ONE), W)
-                assert vW == M, "branch valuation disagrees with norm multiplicity"
+                if vW != M:
+                    raise RuntimeError(
+                        "branch valuation disagrees with norm multiplicity")
                 bump(W, vW)
             else:
                 Pp = self.point(x0, sign=1)
@@ -311,18 +398,40 @@ class HyperellipticCurve:
         bump(inf, min(cands))
 
         D = Divisor(data)
-        assert D.degree() == 0, "principal divisor must have degree zero"
+        if D.degree() != 0:
+            raise RuntimeError("principal divisor must have degree zero")
         return D
 
 
 def _compose_poly(p: Iterable, s: TSeries, cut: int) -> TSeries:
     """p(s(t)) for a polynomial p and a series s with s.val >= 0."""
-    assert s.is_empty() or s.val >= 0
+    if not s.is_empty() and s.val < 0:
+        raise ValueError("cannot compose a polynomial with a pole")
     coeffs = list(p)
     acc = TSeries.zero(cut)
     for c in reversed(coeffs):
         acc = acc * s + TSeries.from_poly_coeffs([c], cut)
     return acc
+
+
+def _grown(old: Optional[TSeries], cut: int) -> int:
+    """Cut at which to rebuild a cached series that must reach cut."""
+    return cut if old is None else max(cut, 2 * old.cut)
+
+
+class _Local:
+    """Cached expansions at one point of a curve (see the local expansions
+    section of HyperellipticCurve): x(t) - r at a branch point r, y(t),
+    the powers x^i(t), and 1/d(t) with the window of d it came from,
+    keyed by the polynomial d."""
+
+    __slots__ = ("x", "y", "powers", "inverses")
+
+    def __init__(self):
+        self.x: Optional[TSeries] = None
+        self.y: Optional[TSeries] = None
+        self.powers: List[TSeries] = []
+        self.inverses: Dict[Poly, Tuple[int, TSeries]] = {}
 
 
 class CurvePoint:
@@ -389,7 +498,8 @@ class FunctionFieldElement:
         A, B, den = polyq.poly(A), polyq.poly(B), polyq.poly(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = polyq.gcd(polyq.gcd(A, B), den)
+        # a constant den is coprime to everything
+        g = polyq.gcd(polyq.gcd(A, B), den) if polyq.deg(den) > 0 else polyq.ONE
         if polyq.deg(g) > 0:
             A = polyq.exact_div(A, g)
             B = polyq.exact_div(B, g)

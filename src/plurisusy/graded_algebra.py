@@ -68,8 +68,10 @@ class GrassmannElement:
         clean: Dict[Subset, sp.Expr] = {}
         for key, c in terms.items():
             key = tuple(key)
-            assert list(key) == sorted(set(key)), f"term key {key} not a sorted subset"
-            assert all(0 <= i < len(self.gens) for i in key)
+            if list(key) != sorted(set(key)):
+                raise ValueError(f"term key {key} not a sorted subset")
+            if not all(0 <= i < len(self.gens) for i in key):
+                raise ValueError(f"term key {key} names an unknown generator")
             e = _norm_expr(_to_expr(c))
             if e != 0:
                 clean[key] = e

@@ -173,7 +173,9 @@ def _effective_points(curve: HyperellipticCurve, rep: Divisor,
     if T is None:
         raise UnrepresentableSupportError(
             "no section of the class has representable zeros")
-    assert T.is_effective() and T.degree() == degree
+    if not (T.is_effective() and T.degree() == degree):
+        raise RuntimeError("section divisor is not an effective divisor "
+                           "of the class degree")
     pts: List[CurvePoint] = []
     for P, n in T.items():
         pts.extend([P] * n)
@@ -219,7 +221,8 @@ def very_ample_check(X: SplitSupercurve, nu: int) -> VeryAmpleReport:
         rep = reduce_weierstrass(
             curve, nu * Lrep - K + Divisor.of_point(curve.infinity()))
         pts = _effective_points(curve, rep, 2)
-        assert pts is not None, "degree-2 classes on genus 2 are effective"
+        if pts is None:
+            raise RuntimeError("degree-2 classes on genus 2 are effective")
         cond1_ok = False
         witness = (pts[0], pts[1])
         note = "K - L^nu + x + y is effective at the witness pair"
@@ -310,6 +313,10 @@ def threshold_table(g_max: int = 6, nu_max: int = 6) -> List[ThresholdCell]:
     """Very-ampleness grid over 2 <= g <= g_max, 3 <= nu <= nu_max,
     quantified over theta characteristics through the parity
     representatives."""
+    if g_max < 2:
+        raise ValueError("genus must be at least 2")
+    if nu_max < 3:
+        raise ValueError("nu must be at least 3")
     cells = []
     for g in range(2, g_max + 1):
         curve = standard_curve(g)
@@ -339,8 +346,9 @@ class PluriCanonicalModel:
     cleared_divisors: Dict[str, Divisor]
 
     def __post_init__(self):
-        assert len(self.even_sections) == self.ambient.even + 1
-        assert len(self.odd_sections) == self.ambient.odd
+        if (len(self.even_sections) != self.ambient.even + 1
+                or len(self.odd_sections) != self.ambient.odd):
+            raise ValueError("section counts do not match the ambient space")
 
 
 def build_model(X: SplitSupercurve, nu: int,

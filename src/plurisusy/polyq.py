@@ -167,10 +167,14 @@ def mult_at(p: Poly, x0) -> int:
 
 
 def from_roots(roots: Sequence) -> Poly:
-    p = ONE
+    """Monic product of the factors (x - r)."""
+    cs = [Fraction(1)]
     for r in roots:
-        p = mul(p, (Fraction(-1) * Fraction(r), Fraction(1)))
-    return p
+        r = Fraction(r)
+        cs.insert(0, Fraction(0))  # times x; the loop subtracts r times cs
+        for i in range(len(cs) - 1):
+            cs[i] -= r * cs[i + 1]
+    return tuple(cs)
 
 
 def is_squarefree(p: Poly) -> bool:

@@ -62,10 +62,8 @@ def clearing_frame(curve: HyperellipticCurve, D: Divisor
         if not P.at_infinity:
             e = (n + 1) // 2 if P.is_branch() else n
             exps[P.x] = max(exps.get(P.x, 0), e)
-    d = polyq.ONE
-    for x0, e in sorted(exps.items()):
-        if e:
-            d = polyq.mul(d, polyq.pow_(polyq.poly([-x0, 1]), e))
+    d = polyq.from_roots([x0 for x0, e in sorted(exps.items())
+                          for _ in range(e)])
     bound = D[curve.infinity()] + 2 * polyq.deg(d)
     n_x = max(0, bound // 2 + 1)
     n_y = max(0, (bound - 2 * curve.genus - 1) // 2 + 1)
@@ -81,23 +79,22 @@ def _rr_space_uncached(curve, D):
         return []
 
     def candidate_series(P: CurvePoint, cut: int) -> List:
-        out = []
-        ys = None
-        for i in range(n_x):
-            out.append(curve._poly_series_at(polyq.pow_(polyq.X, i), P, cut))
+        """x^i and x^j y at P, each exact below cut."""
+        powers = curve._powers_at(P, max(n_x, n_y) - 1, cut)
+        out = powers[:n_x]
         if n_y:
-            ys = curve.y_series_at(P, cut)
-        for j in range(n_y):
-            out.append(curve._poly_series_at(polyq.pow_(polyq.X, j), P, cut) * ys)
+            ys = curve._y_at(P, cut)
+            out += [s.truncate(cut) * ys for s in powers[:n_y]]
         return out
 
     # at each point above a fibre the candidates must vanish to order
     # ord_P(d) - D[P]; an inert fibre needs its + sheet only, since
     # _split_rows adds the conjugate conditions
     rows: List[List[Fraction]] = []
+    branch = curve._branch_points()
     for x0, e in sorted(exps.items()):
-        if polyq.eval_at(curve.f, x0) == 0:
-            points = [(curve.branch_point(x0), 2 * e)]
+        if x0 in branch:
+            points = [(branch[x0], 2 * e)]
         else:
             P = curve.point(x0, sign=1)
             points = [(P, e), (P.conjugate(), e)] if P.is_rational() else [(P, e)]
@@ -141,7 +138,8 @@ def is_principal(curve: HyperellipticCurve, D: Divisor
     if not basis:
         return False, None
     h = basis[0].inverse()
-    assert curve.divisor_of(h) == D, "principality witness has wrong divisor"
+    if curve.divisor_of(h) != D:
+        raise RuntimeError("principality witness has wrong divisor")
     return True, h
 
 
@@ -243,7 +241,7 @@ class ThetaCharacteristic:
 
 def branch_roots(curve: HyperellipticCurve) -> List[Fraction]:
     """Sorted finite branch x-coordinates; requires all of them rational."""
-    roots, cof = polyq.rational_roots(curve.f)
+    roots, cof = curve._f_roots()
     if polyq.deg(cof) > 0:
         raise ValueError("all finite branch points must be rational")
     return [r for r, _ in roots]
@@ -277,7 +275,8 @@ def theta_characteristics(curve: HyperellipticCurve) -> List[ThetaCharacteristic
     for size in range(g + 1):
         for S in combinations(range(len(rs)), size):
             out.append(theta_from_subset(curve, S))
-    assert len(out) == 2 ** (2 * g), "census size mismatch"
+    if len(out) != 2 ** (2 * g):
+        raise RuntimeError("census size mismatch")
     return out
 
 
@@ -296,7 +295,8 @@ def parity_representatives(curve: HyperellipticCurve
     rs = branch_roots(curve)
     g = curve.genus
     even = theta_from_subset(curve, tuple(range(g)))
-    assert even.h0 == 0, "size-g subset with unexpected sections"
+    if even.h0 != 0:
+        raise RuntimeError("size-g subset with unexpected sections")
     for size in range(g + 1):
         for S in combinations(range(len(rs)), size):
             th = theta_from_subset(curve, S)

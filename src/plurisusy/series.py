@@ -16,7 +16,8 @@ class TSeries:
 
     def __init__(self, val: int, coeffs: Sequence, cut: int):
         coeffs = list(coeffs)
-        assert len(coeffs) == cut - val, "window length mismatch"
+        if len(coeffs) != cut - val:
+            raise ValueError("window length mismatch")
         # strip leading zeros so val points at the first potentially
         # nonzero coefficient
         while coeffs and coeffs[0] == 0:
@@ -91,6 +92,16 @@ class TSeries:
             return TSeries.zero(self.cut)
         return TSeries(self.val, [c * a for a in self.coeffs], self.cut)
 
+    def truncate(self, cut: int) -> "TSeries":
+        """The same series known only below cut <= self.cut."""
+        if cut > self.cut:
+            raise ValueError("cannot truncate beyond the known window")
+        if cut == self.cut:
+            return self
+        if cut <= self.val:
+            return TSeries.zero(cut)
+        return TSeries(self.val, self.coeffs[: cut - self.val], cut)
+
     def shift(self, k: int) -> "TSeries":
         """Multiply by t^k."""
         return TSeries(self.val + k, list(self.coeffs), self.cut + k)
@@ -112,9 +123,6 @@ class TSeries:
             out[k] = -lead_inv * acc
         return TSeries(-self.val, out, -self.val + n)
 
-    def __truediv__(self, other: "TSeries"):
-        return self * other.inverse()
-
     def sqrt_with(self, root0) -> "TSeries":
         """Square root with prescribed leading root: val must be even and
         root0*root0 must equal the leading coefficient."""
@@ -123,7 +131,8 @@ class TSeries:
         if self.val % 2:
             raise ValueError("odd valuation has no series square root")
         c0 = self.coeffs[0]
-        assert root0 * root0 == c0, "prescribed root does not square to the leading term"
+        if root0 * root0 != c0:
+            raise ValueError("prescribed root does not square to the leading term")
         n = self.cut - self.val
         inv2r = Fraction(1) / (root0 + root0)
         out: List = [root0] + [Fraction(0)] * (n - 1)

@@ -252,6 +252,20 @@ def test_missing_curve_is_usage_error(capsys):
     assert "need --curve FILE or --genus G" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("thresholds", "--genus", "0", "--nu", "3"), "genus must be at least 2"),
+    (("thresholds", "--genus", "1", "--nu", "4"), "genus must be at least 2"),
+    (("thresholds", "--nu", "2"), "nu must be at least 3"),
+    (("theta-census", "--genus", "0"), "genus must be at least 2"),
+    (("moduli-dim", "--genus", "0"), "genus must be at least 2"),
+    (("rank", "--genus", "0", "--nu", "3"), "genus must be at least 2"),
+])
+def test_small_genus_or_nu_is_usage_error(capsys, argv, message):
+    # a given --genus 0 is out of range, not missing
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bad_theta_is_usage_error(capsys):
     code, _, err = run(capsys, "rank", "--genus", "2", "--nu", "3",
                        "--theta", "nonsense")

@@ -8,6 +8,7 @@ import pytest
 from plurisusy import polyq
 from plurisusy.curve import (Divisor, HyperellipticCurve,
                              UnrepresentableSupportError, standard_curve)
+from plurisusy.riemann_roch import rr_space
 
 C2 = standard_curve(2)  # y^2 = x(x-1)(x-2)(x-3)(x-4)
 C3 = standard_curve(3)
@@ -312,3 +313,92 @@ def test_divisor_arithmetic():
     assert 2 * Divisor.of_point(W0) == Divisor({W0: 2})
     assert not D.is_effective()
     assert E.is_effective()
+
+
+# ---------------------------------------------------------------------------
+# cached local expansions: a warm curve answers like a cold one
+# ---------------------------------------------------------------------------
+
+
+def _series_key(s):
+    return (s.val, s.coeffs, s.cut)
+
+
+def _warm_vs_cold_curves():
+    rng = random.Random(2024)
+    curves = [HyperellipticCurve(polyq.from_roots(
+        [Fraction(r) for r in (0, 1, 2, 3, -7)]))]  # (-1, +-12) on it
+    for g in (2, 3, 2, 3):
+        roots = rng.sample(range(-6, 7), 2 * g + 1)
+        curves.append(HyperellipticCurve(polyq.from_roots(
+            [Fraction(r) for r in roots])))
+    return curves
+
+
+def _finite_points(C):
+    """Rational-y and quadratic-y points with small x, both sheets."""
+    rational, quadratic = [], []
+    for k in range(-24, 25):
+        x0 = Fraction(k, 2)
+        if polyq.eval_at(C.f, x0) == 0:
+            continue
+        P = C.point(x0)
+        (rational if P.is_rational() else quadratic).extend([P, P.conjugate()])
+    return rational, quadratic
+
+
+@pytest.mark.parametrize("C", _warm_vs_cold_curves(),
+                         ids=["designed", "g2a", "g3a", "g2b", "g3b"])
+def test_warm_caches_answer_like_a_cold_curve(C):
+    rng = random.Random(hash(C.f) % 1000)
+    branch = C.rational_branch_points()
+    rational, quadratic = _finite_points(C)
+    inf = C.infinity()
+    tasks = []  # (name, task on a curve, result key)
+
+    for W in branch:
+        c = rng.randint(1, 7)
+        C.x_series_at_branch(W.x, c + rng.randint(1, 6))
+        tasks.append(("x", lambda K, r=W.x, c=c: K.x_series_at_branch(r, c),
+                      _series_key))
+    for P in rng.sample(rational, min(4, len(rational))) \
+            + rng.sample(quadratic, 4) + branch[:2]:
+        for c in (rng.randint(1, 9), rng.randint(1, 9)):
+            tasks.append(("y", lambda K, P=P, c=c: K.y_series_at(P, c),
+                          _series_key))
+    for c in (-2 * C.genus, rng.randint(-6, 6), rng.randint(-6, 6)):
+        tasks.append(("y inf", lambda K, c=c: K.y_series_at_infinity(c),
+                      _series_key))
+    laurent_points = branch + [inf] + rng.sample(quadratic, 4) + rational[:2]
+    for _ in range(40):
+        fn = _random_function(C, rng)
+        P = rng.choice(laurent_points)
+        n = rng.randint(1, 5)
+        tasks.append(("laurent", lambda K, fn=fn, P=P, n=n: K.laurent_at(
+            K.function(fn.A, fn.B, fn.den), P, nterms=n), _series_key))
+    for _ in range(12):
+        data = {inf: rng.randint(-2, 2 * C.genus + 2)}
+        for W in rng.sample(branch, 2):
+            data[W] = rng.randint(-2, 3)
+        P = rng.choice(quadratic)
+        n = rng.randint(-1, 2)
+        data[P] = data[P.conjugate()] = n
+        D = Divisor(data)
+        tasks.append(("rr", lambda K, D=D: rr_space(K, D),
+                      lambda basis: [(h.A, h.B, h.den) for h in basis]))
+    rng.shuffle(tasks)
+
+    for name, task, key in tasks:
+        warm = key(task(C))
+        cold = key(task(HyperellipticCurve(C.f)))
+        assert warm == cold, name
+
+
+def test_laurent_window_ends_at_requested_depth():
+    rng = random.Random(5)
+    for _ in range(30):
+        fn = _random_function(C3, rng)
+        P = _random_point(C3, rng)
+        n = rng.randint(1, 4)
+        s = C3.laurent_at(fn, P, nterms=n)
+        assert s.cut == C3.valuation(fn, P) + n

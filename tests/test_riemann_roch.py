@@ -266,6 +266,20 @@ def test_census_genus_3_counts_and_vanishing_thetanull():
     assert [repr(b) for b in basis] == ["1", "x"]
 
 
+@pytest.mark.parametrize("g, seed", [(2, 0), (2, 1), (3, 0), (3, 1), (4, 0)])
+def test_census_matches_closed_form_on_random_split_curves(g, seed):
+    # Mumford, Tata Lectures on Theta II, ch. IIIa: for the subset
+    # representative S, h0 = (g - 1 - |S|)//2 + 1 when |S| < g, else 0
+    roots = random.Random(100 * g + seed).sample(range(-6, 7), 2 * g + 1)
+    C = HyperellipticCurve(polyq.from_roots([Fraction(r) for r in roots]))
+    census = theta_characteristics(C)
+    assert len(census) == 2 ** (2 * g)
+    for t in census:
+        k = len(t.subset)
+        assert t.h0 == ((g - 1 - k) // 2 + 1 if k < g else 0), t.subset
+    assert sum(t.is_odd for t in census) == 2 ** (g - 1) * (2 ** g - 1)
+
+
 def test_census_pairwise_distinct_genus_2():
     census = theta_characteristics(C2)
     for s, t in combinations(census, 2):
