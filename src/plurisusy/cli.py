@@ -261,7 +261,7 @@ def cmd_check_sc(args) -> int:
         zp = _parse_super(alg, args.zp, z)
         tp = _parse_super(alg, args.tp, z)
         report = check_superconformal(zp, tp, z)
-    except (ValueError, sp.SympifyError) as exc:
+    except (ValueError, sp.SympifyError, sp.PolynomialError) as exc:
         raise UsageError(str(exc)) from exc
     if args.format == "json":
         payload = {

@@ -438,7 +438,7 @@ class CurvePoint:
     """A rational point of the curve: finite (x, y) with rational x and y in
     Q or a quadratic extension, or the single point at infinity."""
 
-    __slots__ = ("curve", "x", "y", "at_infinity")
+    __slots__ = ("curve", "x", "y", "at_infinity", "_key", "_hash")
 
     def __init__(self, curve: HyperellipticCurve, x, y, at_infinity: bool = False):
         self.curve = curve
@@ -446,9 +446,17 @@ class CurvePoint:
         if at_infinity:
             self.x = None
             self.y = None
+            self._key = (1, Fraction(0), 0, Fraction(0), Fraction(0), 0)
         else:
             self.x = _as_fraction(x)
-            self.y = y if isinstance(y, QuadExt) else _as_fraction(y)
+            if isinstance(y, QuadExt):
+                self.y = y
+                self._key = (0, self.x, 1, y.u, y.v, y.d)
+            else:
+                self.y = _as_fraction(y)
+                self._key = (0, self.x, 0, self.y, Fraction(0), 0)
+        # points are never mutated, so the sort key and hash are kept
+        self._hash = hash(self._key)
 
     def is_branch(self) -> bool:
         return (not self.at_infinity) and self.y == 0
@@ -463,24 +471,16 @@ class CurvePoint:
             return self
         return CurvePoint(self.curve, self.x, -self.y)
 
-    def _key(self):
-        if self.at_infinity:
-            return (1, Fraction(0), 0, Fraction(0), Fraction(0), 0)
-        y = self.y
-        if isinstance(y, QuadExt):
-            return (0, self.x, 1, y.u, y.v, y.d)
-        return (0, self.x, 0, y, Fraction(0), 0)
-
     def __eq__(self, other):
         if not isinstance(other, CurvePoint):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        return self._key < other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         if self.at_infinity:
@@ -630,7 +630,7 @@ class Divisor:
         return Divisor({P: n})
 
     def items(self) -> List[Tuple[CurvePoint, int]]:
-        return sorted(self.data.items(), key=lambda kv: kv[0]._key())
+        return sorted(self.data.items(), key=lambda kv: kv[0]._key)
 
     def support(self) -> List[CurvePoint]:
         return [p for p, _ in self.items()]
@@ -679,7 +679,7 @@ class Divisor:
         return hash(frozenset(self.data.items()))
 
     def key(self):
-        return tuple((p._key(), n) for p, n in self.items())
+        return tuple((p._key, n) for p, n in self.items())
 
     def __repr__(self):
         if not self.data:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 
 def rational_sqrt(fr: Fraction) -> Optional[Fraction]:
@@ -62,8 +62,7 @@ def _is_scalar(x) -> bool:
 
 
 class QuadExt:
-    """u + v*sqrt(d); u and v are Fractions (or nested QuadExt over a
-    different d for transient tower arithmetic), d a squarefree integer."""
+    """u + v*sqrt(d); u and v are Fractions, d a squarefree integer."""
 
     __slots__ = ("u", "v", "d")
 
@@ -76,9 +75,6 @@ class QuadExt:
 
     def __repr__(self):
         return f"({self.u} + {self.v}*sqrt({self.d}))"
-
-    def conj(self) -> "QuadExt":
-        return QuadExt(self.u, -self.v, self.d)
 
     def norm(self):
         return self.u * self.u - self.v * self.v * self.d
@@ -151,14 +147,6 @@ class QuadExt:
     def __rtruediv__(self, other):
         return self.inv() * other
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        acc = Fraction(1)
-        for _ in range(n):
-            acc = self * acc
-        return acc
-
 
 def qext(u, v, d: int):
     """Normalizing constructor: collapses a zero irrational part."""
@@ -167,55 +155,24 @@ def qext(u, v, d: int):
     return QuadExt(u, v, d)
 
 
-def _ext_d(row: Sequence) -> Optional[int]:
+def _normalised(row: Sequence) -> Optional[List]:
+    """The row scaled so that its first nonzero entry is 1; None for a
+    zero row."""
     for x in row:
-        if isinstance(x, QuadExt):
-            return x.d
+        if x != 0:
+            inv = Fraction(1) / x
+            return [e * inv for e in row]
     return None
 
 
 def rows_independent(row1: Sequence, row2: Sequence) -> bool:
     """Exact rank-2 test for two rows of field elements.
 
-    Each row is internally consistent (all its QuadExt entries share one d),
-    but the two rows may live in different quadratic extensions; the minors
-    are then computed in the biquadratic algebra Q(sqrt(d1), sqrt(d2)) via a
-    flat 4-component representation 1, sqrt(d1), sqrt(d2), sqrt(d1*d2).
+    The entries of one row share one field Q(sqrt(d)); the two rows may
+    live in different ones.  Nonzero rows are dependent iff their
+    normalised forms agree in Q(sqrt(d1), sqrt(d2)).  With d1 != d2
+    squarefree, an element of Q(sqrt(d1)) equals one of Q(sqrt(d2)) only
+    when both are rational, so structural equality decides it.
     """
-    d1 = _ext_d(row1)
-    d2 = _ext_d(row2)
-    if d2 is not None and d1 == d2:
-        d2_slot_is_d1 = True
-    else:
-        d2_slot_is_d1 = False
-
-    def to4(x, first_row: bool):
-        if isinstance(x, QuadExt):
-            if first_row or d2_slot_is_d1:
-                return (x.u, x.v, Fraction(0), Fraction(0))
-            return (x.u, Fraction(0), x.v, Fraction(0))
-        return (Fraction(x), Fraction(0), Fraction(0), Fraction(0))
-
-    da = d1 if d1 is not None else 1
-    db = d2 if d2 is not None else 1
-
-    def mul4(p, q):
-        a, b, c, e = p
-        a2, b2, c2, e2 = q
-        return (
-            a * a2 + b * b2 * da + c * c2 * db + e * e2 * da * db,
-            a * b2 + b * a2 + (c * e2 + e * c2) * db,
-            a * c2 + c * a2 + (b * e2 + e * b2) * da,
-            a * e2 + e * a2 + b * c2 + c * b2,
-        )
-
-    r1 = [to4(x, True) for x in row1]
-    r2 = [to4(x, False) for x in row2]
-    n = len(r1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m1 = mul4(r1[i], r2[j])
-            m2 = mul4(r1[j], r2[i])
-            if any(m1[k] != m2[k] for k in range(4)):
-                return True
-    return False
+    s1, s2 = _normalised(row1), _normalised(row2)
+    return s1 is not None and s2 is not None and s1 != s2

@@ -444,7 +444,8 @@ def verify_embedding(M: PluriCanonicalModel,
     members runs check (b) in place of (a).  Rows are scaled Laurent
     coefficients, so points on the cleared divisors are fine.  An integer
     `samples` draws that many point pairs deterministically from `seed`;
-    a point list checks all pairs from the list."""
+    a point list checks all pairs from the list.  Fewer than one sample
+    is a ValueError, so a report never passes on no checks."""
     curve = M.curve
     D_even = M.cleared_divisors["even"]
     D_odd = M.cleared_divisors["odd"]
@@ -457,6 +458,8 @@ def verify_embedding(M: PluriCanonicalModel,
         pts = list(samples)
         pairs = [(pts[i], pts[j])
                  for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    if not pts:
+        raise ValueError("samples must be at least 1")
 
     points: List[CurvePoint] = []
     seen = set()

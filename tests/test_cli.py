@@ -185,6 +185,13 @@ def test_check_superconformal(capsys):
     assert out == "superconformal: no\nresidual: (-3)*theta\n"
 
 
+@pytest.mark.parametrize("zp", ["1/theta", "z**theta"])
+def test_check_superconformal_non_polynomial_is_usage_error(capsys, zp):
+    code, out, err = run(capsys, "check-superconformal", zp, "theta")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # embed / verify file flow
 # ---------------------------------------------------------------------------
@@ -222,6 +229,15 @@ def test_embed_below_threshold_fails(capsys):
     assert out == ""
     assert "not very ample" in err
     assert "witness x=y=Inf" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_without_samples_is_usage_error(capsys, tmp_path, samples):
+    path = tmp_path / "model.json"
+    run(capsys, "embed", "--genus", "2", "--theta", '{"subset": [0]}',
+        "--nu", "5", "--out", str(path))
+    code, out, err = run(capsys, "verify", str(path), "--samples", samples)
+    assert (code, out, err) == (2, "", "error: samples must be at least 1\n")
 
 
 def test_verify_rejects_tampered_model(capsys, tmp_path):

@@ -1,0 +1,113 @@
+"""The exact rank-2 row test against a sympy oracle on every 2x2 minor."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy as sp
+
+from plurisusy.fieldext import QuadExt, make_sqrt, qext, rows_independent
+
+DS = (1, 2, 3, -1, 6)
+
+
+def _sym(x):
+    if isinstance(x, QuadExt):
+        return sp.Rational(x.u) + sp.Rational(x.v) * sp.sqrt(x.d)
+    return sp.Rational(Fraction(x))
+
+
+def _oracle(row1, row2):
+    a = [_sym(x) for x in row1]
+    b = [_sym(x) for x in row2]
+    return any(sp.expand(a[i] * b[j] - a[j] * b[i]) != 0
+               for i in range(len(a)) for j in range(i + 1, len(a)))
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _element(rng, d):
+    """Zero about a third of the time; irrational only when d != 1."""
+    if rng.random() < 0.35:
+        return Fraction(0)
+    v = _rational(rng) if d != 1 and rng.random() < 0.6 else 0
+    return qext(_rational(rng), v, d)
+
+
+def _row(rng, d, n):
+    return [_element(rng, d) for _ in range(n)]
+
+
+def _check(row1, row2):
+    assert rows_independent(row1, row2) == _oracle(row1, row2), (row1, row2)
+    assert rows_independent(row2, row1) == _oracle(row1, row2), (row2, row1)
+
+
+def test_random_rows_match_minor_oracle():
+    rng = random.Random(20)
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        _check(_row(rng, rng.choice(DS), n), _row(rng, rng.choice(DS), n))
+
+
+def test_proportional_rows_are_dependent():
+    rng = random.Random(21)
+    for _ in range(200):
+        d = rng.choice(DS)
+        r1 = _row(rng, d, rng.randint(1, 5))
+        lam = _element(rng, d)
+        r2 = [lam * e for e in r1]
+        _check(r1, r2)
+        if lam != 0:
+            assert not rows_independent(r1, r2)
+
+
+def test_zero_rows_are_dependent():
+    zero = [Fraction(0)] * 3
+    assert not rows_independent(zero, zero)
+    assert not rows_independent(zero, [make_sqrt(Fraction(2)), 1, 0])
+    assert not rows_independent([1, make_sqrt(Fraction(-3)), 0], zero)
+
+
+@pytest.mark.parametrize("d1, d2", [(1, 2), (2, 3), (-1, 6), (3, 3)])
+def test_leading_entries_at_different_indices(d1, d2):
+    rng = random.Random(22)
+    for _ in range(50):
+        r1 = [Fraction(0)] + _row(rng, d1, 3)
+        r2 = _row(rng, d2, 4)
+        r1[1] = r1[1] or Fraction(1)
+        r2[0] = r2[0] or make_sqrt(Fraction(d2)) + 1
+        assert rows_independent(r1, r2)
+        _check(r1, r2)
+
+
+def test_cross_field_dependent_pair():
+    rng = random.Random(23)
+    s2, s3 = make_sqrt(Fraction(2)), make_sqrt(Fraction(3))
+    for _ in range(50):
+        v = [_rational(rng) for _ in range(rng.randint(1, 5))]
+        if not any(v):
+            continue
+        r1 = [s2 * c for c in v]
+        r2 = [(1 + s3) * c for c in v]
+        assert not rows_independent(r1, r2)
+        _check(r1, r2)
+    # a rational perturbation of one entry makes the rows independent
+    r1 = [s2, 2 * s2]
+    r2 = [1 + s3, 2 * (1 + s3) + 1]
+    assert rows_independent(r1, r2)
+    _check(r1, r2)
+    # equal coefficients over different fields are different numbers
+    for d1, d2 in [(2, 3), (-1, 6), (3, -1)]:
+        r1 = [Fraction(1), make_sqrt(Fraction(d1))]
+        r2 = [Fraction(1), make_sqrt(Fraction(d2))]
+        assert rows_independent(r1, r2)
+        _check(r1, r2)
+
+
+def test_row_mixing_two_fields_is_rejected():
+    s2, s3 = make_sqrt(Fraction(2)), make_sqrt(Fraction(3))
+    with pytest.raises(ValueError):
+        rows_independent([s2, s3], [1, 1])

@@ -289,6 +289,24 @@ def test_verify_embedding_explicit_points():
     assert rep.pairs_checked == 6  # all unordered pairs
 
 
+def test_verify_embedding_separates_conjugate_points():
+    # the even coordinates of this model come from 2K, which factors
+    # through the involution, so P and its conjugate share a value row
+    M = build_model(X2E, 3, force=True)
+    P = C2.point(Fraction(5))  # y = 2*sqrt(30)
+    Q = C2.point(Fraction(-1))  # y in Q(sqrt(-30))
+    rep = verify_embedding(M, samples=[P, P.conjugate(), Q, C2.infinity()])
+    assert rep.pair_failures == [(P, P.conjugate())]
+    assert rep.pairs_checked == 6
+
+
+@pytest.mark.parametrize("samples", [0, -3, []])
+def test_verify_embedding_needs_a_sample(samples):
+    M = build_model(XW0, 5)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_embedding(M, samples=samples)
+
+
 def test_forced_model_fails_at_witness():
     rep4 = very_ample_check(XW0, 4)
     P, Q = rep4.witness
