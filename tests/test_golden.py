@@ -56,6 +56,13 @@ for _g in (2, 3, 4):
         _case(f"superpoint_g{G}_odd_nu4", "superpoint-rank", "--genus", G,
               "--theta", "odd", "--nu", "4", "--seed", "2")
         _case(f"theta_census_g{G}", "theta-census", "--genus", G)
+        # below nu = 3 the residue matrices are nonempty: drops at g = 2
+        for _nu in ("1", "2"):
+            _case(f"superpoint_g{G}_nu{_nu}", "superpoint-rank", "--genus", G,
+                  "--nu", _nu, "--seed", "2")
+            _case(f"superpoint_g{G}_odd_nu{_nu}", "superpoint-rank",
+                  "--genus", G, "--theta", "odd", "--nu", _nu,
+                  "--seed", "2")
 _case("embed_g2_subset0_nu5", "embed", "--genus", "2",
       "--theta", '{"subset": [0]}', "--nu", "5", json_too=False)
 _case("superconformal_yes", "check-superconformal",
