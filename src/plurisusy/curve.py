@@ -53,7 +53,6 @@ class HyperellipticCurve:
         self.f = f
         self.genus = (d - 1) // 2
         self._rr_cache: Dict = {}
-        self._echelon_cache: Dict = {}
         self._roots: Optional[Tuple[List[Tuple[Fraction, int]], Poly]] = None
         self._branch: Dict[Fraction, CurvePoint] = {}
         self._local: Dict[CurvePoint, _Local] = {}

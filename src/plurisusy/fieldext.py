@@ -155,9 +155,10 @@ def qext(u, v, d: int):
     return QuadExt(u, v, d)
 
 
-def _normalised(row: Sequence) -> Optional[List]:
+def normalised(row: Sequence) -> Optional[List]:
     """The row scaled so that its first nonzero entry is 1; None for a
-    zero row."""
+    zero row.  Two rows are dependent iff either is zero or their
+    normalised forms are equal (see rows_independent)."""
     for x in row:
         if x != 0:
             inv = Fraction(1) / x
@@ -174,5 +175,5 @@ def rows_independent(row1: Sequence, row2: Sequence) -> bool:
     squarefree, an element of Q(sqrt(d1)) equals one of Q(sqrt(d2)) only
     when both are rational, so structural equality decides it.
     """
-    s1, s2 = _normalised(row1), _normalised(row2)
+    s1, s2 = normalised(row1), normalised(row2)
     return s1 is not None and s2 is not None and s1 != s2

@@ -18,13 +18,12 @@ from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve, UnrepresentableSupportError,
                     standard_curve)
-from .fieldext import rows_independent
+from .fieldext import normalised, rows_independent
 from .graded_algebra import GrassmannAlgebra
 from .linalg import ColumnSpace
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, branch_roots,
-                           canonical_divisor, clearing_frame, h0,
-                           parity_representatives, reduce_weierstrass,
-                           rr_space)
+                           canonical_divisor, h0, parity_representatives,
+                           reduce_weierstrass, rr_space)
 from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
 
 
@@ -468,20 +467,22 @@ def verify_embedding(M: PluriCanonicalModel,
             seen.add(P)
             points.append(P)
 
-    jets: Dict[CurvePoint, Tuple[List, List, List]] = {}
+    # per point: value row, derivative row, odd value row, and the value
+    # row normalised once for all the pairs the point is in
+    jets: Dict[CurvePoint, Tuple[List, List, List, Optional[List]]] = {}
 
-    def jet(P: CurvePoint) -> Tuple[List, List, List]:
+    def jet(P: CurvePoint) -> Tuple[List, List, List, Optional[List]]:
         if P not in jets:
             r0, r1 = _jet_rows(curve, M.even_sections, D_even, P, 2)
             (ro,) = _jet_rows(curve, M.odd_sections, D_odd, P, 1)
-            jets[P] = (r0, r1, ro)
+            jets[P] = (r0, r1, ro, normalised(r0))
         return jets[P]
 
     pair_failures: List[Tuple[CurvePoint, CurvePoint]] = []
     tangent_failures: List[CurvePoint] = []
     odd_failures: List[CurvePoint] = []
     for P in points:
-        r0, r1, ro = jet(P)
+        r0, r1, ro, _ = jet(P)
         if not rows_independent(r0, r1):
             tangent_failures.append(P)
         if all(c == 0 for c in ro):
@@ -489,7 +490,8 @@ def verify_embedding(M: PluriCanonicalModel,
     for P, Q in pairs:
         if P == Q:
             continue  # covered by the tangent check at P
-        if not rows_independent(jet(P)[0], jet(Q)[0]):
+        nP, nQ = jet(P)[3], jet(Q)[3]
+        if nP is None or nQ is None or nP == nQ:
             pair_failures.append((P, Q))
 
     return EmbeddingReport(M, len(pairs), len(points), pair_failures,
@@ -574,76 +576,62 @@ def random_deformation(curve: HyperellipticCurve, rng=None,
     return h
 
 
-@dataclass(frozen=True)
-class _CechFrame:
-    den: tuple
-    n_x: int
-    n_y: int
-    space: ColumnSpace
+Matrix = Tuple[Tuple[Fraction, ...], ...]
 
 
-def _cech_frame(curve: HyperellipticCurve, D: Divisor, W: CurvePoint,
-                N: int) -> _CechFrame:
-    """Echelonized span of the two chart section spaces inside the
-    overlap space, in the clearing frame of D + N inf + N W.  Cached per
-    (divisor, chart point, truncation); the cache is what lets many
-    deformation cochains reuse one reduction."""
-    key = (D.key(), W.x, N)
-    cached = curve._echelon_cache.get(key)
-    if cached is not None:
-        return cached
-    inf = curve.infinity()
-    _, den, n_x, n_y = clearing_frame(curve, D + Divisor({inf: N, W: N}))
-    frame = _CechFrame(den, n_x, n_y, ColumnSpace(n_x + n_y))
-    for b in (rr_space(curve, D + Divisor({inf: N}))
-              + rr_space(curve, D + Divisor({W: N}))):
-        frame.space.add(_frame_coords(frame, b))
-    curve._echelon_cache[key] = frame
-    return frame
+def _residue_matrix(curve: HyperellipticCurve, D: Divisor,
+                    h: FunctionFieldElement) -> Matrix:
+    """Serre-duality matrix of the eta-obstruction of one summand.
 
-
-def _frame_coords(frame: _CechFrame, u: FunctionFieldElement) -> List[Fraction]:
-    """Coordinates of u in the frame: coefficients of A and B after
-    clearing to the common denominator, padded to the degree caps."""
-    factor = polyq.exact_div(frame.den, u.den)
-    A = polyq.mul(u.A, factor)
-    B = polyq.mul(u.B, factor)
-    if polyq.deg(A) >= frame.n_x or polyq.deg(B) >= frame.n_y:
-        raise RuntimeError("truncation bound exceeded: pole profile "
-                           "does not fit the coordinate frame")
-    row = [Fraction(0)] * (frame.n_x + frame.n_y)
-    for i, c in enumerate(A):
-        row[i] = c
-    for i, c in enumerate(B):
-        row[frame.n_x + i] = c
-    return row
-
-
-def _eta_drop(curve: HyperellipticCurve, D: Divisor, W: CurvePoint,
-              h: FunctionFieldElement, N: int) -> int:
-    """Rank of the eta-obstruction for one summand: the images h * a_k of
-    a basis of L(D), reduced against the span of the two chart section
-    spaces truncated at pole order N."""
+    H^1(D) is dual to L(K - D) through <c, b> = Res_inf(c b dx/y), where
+    K = (2g - 2) inf is the divisor of dx/y itself; K - D is therefore
+    used as it is, not reduced.  Row k, column j is Res_inf(h a_k b_j
+    dx/y) for the bases a_k of L(D) and b_j of L(K - D); with x = t^-2 at
+    infinity that is -2 [t^2](h a_k b_j / y).  The matrix is () when
+    either space is zero, in particular whenever h1(D) = 0."""
     a = rr_space(curve, D)
-    if not a or h.is_zero():
-        return 0
-    frame = _cech_frame(curve, D, W, N)
-    residual = ColumnSpace(frame.n_x + frame.n_y)
+    b = rr_space(curve, canonical_divisor(curve) - D)
+    if not a or not b:
+        return ()
+    inf = curve.infinity()
+    y = curve.y_fn()
+    b_over_y = [bj / y for bj in b]
+    rows = []
     for ak in a:
-        r = frame.space.reduce(_frame_coords(frame, h * ak))
-        if any(c != 0 for c in r):
-            residual.add(r)
-    return residual.rank
+        ha = h * ak
+        row = []
+        for by in b_over_y:
+            F = ha * by
+            v = 3 if F.is_zero() else curve.valuation(F, inf)
+            row.append(Fraction(0) if v > 2 else
+                       -2 * curve.laurent_at(F, inf, nterms=3 - v).coeff(2))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _rank(matrix: Matrix) -> int:
+    if not matrix:
+        return 0
+    space = ColumnSpace(len(matrix[0]))
+    for row in matrix:
+        space.add(row)
+    return space.rank
 
 
 @dataclass(frozen=True)
 class SuperPointReport:
+    """Rank pair and obstruction ranks over the superpoint.  The residue
+    matrix of each summand (rows over L(D), columns over L(K - D)) is
+    its certificate: the drop is its rank."""
+
     nu: int
     free: bool
     rank: RankPair
     drop_even: int
     drop_odd: int
     hypotheses_hold: bool
+    residues_even: Matrix
+    residues_odd: Matrix
 
     def __str__(self):
         state = "free" if self.free else (
@@ -658,46 +646,29 @@ def pushforward_over_superpoint(F: SuperPointFamily, nu: int,
 
     A section is a chart pair (f0 + eta f1, g0 + eta g1) matching as
     g = (1 + eta h) f on the overlap, so f0 = g0 is a global section of
-    the summand and the eta-component exists iff h f0 lies in the span
-    of the two chart section spaces.  The module is free exactly when no
-    basis section obstructs; obstruction ranks are reported per summand.
-    Candidate pole orders are truncated at N = deg + 2g + 2 and the
-    computation is repeated at 2N; disagreement raises, so a returned
-    answer is saturation-checked.  For nu >= 3 the rank pair equals
-    pluri_canonical_rank of the fiber."""
+    the summand and the eta-component exists iff the Cech class of h f0
+    in H^1 of the summand vanishes.  By Serre duality that class is zero
+    iff its residue pairing with every b in L(K - D) is zero, so each
+    summand's obstruction rank is the rank of its residue matrix,
+    computed exactly from Laurent coefficients at infinity: nothing is
+    truncated, so any overlap-regular cochain is decided, whatever its
+    pole orders.  The module is free exactly when no basis section
+    obstructs.  For nu >= 3 both h1 vanish, the matrices are empty, and
+    the rank pair equals pluri_canonical_rank of the fiber."""
     if nu < 1:
         raise ValueError("nu must be at least 1")
     if nu < 3 and not allow_low_nu:
         raise ValueError("the rank hypotheses need nu >= 3; "
                          "pass allow_low_nu=True to explore anyway")
     X = F.fiber
-    curve = X.curve
-    W = F.chart_point
-    h = F.deformation
-
     k_even, k_odd = summand_powers(nu)
-    drops: Dict[str, int] = {}
-    for label, D in (("even", _power_divisor(X, k_even)),
-                     ("odd", _power_divisor(X, k_odd))):
-        N = D.degree() + 2 * curve.genus + 2
-        if not h.is_zero():
-            # the family constructor confined the poles to {W, infinity}
-            worst = min(curve.valuation(h, W),
-                        curve.valuation(h, curve.infinity()), 0)
-            if -worst > N:
-                raise RuntimeError("truncation bound exceeded: "
-                                   "cochain pole order too large")
-        d1 = _eta_drop(curve, D, W, h, N)
-        d2 = _eta_drop(curve, D, W, h, 2 * N)
-        if d1 != d2:
-            raise RuntimeError("truncation bound exceeded: obstruction "
-                               "rank did not saturate under doubling")
-        drops[label] = d1
-
+    m_even = _residue_matrix(X.curve, _power_divisor(X, k_even), F.deformation)
+    m_odd = _residue_matrix(X.curve, _power_divisor(X, k_odd), F.deformation)
+    drop_even, drop_odd = _rank(m_even), _rank(m_odd)
     rr = pluri_canonical_rank(X, nu)
-    free = drops["even"] == 0 and drops["odd"] == 0
-    return SuperPointReport(nu, free, rr.rank, drops["even"], drops["odd"],
-                            rr.hypotheses_hold)
+    return SuperPointReport(nu, drop_even == 0 and drop_odd == 0, rr.rank,
+                            drop_even, drop_odd, rr.hypotheses_hold,
+                            m_even, m_odd)
 
 
 @dataclass(frozen=True)

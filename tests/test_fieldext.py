@@ -1,4 +1,5 @@
-"""The exact rank-2 row test against a sympy oracle on every 2x2 minor."""
+"""The exact rank-2 row test, and the normalised-row rule it rests on,
+against a sympy oracle on every 2x2 minor."""
 
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from plurisusy.fieldext import QuadExt, make_sqrt, qext, rows_independent
+from plurisusy.fieldext import (QuadExt, make_sqrt, normalised, qext,
+                                rows_independent)
 
 DS = (1, 2, 3, -1, 6)
 
@@ -43,6 +45,11 @@ def _row(rng, d, n):
 def _check(row1, row2):
     assert rows_independent(row1, row2) == _oracle(row1, row2), (row1, row2)
     assert rows_independent(row2, row1) == _oracle(row1, row2), (row2, row1)
+    # verify_embedding's pair rule on rows normalised once per point
+    n1, n2 = normalised(row1), normalised(row2)
+    assert (n1 is None or n2 is None or n1 == n2) != _oracle(row1, row2)
+    for n in (n1, n2):
+        assert n is None or next(x for x in n if x != 0) == 1
 
 
 def test_random_rows_match_minor_oracle():

@@ -1,0 +1,147 @@
+"""Superpoint obstructions against an independent Cech elimination.
+
+pushforward_over_superpoint ranks a Serre-duality residue matrix per
+summand.  The oracle here decides the same question directly: h a_k,
+for a basis a_k of L(D), is reduced against the span of the two chart
+section spaces L(D + N inf) + L(D + N W) inside the functions with poles
+at most N at W and at infinity.  The drop is the rank of what is left.
+Any splitting of h a_k = f0 + f1 over the charts has f0 in L(D + m inf)
+and f1 in L(D + m W), m the deepest pole of h, so N >= m is exact; the
+oracle takes N = deg D + 2g + 2 + m and checks the answer again at 2N.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from plurisusy import polyq
+from plurisusy.curve import Divisor, HyperellipticCurve, standard_curve
+from plurisusy.linalg import ColumnSpace, kernel_basis
+from plurisusy.pluricanonical import (SuperPointFamily,
+                                      pushforward_over_superpoint,
+                                      random_deformation, summand_powers)
+from plurisusy.riemann_roch import (canonical_divisor, clearing_frame, h0,
+                                    parity_representatives,
+                                    reduce_weierstrass, rr_space)
+from plurisusy.supercurve import make_split_supercurve
+
+
+def _coords(den, n_x, n_y, u):
+    """Coefficients of A and B of u over the common denominator den,
+    padded to the degree caps of the frame."""
+    factor = polyq.exact_div(den, u.den)
+    A, B = polyq.mul(u.A, factor), polyq.mul(u.B, factor)
+    assert len(A) <= n_x and len(B) <= n_y, "function outside the frame"
+    return (list(A) + [Fraction(0)] * (n_x - len(A))
+            + list(B) + [Fraction(0)] * (n_y - len(B)))
+
+
+def _cech_drop_at(curve, D, W, h, N):
+    a = rr_space(curve, D)
+    if not a or h.is_zero():
+        return 0
+    inf = curve.infinity()
+    _, den, n_x, n_y = clearing_frame(curve, D + Divisor({inf: N, W: N}))
+    charts = ColumnSpace(n_x + n_y)
+    for b in (rr_space(curve, D + Divisor({inf: N}))
+              + rr_space(curve, D + Divisor({W: N}))):
+        charts.add(_coords(den, n_x, n_y, b))
+    residual = ColumnSpace(n_x + n_y)
+    for ak in a:
+        residual.add(charts.reduce(_coords(den, n_x, n_y, h * ak)))
+    return residual.rank
+
+
+def cech_drops(F, nu):
+    """(even, odd) obstruction ranks of the family F at power nu, by
+    elimination in the Cech frame at N and again at 2N."""
+    X, h, W = F.fiber, F.deformation, F.chart_point
+    curve = X.curve
+    pole = 0
+    if not h.is_zero():
+        pole = -min(curve.valuation(h, W),
+                    curve.valuation(h, curve.infinity()), 0)
+    drops = []
+    for k in summand_powers(nu):
+        D = reduce_weierstrass(curve, k * X.L.rep)
+        N = D.degree() + 2 * curve.genus + 2 + pole
+        drop = _cech_drop_at(curve, D, W, h, N)
+        assert drop == _cech_drop_at(curve, D, W, h, 2 * N), \
+            "obstruction rank did not saturate under doubling"
+        drops.append(drop)
+    return tuple(drops)
+
+
+def _curves():
+    """Stock curves of genus 2 and 3, and seeded split curves with
+    leading coefficient 1, 2, 3 and 5."""
+    rng = random.Random(61)
+    curves = [standard_curve(2), standard_curve(3)]
+    for g, lead in ((2, 2), (2, 3), (3, 5), (3, 1)):
+        roots = rng.sample(range(-5, 6), 2 * g + 1)
+        curves.append(HyperellipticCurve(polyq.scale(
+            polyq.from_roots([Fraction(r) for r in roots]), lead)))
+    return curves
+
+
+def _families(rng, cochains):
+    for C in _curves():
+        for theta in parity_representatives(C):
+            X = make_split_supercurve(C, theta)
+            for _ in range(cochains):
+                yield SuperPointFamily(X, random_deformation(C, rng=rng))
+
+
+def test_residue_drops_match_cech_oracle():
+    drops = []
+    for F in _families(random.Random(5), 2):
+        for nu in (1, 2):
+            rep = pushforward_over_superpoint(F, nu, allow_low_nu=True)
+            got = (rep.drop_even, rep.drop_odd)
+            assert got == cech_drops(F, nu), (F, nu)
+            assert rep.free == (got == (0, 0))
+            drops.extend(got)
+    assert any(drops), "no nonzero obstruction exercised"
+
+
+@pytest.mark.parametrize("h_text, nus", [("x**6", (1, 2, 3)),
+                                          ("y/x**5", (1, 2))],
+                         ids=["x**6", "y/x**5"])
+def test_deep_pole_cochains_are_decided(h_text, nus):
+    # poles of order 12 at infinity and 9 at W = (0, 0), past the old
+    # truncation bound N = deg D + 2g + 2
+    C = standard_curve(2)
+    X = make_split_supercurve(C, parity_representatives(C)[0])
+    x, y = C.x_fn(), C.y_fn()
+    h = x * x * x * x * x * x if h_text == "x**6" else y / (x * x * x * x * x)
+    F = SuperPointFamily(X, h)
+    for nu in nus:
+        rep = pushforward_over_superpoint(F, nu, allow_low_nu=True)
+        assert str(rep).startswith("free"), (h_text, nu)
+        if nu < 3:
+            assert cech_drops(F, nu) == (0, 0)
+
+
+def test_residue_matrix_certifies_the_drops():
+    for F in _families(random.Random(8), 1):
+        curve = F.fiber.curve
+        K = canonical_divisor(curve)
+        for nu in (1, 2, 3):
+            rep = pushforward_over_superpoint(F, nu, allow_low_nu=True)
+            pairs = zip(summand_powers(nu),
+                        (rep.residues_even, rep.residues_odd),
+                        (rep.drop_even, rep.drop_odd))
+            for k, M, drop in pairs:
+                D = reduce_weierstrass(curve, k * F.fiber.L.rep)
+                rows, cols = h0(curve, D), h0(curve, K - D)
+                if rows and cols:
+                    assert len(M) == rows
+                    assert all(len(r) == cols for r in M)
+                    assert all(type(c) is Fraction for r in M for c in r)
+                else:
+                    assert M == ()
+                ncols = len(M[0]) if M else 0
+                assert ncols - len(kernel_basis(M, ncols)) == drop
+                if nu >= 3:
+                    assert M == ()
