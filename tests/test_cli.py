@@ -257,6 +257,29 @@ def test_verify_rejects_tampered_model(capsys, tmp_path):
     assert "failures" in out
 
 
+def test_verify_failure_output_is_pinned(capsys, tmp_path):
+    # nu = 4 is below the threshold for this theta: a forced model fails
+    # the tangent check at the branch point (2, 0)
+    X = make_split_supercurve(C2, theta_from_subset(C2, (0, 1)))
+    path = tmp_path / "model.json"
+    path.write_text(serialize.dumps(
+        serialize.model_to_json(build_model(X, 4, force=True))))
+    argv = ("verify", str(path), "--samples", "4", "--seed", "3")
+    assert run(capsys, *argv) == (
+        1, "0 pair, 1 tangent, 0 odd-direction failures\n", "")
+    assert run(capsys, *argv, "--format", "json") == (1, (
+        '{\n'
+        '  "all_pass": false,\n'
+        '  "odd_failures": [],\n'
+        '  "pair_failures": [],\n'
+        '  "pairs_checked": 4,\n'
+        '  "points_checked": 8,\n'
+        '  "tangent_failures": [\n'
+        '    "(2, 0)"\n'
+        '  ]\n'
+        '}\n'), "")
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
