@@ -280,6 +280,35 @@ def test_verify_failure_output_is_pinned(capsys, tmp_path):
         '}\n'), "")
 
 
+_OUT_CASES = {
+    "rank": ("rank", "--genus", "2", "--nu", "3"),
+    "thresholds": ("thresholds", "--genus", "2", "--nu", "4"),
+    "theta-census": ("theta-census", "--genus", "2"),
+    "verify": ("verify", "MODEL", "--samples", "4", "--seed", "3"),
+    "dual": ("dual", "--genus", "2", "--theta", "odd"),
+    "moduli-dim": ("moduli-dim", "--genus", "3"),
+    "superpoint-rank": ("superpoint-rank", "--genus", "2", "--nu", "1",
+                        "--seed", "2"),
+    "check-superconformal": ("check-superconformal", "z", "2*theta"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("name", list(_OUT_CASES))
+def test_out_file_holds_what_stdout_shows(capsys, tmp_path, name, fmt):
+    argv = [*_OUT_CASES[name], "--format", fmt]
+    if "MODEL" in argv:
+        model = tmp_path / "model.json"
+        run(capsys, "embed", "--genus", "2", "--theta", '{"subset": [0]}',
+            "--nu", "5", "--out", str(model))
+        argv[argv.index("MODEL")] = str(model)
+    code, out, err = run(capsys, *argv)
+    assert out
+    path = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", err)
+    assert path.read_bytes() == out.encode("utf-8")
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
