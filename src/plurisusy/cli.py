@@ -18,14 +18,13 @@ import sympy as sp
 
 from .curve import HyperellipticCurve, standard_curve
 from .graded_algebra import GrassmannAlgebra, check_superconformal
-from .pluricanonical import (SuperPointFamily, build_model, minimal_nu,
+from .pluricanonical import (SuperPointFamily, build_model,
                              pluri_canonical_rank, pushforward_over_superpoint,
                              random_deformation, threshold_table,
-                             verify_embedding, witness_str)
+                             verify_embedding)
 from .riemann_roch import parity_representatives, theta_characteristics
-from .serialize import (curve_from_json, divisor_to_json, dumps,
-                        model_from_json, model_to_json, supercurve_to_json,
-                        theta_from_json)
+from .serialize import (curve_from_json, dumps, model_from_json,
+                        model_to_json, supercurve_to_json, theta_from_json)
 from .supercurve import (dual_supercurve, is_autodual, make_split_supercurve,
                          moduli_dimension)
 
@@ -34,12 +33,19 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(path: str):
+def _load_json(path: str, reader):
+    """The object that reader builds from the JSON file at path; a file
+    that is not JSON, or lacks what reader looks for, is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    try:
+        return reader(obj)
+    except (KeyError, TypeError) as exc:
+        raise UsageError(
+            f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -50,9 +56,15 @@ def _write(path: Optional[str], text: str) -> None:
             fh.write(text)
 
 
+def _emit(args, payload, text: str) -> None:
+    """Write a command's result: payload as JSON under --format json,
+    else text, to --out or stdout."""
+    _write(args.out, dumps(payload) if args.format == "json" else text + "\n")
+
+
 def _get_curve(args) -> HyperellipticCurve:
     if getattr(args, "curve", None) is not None:
-        return curve_from_json(_load_json(args.curve))
+        return _load_json(args.curve, curve_from_json)
     if getattr(args, "genus", None) is not None:
         return standard_curve(args.genus)
     raise UsageError("need --curve FILE or --genus G")
@@ -84,69 +96,29 @@ def _get_supercurve(args):
 
 
 def cmd_rank(args) -> int:
-    X = _get_supercurve(args)
-    report = pluri_canonical_rank(X, args.nu)
-    if args.format == "json":
-        payload = {
-            "nu": report.nu,
-            "rank": str(report.rank),
-            "even": report.rank.even,
-            "odd": report.rank.odd,
-            "hypotheses_hold": report.hypotheses_hold,
-            "alt_formula": str(report.formula),
-            "alt_formula_differs": report.formula_differs,
-            "note": report.note,
-        }
-        _write(args.out, dumps(payload))
-    else:
-        _write(args.out, str(report) + "\n")
+    report = pluri_canonical_rank(_get_supercurve(args), args.nu)
+    _emit(args, report.to_json(), str(report))
     return 0
 
 
 def cmd_thresholds(args) -> int:
     cells = threshold_table(args.genus, args.nu)
-    if args.format == "json":
-        payload = []
-        for c in cells:
-            entry = {
-                "g": c.g,
-                "nu": c.nu,
-                "all_pass": c.all_pass,
-                "even_pass": c.even_pass,
-                "odd_pass": c.odd_pass,
-            }
-            if c.witness is not None:
-                entry["witness"] = [repr(c.witness[0]), repr(c.witness[1])]
-            payload.append(entry)
-        _write(args.out, dumps(payload))
-        return 0
-    lines = []
-    for c in cells:
-        line = f"g={c.g} nu={c.nu} {c.verdict()}"
-        if c.witness is not None:
-            line += f" witness {witness_str(c.witness)}"
-        lines.append(line)
-    _write(args.out, "\n".join(lines) + "\n")
+    _emit(args, [c.to_json() for c in cells], "\n".join(map(str, cells)))
     return 0
 
 
 def cmd_theta_census(args) -> int:
-    curve = _get_curve(args)
-    census = theta_characteristics(curve)
+    census = theta_characteristics(_get_curve(args))
     n_odd = sum(1 for t in census if t.is_odd)
-    n_even = len(census) - n_odd
-    if args.format == "json":
-        payload = {
-            "classes": len(census),
-            "odd": n_odd,
-            "even": n_even,
-            "census": [{"subset": list(t.subset), "h0": t.h0,
-                        "parity": t.parity} for t in census],
-        }
-        _write(args.out, dumps(payload))
-    else:
-        _write(args.out,
-               f"{len(census)} classes: {n_odd} odd, {n_even} even\n")
+    payload = {
+        "classes": len(census),
+        "odd": n_odd,
+        "even": len(census) - n_odd,
+        "census": [{"subset": list(t.subset), "h0": t.h0,
+                    "parity": t.parity} for t in census],
+    }
+    _emit(args, payload,
+          "{classes} classes: {odd} odd, {even} even".format(**payload))
     return 0
 
 
@@ -168,69 +140,37 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = model_from_json(_load_json(args.model))
+    model = _load_json(args.model, model_from_json)
     report = verify_embedding(model, samples=args.samples, seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "all_pass": report.all_pass,
-            "pairs_checked": report.pairs_checked,
-            "points_checked": report.points_checked,
-            "pair_failures": [[repr(P), repr(Q)]
-                              for P, Q in report.pair_failures],
-            "tangent_failures": [repr(P) for P in report.tangent_failures],
-            "odd_failures": [repr(P) for P in report.odd_failures],
-        }
-        _write(args.out, dumps(payload))
-    else:
-        _write(args.out, report.summary() + "\n")
+    _emit(args, report.to_json(), str(report))
     return 0 if report.all_pass else 1
 
 
 def cmd_dual(args) -> int:
     X = _get_supercurve(args)
-    Xd = dual_supercurve(X)
-    auto = is_autodual(X)
-    if args.format == "json":
-        payload = {
-            "dual": supercurve_to_json(Xd),
-            "autodual": auto,
-        }
-        _write(args.out, dumps(payload))
-    else:
-        dual_L = json.dumps(divisor_to_json(Xd.L.rep), sort_keys=True)
-        _write(args.out,
-               f"dual L: {dual_L}\nautodual: {'yes' if auto else 'no'}\n")
+    payload = {
+        "dual": supercurve_to_json(dual_supercurve(X)),
+        "autodual": is_autodual(X),
+    }
+    dual_L = json.dumps(payload["dual"]["L"], sort_keys=True)
+    autodual = "yes" if payload["autodual"] else "no"
+    _emit(args, payload, f"dual L: {dual_L}\nautodual: {autodual}")
     return 0
 
 
 def cmd_moduli_dim(args) -> int:
     dim = moduli_dimension(args.genus)
-    if args.format == "json":
-        _write(args.out, dumps({"even": dim.even, "odd": dim.odd,
-                                "dimension": str(dim)}))
-    else:
-        _write(args.out, str(dim) + "\n")
+    _emit(args, {"even": dim.even, "odd": dim.odd, "dimension": str(dim)},
+          str(dim))
     return 0
 
 
 def cmd_superpoint(args) -> int:
     X = _get_supercurve(args)
     h = random_deformation(X.curve, seed=args.seed)
-    family = SuperPointFamily(X, h)
-    report = pushforward_over_superpoint(family, args.nu,
+    report = pushforward_over_superpoint(SuperPointFamily(X, h), args.nu,
                                          allow_low_nu=args.nu < 3)
-    if args.format == "json":
-        payload = {
-            "nu": report.nu,
-            "free": report.free,
-            "rank": str(report.rank),
-            "drop_even": report.drop_even,
-            "drop_odd": report.drop_odd,
-            "hypotheses_hold": report.hypotheses_hold,
-        }
-        _write(args.out, dumps(payload))
-    else:
-        _write(args.out, str(report) + "\n")
+    _emit(args, report.to_json(), str(report))
     return 0 if report.free else 1
 
 
@@ -263,19 +203,7 @@ def cmd_check_sc(args) -> int:
         report = check_superconformal(zp, tp, z)
     except (ValueError, sp.SympifyError, sp.PolynomialError) as exc:
         raise UsageError(str(exc)) from exc
-    if args.format == "json":
-        payload = {
-            "superconformal": report.ok,
-            "residual": repr(report.residual),
-            "jacobian_body_invertible": report.jacobian_body_invertible,
-        }
-        _write(args.out, dumps(payload))
-    else:
-        if report.ok:
-            _write(args.out, "superconformal: yes\n")
-        else:
-            _write(args.out,
-                   f"superconformal: no\nresidual: {report.residual!r}\n")
+    _emit(args, report.to_json(), str(report))
     return 0 if report.ok else 1
 
 
@@ -362,10 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -519,6 +519,18 @@ class SuperconformalReport:
     residual: GrassmannElement
     jacobian_body_invertible: bool
 
+    def __str__(self):
+        if self.ok:
+            return "superconformal: yes"
+        return f"superconformal: no\nresidual: {self.residual!r}"
+
+    def to_json(self) -> Dict:
+        return {
+            "superconformal": self.ok,
+            "residual": repr(self.residual),
+            "jacobian_body_invertible": self.jacobian_body_invertible,
+        }
+
 
 def check_superconformal(zp: GrassmannElement, tp: GrassmannElement,
                          z: sp.Symbol, theta: str = "theta") -> SuperconformalReport:

@@ -60,6 +60,18 @@ class RankReport:
             return f"{self.rank} (alt formula: {self.formula}; differs)"
         return str(self.rank)
 
+    def to_json(self) -> Dict:
+        return {
+            "nu": self.nu,
+            "rank": str(self.rank),
+            "even": self.rank.even,
+            "odd": self.rank.odd,
+            "hypotheses_hold": self.hypotheses_hold,
+            "alt_formula": str(self.formula),
+            "alt_formula_differs": self.formula_differs,
+            "note": self.note,
+        }
+
 
 def pluri_canonical_rank(X: SplitSupercurve, nu: int) -> RankReport:
     """Rank pair of the direct image of the nu-th Berezinian power.
@@ -307,6 +319,24 @@ class ThresholdCell:
             return f"FAIL(all-thetas): even {even}, odd {odd}"
         return "FAIL"
 
+    def __str__(self):
+        line = f"g={self.g} nu={self.nu} {self.verdict()}"
+        if self.witness is not None:
+            line += f" witness {witness_str(self.witness)}"
+        return line
+
+    def to_json(self) -> Dict:
+        entry = {
+            "g": self.g,
+            "nu": self.nu,
+            "all_pass": self.all_pass,
+            "even_pass": self.even_pass,
+            "odd_pass": self.odd_pass,
+        }
+        if self.witness is not None:
+            entry["witness"] = [repr(P) for P in self.witness]
+        return entry
+
 
 def threshold_table(g_max: int = 6, nu_max: int = 6) -> List[ThresholdCell]:
     """Very-ampleness grid over 2 <= g <= g_max, 3 <= nu <= nu_max,
@@ -410,6 +440,19 @@ class EmbeddingReport:
         return (f"{len(self.pair_failures)} pair, "
                 f"{len(self.tangent_failures)} tangent, "
                 f"{len(self.odd_failures)} odd-direction failures")
+
+    __str__ = summary
+
+    def to_json(self) -> Dict:
+        return {
+            "all_pass": self.all_pass,
+            "pairs_checked": self.pairs_checked,
+            "points_checked": self.points_checked,
+            "pair_failures": [[repr(P), repr(Q)]
+                              for P, Q in self.pair_failures],
+            "tangent_failures": [repr(P) for P in self.tangent_failures],
+            "odd_failures": [repr(P) for P in self.odd_failures],
+        }
 
 
 def _sample_pool(curve: HyperellipticCurve, rng: random.Random,
@@ -637,6 +680,17 @@ class SuperPointReport:
         state = "free" if self.free else (
             f"not free (drops {self.drop_even}|{self.drop_odd})")
         return f"{state}, rank {self.rank}"
+
+    def to_json(self) -> Dict:
+        """The verdict without the residue matrices."""
+        return {
+            "nu": self.nu,
+            "free": self.free,
+            "rank": str(self.rank),
+            "drop_even": self.drop_even,
+            "drop_odd": self.drop_odd,
+            "hypotheses_hold": self.hypotheses_hold,
+        }
 
 
 def pushforward_over_superpoint(F: SuperPointFamily, nu: int,

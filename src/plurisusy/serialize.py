@@ -81,7 +81,12 @@ def theta_to_json(theta: ThetaCharacteristic) -> Dict:
 
 
 def theta_from_json(curve: HyperellipticCurve, obj: Dict) -> ThetaCharacteristic:
-    return theta_from_subset(curve, obj["subset"])
+    subset = obj["subset"]
+    if not isinstance(subset, list) or any(
+            type(i) is not int for i in subset):  # bool is an int too
+        raise ValueError(
+            f"theta subset must be a list of integers, got {subset!r}")
+    return theta_from_subset(curve, subset)
 
 
 def supercurve_to_json(X: SplitSupercurve) -> Dict:

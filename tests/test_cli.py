@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -351,3 +352,50 @@ def test_missing_model_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
     assert code == 2
     assert err != ""
+
+
+@pytest.mark.parametrize("command, content", [
+    ("rank", {"x": 1}),
+    ("rank", [1, 2]),
+    ("rank", {"f_coeffs": [None, 1]}),
+    ("verify", serialize.curve_to_json(C2)),
+])
+def test_malformed_input_file_is_usage_error(capsys, tmp_path, command,
+                                             content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    if command == "rank":
+        argv = ("rank", "--curve", str(path), "--nu", "3")
+    else:
+        argv = ("verify", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("subset", ["[0.9]", "[true]", "5", '["1"]'])
+def test_non_integer_theta_subset_is_usage_error(capsys, subset):
+    code, out, err = run(capsys, "rank", "--genus", "2", "--nu", "3",
+                         "--theta", f'{{"subset": {subset}}}')
+    assert (code, out) == (2, "")
+    assert err.startswith("error: theta subset must be a list of integers")
+    assert err.count("\n") == 1
+
+
+def test_theta_from_json_rejects_non_integers():
+    for subset in ([0.9], [True], 5, ["1"], (0,)):
+        with pytest.raises(ValueError):
+            serialize.theta_from_json(C2, {"subset": subset})
+    assert serialize.theta_from_json(C2, {"subset": [1, 0]}).subset == (0, 1)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    code = readme.split("## Library")[1].split("```python\n")[1]
+    code = code.split("```")[0]
+    exec(code, {})
+    expected = [line.split("# ")[-1] for line in code.splitlines()
+                if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == expected
