@@ -96,7 +96,8 @@ def _get_supercurve(args):
 
 
 def cmd_rank(args) -> int:
-    report = pluri_canonical_rank(_get_supercurve(args), args.nu)
+    X = _get_supercurve(args)
+    report = pluri_canonical_rank(X, args.nu)
     _emit(args, report.to_json(), str(report))
     return 0
 
@@ -108,7 +109,8 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_theta_census(args) -> int:
-    census = theta_characteristics(_get_curve(args))
+    curve = _get_curve(args)
+    census = theta_characteristics(curve)
     n_odd = sum(1 for t in census if t.is_odd)
     payload = {
         "classes": len(census),
@@ -168,7 +170,8 @@ def cmd_moduli_dim(args) -> int:
 def cmd_superpoint(args) -> int:
     X = _get_supercurve(args)
     h = random_deformation(X.curve, seed=args.seed)
-    report = pushforward_over_superpoint(SuperPointFamily(X, h), args.nu,
+    family = SuperPointFamily(X, h)
+    report = pushforward_over_superpoint(family, args.nu,
                                          allow_low_nu=args.nu < 3)
     _emit(args, report.to_json(), str(report))
     return 0 if report.free else 1
