@@ -1,10 +1,6 @@
 """Exact-arithmetic toolkit for pluri-canonical models of split super
 Riemann surfaces over hyperelliptic curves."""
 
-from .graded_algebra import (GrassmannAlgebra, GrassmannElement, SuperMatrix,
-                             VectorFieldSC, berezinian, bracket,
-                             check_superconformal, grassmann_mul,
-                             superconformal_derivation, susy_generator_square)
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve, UnrepresentableSupportError,
                     standard_curve)
@@ -25,10 +21,24 @@ from .pluricanonical import (PluriCanonicalModel, SuperPointFamily,
 
 __version__ = "0.1.0"
 
-__all__ = [
+# The Grassmann algebra is built on sympy, whose import costs most of a cold
+# start, so its names are loaded on first access (PEP 562).
+_GRADED_ALGEBRA = (
     "GrassmannAlgebra", "GrassmannElement", "SuperMatrix", "VectorFieldSC",
     "berezinian", "bracket", "check_superconformal", "grassmann_mul",
     "superconformal_derivation", "susy_generator_square",
+)
+
+
+def __getattr__(name):
+    if name in _GRADED_ALGEBRA:
+        from . import graded_algebra
+        return getattr(graded_algebra, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [
+    *_GRADED_ALGEBRA,
     "CurvePoint", "Divisor", "FunctionFieldElement", "HyperellipticCurve",
     "UnrepresentableSupportError", "standard_curve",
     "DivisorClass", "ThetaCharacteristic", "canonical_class", "class_eq",

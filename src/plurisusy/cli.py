@@ -12,12 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
-
-import sympy as sp
+from typing import TYPE_CHECKING, List, Optional
 
 from .curve import HyperellipticCurve, standard_curve
-from .graded_algebra import GrassmannAlgebra, check_superconformal
 from .pluricanonical import (SuperPointFamily, build_model,
                              pluri_canonical_rank, pushforward_over_superpoint,
                              random_deformation, threshold_table,
@@ -27,6 +24,11 @@ from .serialize import (curve_from_json, dumps, model_from_json,
                         model_to_json, supercurve_to_json, theta_from_json)
 from .supercurve import (dual_supercurve, is_autodual, make_split_supercurve,
                          moduli_dimension)
+
+if TYPE_CHECKING:  # imported where used: both load sympy
+    import sympy as sp
+
+    from .graded_algebra import GrassmannAlgebra
 
 
 class UsageError(Exception):
@@ -181,6 +183,8 @@ _ODD_NAMES = ("theta", "eta", "xi", "zeta", "chi")
 
 
 def _parse_super(alg: GrassmannAlgebra, text: str, z: sp.Symbol):
+    import sympy as sp
+
     syms = {name: sp.Symbol(name) for name in alg.gens}
     expr = sp.expand(sp.sympify(text, locals={**syms, "z": z},
                                 rational=True))
@@ -196,6 +200,10 @@ def _parse_super(alg: GrassmannAlgebra, text: str, z: sp.Symbol):
 
 
 def cmd_check_sc(args) -> int:
+    import sympy as sp
+
+    from .graded_algebra import GrassmannAlgebra, check_superconformal
+
     z = sp.Symbol("z")
     used = [n for n in _ODD_NAMES
             if n == "theta" or n in args.zp or n in args.tp]

@@ -26,14 +26,43 @@ def rational_sqrt(fr: Fraction) -> Optional[Fraction]:
     return None
 
 
+# Trial division reaches every prime up to this bound.  What is left then
+# has only larger prime factors, so when it is below the cube of the bound
+# it is a square or has at most two distinct prime factors.
+_TRIAL_BOUND = 1000
+
+
+def _square_factors(n: int):
+    """Pairs (q, e) with n = prod q^e for n >= 1, the q pairwise coprime
+    and squarefree wherever e is odd."""
+    for q in range(2, _TRIAL_BOUND + 1):
+        if q * q > n:
+            break
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            yield q, e
+    if n == 1:
+        return
+    s = isqrt(n)
+    if s * s == n:
+        yield s, 2
+    elif n < _TRIAL_BOUND ** 3:
+        yield n, 1
+    else:
+        import sympy
+
+        yield from sympy.factorint(n).items()
+
+
 def sqrt_normal_form(fr: Fraction) -> Tuple[Fraction, int]:
     """Write sqrt(fr) = coeff * sqrt(d) with d a squarefree integer.
 
     Returns (coeff, d); d == 1 means fr is a perfect square, d may be
     negative, and fr == 0 gives (0, 1).
     """
-    import sympy
-
     fr = Fraction(fr)
     if fr == 0:
         return Fraction(0), 1
@@ -41,10 +70,10 @@ def sqrt_normal_form(fr: Fraction) -> Tuple[Fraction, int]:
     sign = -1 if n < 0 else 1
     square = 1
     d = 1
-    for prime, exp in sympy.factorint(abs(n)).items():
-        square *= prime ** (exp // 2)
-        if exp % 2:
-            d *= prime
+    for q, e in _square_factors(abs(n)):
+        square *= q ** (e // 2)
+        if e % 2:
+            d *= q
     return Fraction(square, fr.denominator), sign * d
 
 

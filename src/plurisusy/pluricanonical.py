@@ -19,7 +19,6 @@ from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve, UnrepresentableSupportError,
                     standard_curve)
 from .fieldext import normalised, rows_independent
-from .graded_algebra import GrassmannAlgebra
 from .linalg import ColumnSpace
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, branch_roots,
                            canonical_divisor, h0, parity_representatives,
@@ -558,7 +557,7 @@ class SuperPointFamily:
     is the first finite branch point.  Setting eta = 0 gives back the
     split fiber on the nose; h must be regular on the chart overlap."""
 
-    __slots__ = ("base", "fiber", "deformation", "chart_point")
+    __slots__ = ("fiber", "deformation", "chart_point")
 
     def __init__(self, fiber: SplitSupercurve,
                  deformation: FunctionFieldElement):
@@ -589,7 +588,6 @@ class SuperPointFamily:
                         raise ValueError(
                             f"deformation cochain has a pole at {P!r}, "
                             f"away from the chart overlap")
-        self.base = GrassmannAlgebra(("eta",))
         self.fiber = fiber
         self.deformation = h
         self.chart_point = W

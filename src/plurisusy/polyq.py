@@ -8,7 +8,8 @@ tuple.  Everything here is exact: no floating point is ever introduced.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from math import gcd as gcd_int, isqrt, lcm as lcm_int
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Poly = Tuple[Fraction, ...]
 
@@ -70,15 +71,6 @@ def mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q):
             cs[i + j] += a * b
     return poly(cs)
-
-
-def pow_(p: Poly, n: int) -> Poly:
-    if n < 0:
-        raise ValueError("negative polynomial power")
-    r = ONE
-    for _ in range(n):
-        r = mul(r, p)
-    return r
 
 
 def divmod_(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
@@ -202,31 +194,112 @@ def format_poly(p: Poly, var: str = "x") -> str:
     return " ".join(parts)
 
 
-def rational_roots(p: Poly) -> Tuple[List[Tuple[Fraction, int]], Poly]:
-    """All rational roots of p with multiplicities, plus the root-free cofactor.
+# Integer polynomials below are lists of ints in ascending order of degree,
+# with no trailing zeros.
 
-    Backed by sympy's exact factorization over Q, which is the one genuinely
-    hard primitive in this module.
+def _primitive_ints(p) -> List[int]:
+    """The primitive part of a nonzero polynomial with rational (or
+    integer) coefficients, as integers with a positive leading one."""
+    den = lcm_int(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd_int(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
+
+
+def _int_derivative(a: List[int]) -> List[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _int_div(a: List[int], d: List[int]) -> Optional[List[int]]:
+    """a / d when the quotient has integer coefficients, else None."""
+    r = list(a)
+    n = len(d) - 1
+    q = [0] * max(0, len(a) - n)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + n], d[-1])
+        if rem:
+            return None
+        q[k] = c
+        for i, y in enumerate(d):
+            r[k + i] -= c * y
+    return None if any(r) else q
+
+
+def _int_gcd(a: List[int], b: List[int]) -> List[int]:
+    """Primitive greatest common divisor of integer polynomials, by the
+    primitive pseudo-remainder sequence; a must be nonzero."""
+    while b:
+        r = list(a)
+        while len(r) >= len(b):  # r = lc(b) r - lead(r) x^k b
+            c = r.pop()
+            r = [x * b[-1] for x in r]
+            for i, y in enumerate(b[:-1]):
+                r[len(r) - len(b) + 1 + i] -= c * y
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, (_primitive_ints(r) if r else [])
+    return _primitive_ints(a)
+
+
+def _primes() -> Iterator[int]:
+    n = 2
+    while True:
+        if all(n % q for q in range(2, isqrt(n) + 1)):
+            yield n
+        n += 1
+
+
+def _integer_roots(b: List[int]) -> List[int]:
+    """The integer roots of a monic squarefree integer polynomial b.
+
+    Modulo the first prime p at which every root of b is simple, each
+    integer root reduces to one of those roots, and each of them lifts
+    uniquely to p^k (Hensel).  An integer root z has |z| <= 1 + max|b_i|,
+    so once p^k exceeds twice that bound z is the symmetric lift.
     """
-    import sympy
+    db = _int_derivative(b)
+    for prime in _primes():
+        bp = [c % prime for c in b]
+        found = [z for z in range(prime) if eval_at(bp, z) % prime == 0]
+        if all(eval_at(db, z) % prime for z in found):
+            break
+    bound = 2 * (1 + max(map(abs, b[:-1]), default=0))
+    roots = []
+    for z in found:
+        m = prime
+        while m <= bound:
+            m *= m
+            z = (z - eval_at(b, z) * pow(eval_at(db, z), -1, m)) % m
+        if z > m // 2:
+            z -= m
+        if eval_at(b, z) == 0:
+            roots.append(z)
+    return roots
 
+
+def rational_roots(p: Poly) -> Tuple[List[Tuple[Fraction, int]], Poly]:
+    """All rational roots of p with multiplicities, in increasing order,
+    plus the cofactor: the primitive part, with a positive leading
+    coefficient, of p with its rational linear factors divided out (ONE
+    when nothing of positive degree is left).
+
+    The roots are those of the squarefree part of p, written as a
+    primitive integer polynomial s of degree n.  Each is z / s_n for an
+    integer root z of the monic b(z) = s_n^(n-1) s(z / s_n).
+    """
     if not p:
         raise ValueError("zero polynomial")
-    x = sympy.Symbol("x")
-    expr = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(p)], x)
-    _, factors = expr.factor_list()
-    roots: List[Tuple[Fraction, int]] = []
-    cofactor = ONE
-    for fac, mult in factors:
-        cs = fac.all_coeffs()  # descending
-        if len(cs) == 2:
-            rt = sympy.Rational(-cs[1], cs[0])
-            roots.append((Fraction(int(rt.p), int(rt.q)), mult))
-        else:
-            q = poly(
-                Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
-                for c in reversed(cs)
-            )
-            cofactor = mul(cofactor, pow_(q, mult))
-    roots.sort(key=lambda rm: rm[0])
-    return roots, cofactor
+    rest = _primitive_ints(p)
+    s = _int_div(rest, _int_gcd(rest, _int_derivative(rest)))
+    n, lc = len(s) - 1, s[-1]
+    b = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+    roots = []
+    for z in sorted(_integer_roots(b)):
+        r = Fraction(z, lc)
+        m = 0
+        while (q := _int_div(rest, [-r.numerator, r.denominator])) is not None:
+            rest, m = q, m + 1
+        roots.append((r, m))
+    return roots, (poly(rest) if len(rest) > 1 else ONE)

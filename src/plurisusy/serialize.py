@@ -13,8 +13,6 @@ import json
 from fractions import Fraction
 from typing import Dict, List, Union
 
-import sympy as sp
-
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
@@ -27,7 +25,16 @@ from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
 def _frac(s) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
         raise ValueError(f"exact rational expected, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {s!r}") from exc
+
+
+def _int(v, field: str) -> int:
+    if type(v) is not int:  # bool is an int too; int() would truncate 5.9
+        raise ValueError(f"{field} must be an integer, got {v!r}")
+    return v
 
 
 def curve_to_json(curve: HyperellipticCurve) -> Dict:
@@ -72,7 +79,7 @@ def divisor_from_json(curve: HyperellipticCurve, obj: List) -> Divisor:
     D = Divisor({})
     for entry in obj:
         P = point_from_json(curve, entry["point"])
-        D = D + Divisor({P: int(entry["multiplicity"])})
+        D = D + Divisor({P: _int(entry["multiplicity"], "multiplicity")})
     return D
 
 
@@ -116,6 +123,8 @@ def function_to_string(fn: FunctionFieldElement) -> str:
 
 
 def _poly_from_sympy(expr, x) -> polyq.Poly:
+    import sympy as sp
+
     p = sp.Poly(expr, x)
     coeffs = []
     for c in reversed(p.all_coeffs()):
@@ -127,6 +136,8 @@ def _poly_from_sympy(expr, x) -> polyq.Poly:
 def parse_function(curve: HyperellipticCurve, s: str) -> FunctionFieldElement:
     """Parse "a(x) + b(x)*y" (rational coefficients, denominators in x
     allowed, y-degree at most 1) into a function field element."""
+    import sympy as sp
+
     x, y = sp.symbols("x y")
     expr = sp.sympify(s, locals={"x": x, "y": y}, rational=True)
     a = sp.cancel(expr.subs(y, 0))
@@ -162,15 +173,16 @@ def model_to_json(M: PluriCanonicalModel) -> Dict:
 
 def model_from_json(obj: Dict) -> PluriCanonicalModel:
     curve = curve_from_json(obj["curve"])
-    ambient = RankPair(int(obj["ambient"]["even"]), int(obj["ambient"]["odd"]))
+    ambient = RankPair(_int(obj["ambient"]["even"], "ambient.even"),
+                       _int(obj["ambient"]["odd"], "ambient.odd"))
     even = tuple(parse_function(curve, s) for s in obj["even_sections"])
     odd = tuple(parse_function(curve, s) for s in obj["odd_sections"])
     cleared = {
         "even": divisor_from_json(curve, obj["cleared_divisors"]["even"]),
         "odd": divisor_from_json(curve, obj["cleared_divisors"]["odd"]),
     }
-    return PluriCanonicalModel(curve, int(obj["nu"]), ambient, even, odd,
-                               cleared)
+    return PluriCanonicalModel(curve, _int(obj["nu"], "nu"), ambient, even,
+                               odd, cleared)
 
 
 def dumps(obj) -> str:

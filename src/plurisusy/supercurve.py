@@ -11,15 +11,16 @@ ones), and the super moduli dimensions are (3g-3 | 2g-2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import sympy as sp
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .curve import Divisor, HyperellipticCurve, standard_curve
-from .graded_algebra import (GrassmannAlgebra, GrassmannElement, SuperMatrix,
-                             check_superconformal, superconformal_derivation)
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, canonical_class,
                            class_eq, h0, parity_representatives)
+
+if TYPE_CHECKING:  # imported where used: both load sympy
+    import sympy as sp
+
+    from .graded_algebra import GrassmannElement
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,12 @@ def verify_berezinian_transition(phi, psi, z: Optional[sp.Symbol] = None
     psi^(-1) and the dual of D by psi; (c) the Berezinian of the
     super-Jacobian equals psi.  All checks are exact and symbolic.
     """
+    import sympy as sp
+
+    from .graded_algebra import (GrassmannAlgebra, SuperMatrix,
+                                 check_superconformal,
+                                 superconformal_derivation)
+
     if z is None:
         z = sp.Symbol("z")
     phi = sp.sympify(phi, rational=True)

@@ -375,6 +375,36 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, argv,
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_zero_denominator_in_curve_file_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"f_coeffs": ["1/0", "1"]}))
+    code, out, err = run(capsys, "rank", "--curve", str(path), "--nu", "3")
+    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("nu",), 5.9, "nu must be an integer, got 5.9"),
+    (("ambient", "even"), 4.5, "ambient.even must be an integer, got 4.5"),
+    (("ambient", "odd"), True, "ambient.odd must be an integer, got True"),
+    (("cleared_divisors", "even", 0, "multiplicity"), 6.5,
+     "multiplicity must be an integer, got 6.5"),
+    (("cleared_divisors", "odd", 0, "point", "x"), "1/0",
+     "zero denominator in '1/0'"),
+])
+def test_bad_number_in_model_file_is_usage_error(capsys, tmp_path, keys,
+                                                 value, message):
+    X = make_split_supercurve(C2, theta_from_subset(C2, (0,)))
+    obj = serialize.model_to_json(build_model(X, 5))
+    entry = obj
+    for key in keys[:-1]:
+        entry = entry[key]
+    entry[keys[-1]] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path), "--samples", "4")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("subset", ["[0.9]", "[true]", "5", '["1"]'])
 def test_non_integer_theta_subset_is_usage_error(capsys, subset):
     code, out, err = run(capsys, "rank", "--genus", "2", "--nu", "3",

@@ -1,5 +1,6 @@
 """The exact rank-2 row test, and the normalised-row rule it rests on,
-against a sympy oracle on every 2x2 minor."""
+against a sympy oracle on every 2x2 minor; square roots in squarefree
+normal form against sympy's factorint."""
 
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 import sympy as sp
 
 from plurisusy.fieldext import (QuadExt, make_sqrt, normalised, qext,
-                                rows_independent)
+                                rows_independent, sqrt_normal_form)
 
 DS = (1, 2, 3, -1, 6)
 
@@ -118,3 +119,38 @@ def test_row_mixing_two_fields_is_rejected():
     s2, s3 = make_sqrt(Fraction(2)), make_sqrt(Fraction(3))
     with pytest.raises(ValueError):
         rows_independent([s2, s3], [1, 1])
+
+
+def _sqrt_oracle(fr):
+    fr = Fraction(fr)
+    n = fr.numerator * fr.denominator
+    square, d = 1, -1 if n < 0 else 1
+    for prime, exp in sp.factorint(abs(n)).items():
+        square *= prime ** (exp // 2)
+        d *= prime ** (exp % 2)
+    return Fraction(square, fr.denominator), d
+
+
+# Primes above the trial-division bound of 1000.
+P1, P2, P3 = 1009, 1013, 1019
+
+
+@pytest.mark.parametrize("n", [
+    P1 ** 2, 12 * P1 ** 2, (P1 * P2) ** 2,     # leftover a square
+    P1, 18 * P1, 999983, P1 * P2, 50 * P1 * P2,  # prime or pq, squarefree
+    P1 * P2 * P3, 10 ** 9 + 7, 7 * P1 ** 3,      # leftover >= 10^9: fallback
+    P1 ** 4, 2 ** 40 * 3 ** 7, 1000 ** 3,
+])
+def test_sqrt_normal_form_matches_factorint(n):
+    for fr in (Fraction(n), Fraction(-n), Fraction(n, 45),
+               Fraction(-7, n), Fraction(n, P2)):
+        assert sqrt_normal_form(fr) == _sqrt_oracle(fr), fr
+
+
+def test_sqrt_normal_form_of_random_rationals():
+    rng = random.Random(24)
+    for _ in range(500):
+        fr = Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 6))
+        if fr:
+            assert sqrt_normal_form(fr) == _sqrt_oracle(fr), fr
+    assert sqrt_normal_form(Fraction(0)) == (Fraction(0), 1)

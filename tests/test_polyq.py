@@ -1,0 +1,99 @@
+"""Rational roots by Hensel lifting, against sympy's factorization over Q."""
+
+import random
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+import sympy as sp
+
+from plurisusy import polyq
+
+
+def _pow(p, n):
+    return reduce(polyq.mul, [p] * n, polyq.ONE)
+
+
+def _oracle(p):
+    """Roots and cofactor read off sympy's factor_list over Q."""
+    x = sp.Symbol("x")
+    _, factors = sp.Poly([sp.Rational(c.numerator, c.denominator)
+                          for c in reversed(p)], x).factor_list()
+    roots, cofactor = [], polyq.ONE
+    for fac, mult in factors:
+        cs = [Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()]
+        if len(cs) == 2:
+            roots.append((-cs[1] / cs[0], mult))
+        else:
+            cofactor = polyq.mul(cofactor,
+                                 _pow(polyq.poly(reversed(cs)), mult))
+    return sorted(roots), cofactor
+
+
+def _check(p):
+    got = polyq.rational_roots(p)
+    assert got == _oracle(p), p
+    return got
+
+
+def _linear(r):
+    return polyq.poly([-r, 1])
+
+
+def _random_factor(rng):
+    kind = rng.randrange(6)
+    if kind < 3:  # a rational root, integer or not, often 0
+        return _linear(Fraction(rng.randint(-12, 12), rng.randint(1, 5)))
+    if kind == 3:  # quadratic, usually irreducible
+        return polyq.poly([rng.randint(-9, 9), rng.randint(-9, 9), 1])
+    if kind == 4:  # cubic with rational coefficients, not monic
+        return polyq.poly([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                           for _ in range(3)] + [rng.randint(1, 7)])
+    # coefficients near 10^30
+    return polyq.poly([rng.randint(-10 ** 30, 10 ** 30) for _ in range(2)]
+                      + [rng.choice([1, 10 ** 30 + 7])])
+
+
+def test_random_products_match_sympy():
+    rng = random.Random(8)
+    for _ in range(300):
+        p = (Fraction(rng.choice([1, -1, 3, Fraction(-2, 3), 10 ** 30])),)
+        for _ in range(rng.randint(0, 5)):
+            p = polyq.mul(p, _pow(_random_factor(rng),
+                                  rng.choice([1, 1, 2, 3])))
+        _check(p)
+
+
+def test_roots_multiplicities_and_cofactor():
+    half, third = Fraction(1, 2), Fraction(-7, 3)
+    p = polyq.mul(_pow(_linear(half), 3),
+                  polyq.mul(_pow(polyq.X, 2), _linear(third)))
+    p = polyq.mul(polyq.scale(p, Fraction(-6, 5)),
+                  _pow(polyq.poly([2, 0, 1]), 2))
+    roots, cofactor = _check(p)
+    assert roots == [(third, 1), (Fraction(0), 2), (half, 3)]
+    assert cofactor == polyq.poly([4, 0, 4, 0, 1])
+
+
+@pytest.mark.parametrize("coeffs", [
+    [5], [Fraction(-3, 7)],                 # constants
+    [0, 1], [0, 0, 0, 2],                   # roots at 0 only
+    [1, 0, 1], [-2, 0, 0, 1], [1, 1, 1, 1, 1],  # no rational root
+    [-1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],  # x^11 - 1
+    [10 ** 30 + 1, -(10 ** 30 + 2), 1],     # roots 1 and 10^30 + 1
+])
+def test_edge_polynomials_match_sympy(coeffs):
+    _check(polyq.poly(coeffs))
+
+
+def test_split_curves_of_the_census_shape():
+    rng = random.Random(3)
+    for _ in range(40):
+        roots = sorted(rng.sample(range(-6, 7), rng.choice([5, 7, 9, 11])))
+        got = _check(polyq.from_roots([Fraction(r) for r in roots]))
+        assert got == ([(Fraction(r), 1) for r in roots], polyq.ONE)
+
+
+def test_zero_polynomial_is_rejected():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        polyq.rational_roots(polyq.ZERO)
