@@ -31,13 +31,18 @@ if TYPE_CHECKING:  # imported where used: both load sympy
     from .graded_algebra import GrassmannAlgebra
 
 
+# theta-census lists all 4^g classes, so each genus past this bound
+# would cost four times the one before
+CENSUS_MAX_GENUS = 8
+
+
 class UsageError(Exception):
     pass
 
 
 def _load_json(path: str, reader):
     """The object that reader builds from the JSON file at path; a file
-    that is not JSON, or lacks what reader looks for, is a usage error."""
+    that is not JSON, or holds what reader cannot use, is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -45,7 +50,7 @@ def _load_json(path: str, reader):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return reader(obj)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(
             f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -112,6 +117,9 @@ def cmd_thresholds(args) -> int:
 
 def cmd_theta_census(args) -> int:
     curve = _get_curve(args)
+    if curve.genus > CENSUS_MAX_GENUS:
+        raise UsageError(f"theta-census enumerates 4^g classes and stops at "
+                         f"genus {CENSUS_MAX_GENUS}; got genus {curve.genus}")
     census = theta_characteristics(curve)
     n_odd = sum(1 for t in census if t.is_odd)
     payload = {

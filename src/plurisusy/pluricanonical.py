@@ -94,8 +94,8 @@ def pluri_canonical_rank(X: SplitSupercurve, nu: int) -> RankReport:
     D_nu = _power_divisor(X, nu)
     D_nu1 = _power_divisor(X, nu + 1)
     h0s = {nu: h0(curve, D_nu), nu + 1: h0(curve, D_nu1)}
-    h1_nu = h0(curve, reduce_weierstrass(curve, K - D_nu))
-    h1_nu1 = h0(curve, reduce_weierstrass(curve, K - D_nu1))
+    h1_nu = h0(curve, K - D_nu)
+    h1_nu1 = h0(curve, K - D_nu1)
     hyp = h1_nu == 0 and h1_nu1 == 0
 
     k_even, k_odd = summand_powers(nu)
@@ -131,10 +131,10 @@ def criterion_local_freeness(X: SplitSupercurve, E_class: DivisorClass,
     K = canonical_divisor(curve)
     E = E_class.rep
     EL = E + X.L.rep
-    h0_E = h0(curve, reduce_weierstrass(curve, E))
-    h0_EL = h0(curve, reduce_weierstrass(curve, EL))
-    h1_E = h0(curve, reduce_weierstrass(curve, K - E))
-    h1_EL = h0(curve, reduce_weierstrass(curve, K - EL))
+    h0_E = h0(curve, E)
+    h0_EL = h0(curve, EL)
+    h1_E = h0(curve, K - E)
+    h1_EL = h0(curve, K - EL)
     passed = h1_E == 0 and h1_EL == 0
     if E_parity == "even":
         rank = RankPair(h0_E, h0_EL)
@@ -170,9 +170,9 @@ def _effective_points(curve: HyperellipticCurve, rep: Divisor,
                       degree: int) -> Optional[List[CurvePoint]]:
     """Points (with multiplicity) of an effective divisor linearly
     equivalent to rep, or None when the class has no sections."""
-    basis = rr_space(curve, rep)
-    if not basis:
+    if h0(curve, rep) == 0:
         return None
+    basis = rr_space(curve, rep)
     T = None
     for b in basis:
         try:

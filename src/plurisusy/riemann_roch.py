@@ -6,6 +6,13 @@ degrees (pole orders of the two kinds never collide, since one is even and
 the other odd), and the affine vanishing conditions become rational linear
 constraints on Taylor coefficients in canonical local parameters.
 
+Dimensions and linear equivalence need no basis: every divisor is
+equivalent to E + n * infinity with E reduced in Cantor's sense, found by
+integer bookkeeping when the semi-reduced part has degree at most g and by
+Cantor reduction of its Mumford pair otherwise, and h^0(E + n * infinity)
+has a closed form.  Explicit bases and principality witnesses still come
+from L(D).
+
 The canonical class is (2g-2) * infinity, so h^1(D) = h^0(K - D) by duality
 and theta characteristics are square roots of K in the divisor class group.
 """
@@ -22,6 +29,7 @@ from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
 from .fieldext import QuadExt
 from .linalg import kernel_basis
+from .series import TSeries
 
 
 def _split_rows(entries: List) -> List[List[Fraction]]:
@@ -114,8 +122,78 @@ def _rr_space_uncached(curve, D):
     return basis
 
 
+def _semi_reduced(D: Divisor) -> Dict[CurvePoint, int]:
+    """Effective divisor E on rational finite points with D ~ E + n inf,
+    n = deg D - deg E, and no point of E paired with its image under the
+    involution iota: P + iota P = div(x - x_P) + 2 inf moves such pairs
+    to infinity, -n P becomes n iota P - 2n inf, and a branch point keeps
+    its multiplicity mod 2.  On a point with y irrational iota is the
+    Galois conjugation, so a stable D leaves nothing of it in E."""
+    if not D.galois_stable():
+        raise ValueError("divisor is not stable under conjugation, "
+                         "so L(D) is not defined over Q")
+    E: Dict[CurvePoint, int] = {}
+    for P, n in D.data.items():
+        if P.at_infinity:
+            continue
+        if P.y == 0:
+            if n % 2:
+                E[P] = 1
+            continue
+        iP = P.conjugate()
+        m = n - D[iP]
+        if m:
+            E[P if m > 0 else iP] = abs(m)
+    return E
+
+
+def _mumford_pair(curve: HyperellipticCurve, E: Dict[CurvePoint, int]
+                  ) -> Tuple[polyq.Poly, polyq.Poly]:
+    """(u, v) of an effective semi-reduced E on rational points: u is the
+    product of (x - x_P)^m and v, of degree below deg u, agrees with y to
+    order m at each P, so u divides f - v^2.  Points are added one at a
+    time: v + u w matches y at P for w = (y - v)/u mod t^m, t = x - x_P.
+    A branch point has m = 1, where only y(P) = 0 enters, whatever the
+    local parameter."""
+    u, v = polyq.ONE, polyq.ZERO
+    for P, m in E.items():
+        ys = curve.y_series_at(P, m)
+        rest = ys - TSeries.from_poly_coeffs(polyq.shift(v, P.x), m)
+        w = rest * TSeries.from_poly_coeffs(polyq.shift(u, P.x), m).inverse()
+        w = polyq.shift(polyq.poly(w.coeff(k) for k in range(m)), -P.x)
+        v = polyq.add(v, polyq.mul(u, w))
+        u = polyq.mul(u, polyq.from_roots([P.x] * m))
+    return u, v
+
+
+def _reduced_degree(curve: HyperellipticCurve, D: Divisor) -> int:
+    """Degree e of the reduced divisor E with D ~ E + (deg D - e) inf
+    (Cantor 1987).  A semi-reduced divisor of degree at most g is already
+    reduced; only a longer one is built as a Mumford pair (u, v) and
+    reduced by u <- monic((f - v^2)/u), v <- -v mod u."""
+    E = _semi_reduced(D)
+    e = sum(E.values())
+    if e <= curve.genus:
+        return e
+    u, v = _mumford_pair(curve, E)
+    while polyq.deg(u) > curve.genus:
+        u = polyq.monic(polyq.exact_div(
+            polyq.sub(curve.f, polyq.mul(v, v)), u))
+        v = polyq.divmod_(polyq.neg(v), u)[1]
+    return polyq.deg(u)
+
+
 def h0(curve: HyperellipticCurve, D: Divisor) -> int:
-    return len(rr_space(curve, D))
+    """dim L(D) in closed form from the reduced representative E + n inf:
+    L(E + n inf) is spanned by x^i, 2i <= n, and x^j (y + v)/u,
+    2j + 2g + 1 - 2 deg E <= n (Mumford, Tata Lectures on Theta II,
+    ch. IIIa), and is zero when n < 0."""
+    e = _reduced_degree(curve, D)
+    n = D.degree() - e
+    if n < 0:
+        return 0
+    n_y = n - (2 * curve.genus + 1 - 2 * e)
+    return n // 2 + 1 + (n_y // 2 + 1 if n_y >= 0 else 0)
 
 
 def canonical_divisor(curve: HyperellipticCurve) -> Divisor:
@@ -132,11 +210,11 @@ def is_principal(curve: HyperellipticCurve, D: Divisor
                  ) -> Tuple[bool, Optional[FunctionFieldElement]]:
     """Decide whether D = div(h) for some function; the witness h satisfies
     div(h) = D exactly."""
-    if D.degree() != 0:
+    if D.degree() != 0 or _reduced_degree(curve, D) != 0:
         return False, None
     basis = rr_space(curve, D)
     if not basis:
-        return False, None
+        raise RuntimeError("trivial reduced class without a section")
     h = basis[0].inverse()
     if curve.divisor_of(h) != D:
         raise RuntimeError("principality witness has wrong divisor")
@@ -144,7 +222,9 @@ def is_principal(curve: HyperellipticCurve, D: Divisor
 
 
 def class_eq(curve: HyperellipticCurve, D1: Divisor, D2: Divisor) -> bool:
-    return is_principal(curve, D1 - D2)[0]
+    """D1 ~ D2: equal degrees and D1 - D2 reduces to the zero divisor."""
+    D = D1 - D2
+    return D.degree() == 0 and _reduced_degree(curve, D) == 0
 
 
 def reduce_weierstrass(curve: HyperellipticCurve, D: Divisor) -> Divisor:

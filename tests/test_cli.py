@@ -335,6 +335,22 @@ def test_small_genus_or_nu_is_usage_error(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("source", ["genus", "curve"])
+def test_theta_census_above_genus_bound_is_usage_error(capsys, tmp_path,
+                                                       source):
+    g = cli.CENSUS_MAX_GENUS + 1
+    if source == "genus":
+        argv = ("theta-census", "--genus", str(g))
+    else:
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(serialize.curve_to_json(standard_curve(g))))
+        argv = ("theta-census", "--curve", str(path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (
+        2, "", f"error: theta-census enumerates 4^g classes and stops at "
+               f"genus {g - 1}; got genus {g}\n")
+
+
 def test_bad_theta_is_usage_error(capsys):
     code, _, err = run(capsys, "rank", "--genus", "2", "--nu", "3",
                        "--theta", "nonsense")
@@ -379,7 +395,9 @@ def test_zero_denominator_in_curve_file_is_usage_error(capsys, tmp_path):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps({"f_coeffs": ["1/0", "1"]}))
     code, out, err = run(capsys, "rank", "--curve", str(path), "--nu", "3")
-    assert (code, out, err) == (2, "", "error: zero denominator in '1/0'\n")
+    assert (code, out, err) == (
+        2, "", f"error: malformed {path}: ValueError: zero denominator "
+               f"in '1/0'\n")
 
 
 @pytest.mark.parametrize("keys, value, message", [
@@ -402,7 +420,8 @@ def test_bad_number_in_model_file_is_usage_error(capsys, tmp_path, keys,
     path = tmp_path / "model.json"
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "verify", str(path), "--samples", "4")
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (
+        2, "", f"error: malformed {path}: ValueError: {message}\n")
 
 
 @pytest.mark.parametrize("subset", ["[0.9]", "[true]", "5", '["1"]'])

@@ -6,9 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from plurisusy import polyq
+from plurisusy import polyq, riemann_roch
 from plurisusy.curve import Divisor, HyperellipticCurve, standard_curve
-from plurisusy.riemann_roch import (DivisorClass, branch_roots,
+from plurisusy.riemann_roch import (DivisorClass, _semi_reduced, branch_roots,
                                     canonical_class, canonical_divisor,
                                     class_eq, h0, h1, is_principal,
                                     parity_representatives,
@@ -145,6 +145,130 @@ def test_h0_degree_bounds():
         elif d > 2 * CR2.genus - 2:
             assert h0(CR2, D) == d - CR2.genus + 1
             count += 1
+
+
+def _split_curve_with_points(g, rng):
+    """Random squarefree split f of degree 2g + 1 (leading coefficient 1,
+    2 or 3) with at least two rational non-branch points: the + sheets of
+    those points, and points with y in a quadratic extension."""
+    while True:
+        roots = rng.sample(range(-9, 10), 2 * g + 1)
+        f = polyq.scale(polyq.from_roots([Fraction(r) for r in roots]),
+                        rng.choice((1, 2, 3)))
+        C = HyperellipticCurve(f)
+        pts = [C.point(Fraction(x)) for x in range(-30, 31) if x not in roots]
+        rational = [P for P in pts if P.is_rational()]
+        if len(rational) >= 2:
+            return C, rational, [P for P in pts if not P.is_rational()]
+
+
+def _random_divisor(C, rng, rational, quadratic):
+    """Branch points of any multiplicity, one or both sheets of rational
+    points, conjugate pairs, negative coefficients, and enough infinity
+    to land the degree in [-2, 2g + 3]."""
+    D = Divisor()
+    for _ in range(rng.randint(2, 5)):
+        roll = rng.randrange(4)
+        if roll == 0:
+            W = rng.choice(C.rational_branch_points())
+            D = D + Divisor.of_point(W, rng.randint(-3, 3))
+        elif roll == 1:
+            D = D + Divisor.of_point(rng.choice(rational), rng.randint(-2, 3))
+        elif roll == 2:
+            P = rng.choice(rational)
+            D = D + Divisor({P: rng.randint(-2, 3),
+                             P.conjugate(): rng.randint(-2, 3)})
+        else:
+            P, n = rng.choice(quadratic), rng.randint(-2, 2)
+            D = D + Divisor({P: n, P.conjugate(): n})
+    target = rng.randint(-2, 2 * C.genus + 3)
+    return D + Divisor.of_point(C.infinity(), target - D.degree())
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_h0_matches_rr_space_on_random_split_curves(g):
+    rng = random.Random(900 + g)
+    cantor = 0
+    for _ in range(2):
+        C, rational, quadratic = _split_curve_with_points(g, rng)
+        for _ in range(25):
+            D = _random_divisor(C, rng, rational, quadratic)
+            n = h0(C, D)
+            assert n == len(rr_space(C, D)), D
+            assert n - h1(C, D) == D.degree() - g + 1, D
+            if D.degree() > 2 * g - 2:
+                assert n == D.degree() - g + 1, D
+            cantor += sum(_semi_reduced(D).values()) > g
+    assert cantor >= 10  # the Mumford-pair reduction ran, not only the shortcut
+
+
+# y^2 = v^2 + (x + 3)(x + 2)...(x - 3) with v = x^2 + 1: f has no rational
+# root, and y - v vanishes exactly at the seven points (s, v(s))
+CV3 = HyperellipticCurve(polyq.add(
+    polyq.mul((1, 0, 1), (1, 0, 1)),
+    polyq.from_roots([Fraction(s) for s in range(-3, 4)])))
+CV3_Q = [CV3.point(Fraction(s), y=Fraction(s * s + 1)) for s in range(-3, 4)]
+
+
+def test_class_eq_agrees_with_is_principal_in_degree_zero(monkeypatch):
+    inf = CV3.infinity()
+    Q = CV3_Q
+    y_minus_v = CV3.function((-1, 0, -1), (1,))
+    div_y = Divisor({P: 1 for P in Q}) - Divisor.of_point(inf, 7)
+    div_x = Divisor({Q[1]: 1, Q[1].conjugate(): 1, inf: -2})  # div(x + 2)
+    assert CV3.divisor_of(y_minus_v) == div_y
+    rng = random.Random(31)
+    cases = [div_y, div_x, div_y - div_x, Divisor()]
+    for _ in range(30):
+        D = Divisor({rng.choice(Q + [P.conjugate() for P in Q]):
+                     rng.randint(-2, 2) for _ in range(3)})
+        D = D + Divisor.of_point(inf, -D.degree())
+        cases += [D, D + div_y]
+    verdicts = []
+    for D in cases:
+        ok, wit = is_principal(CV3, D)
+        assert ok == class_eq(CV3, D, Divisor()) == (len(rr_space(CV3, D)) == 1)
+        if ok:
+            assert CV3.divisor_of(wit) == D
+        verdicts.append(ok)
+    assert any(verdicts) and not all(verdicts)
+    assert class_eq(CV3, cases[-2] + div_x, cases[-2])
+    # a non-principal answer comes from the reduced pair alone
+    monkeypatch.setattr(riemann_roch, "rr_space", None)
+    assert is_principal(CV3, Divisor({Q[0]: 1, inf: -1})) == (False, None)
+
+
+def test_galois_unstable_divisor_is_rejected():
+    P = CV3.point(Fraction(5))
+    assert not P.is_rational()
+    D = Divisor({P: 1, CV3.infinity(): -1})
+    for call in (lambda: h0(CV3, D), lambda: h0(CV3, D - D - D),
+                 lambda: class_eq(CV3, D, Divisor()),
+                 lambda: is_principal(CV3, D)):
+        with pytest.raises(ValueError, match="not stable under conjugation"):
+            call()
+
+
+def test_h0_needs_no_factoring(monkeypatch):
+    C = HyperellipticCurve(CV3.f)  # fresh: nothing factored yet
+    Q = [C.point(P.x, y=P.y) for P in CV3_Q]
+    P5 = C.point(Fraction(5))
+    inf = C.infinity()
+    divisors = [Divisor({P: 1 for P in Q}) + Divisor.of_point(inf, k)
+                for k in (-9, -7, -5, -3, 0)]
+    divisors += [Divisor({Q[0]: 3, Q[2].conjugate(): 2, Q[5]: 1, inf: -2}),
+                 Divisor({Q[0]: 2, Q[0].conjugate(): -1, P5: 1,
+                          P5.conjugate(): 1, inf: 1}),
+                 Divisor({Q[3]: -2, inf: 4})]
+
+    def refuse(p):
+        raise AssertionError("h0 factored a polynomial")
+
+    with monkeypatch.context() as m:
+        m.setattr(polyq, "rational_roots", refuse)
+        got = [h0(C, D) for D in divisors]
+    assert got == [len(rr_space(C, D)) for D in divisors]
+    assert polyq.deg(polyq.rational_roots(C.f)[1]) == 7
 
 
 # ---------------------------------------------------------------------------
