@@ -6,8 +6,8 @@ from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     standard_curve)
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, canonical_class,
                            class_eq, h0, h1, is_principal,
-                           parity_representatives, reduce_weierstrass,
-                           rr_space, theta_characteristics)
+                           parity_representatives, rr_space, semi_reduce,
+                           theta_characteristics)
 from .supercurve import (RankPair, SplitSupercurve, berezinian_bundle,
                          deformation_injectivity_dims, dual_supercurve,
                          is_autodual, make_split_supercurve, moduli_dimension,
@@ -43,7 +43,7 @@ __all__ = [
     "UnrepresentableSupportError", "standard_curve",
     "DivisorClass", "ThetaCharacteristic", "canonical_class", "class_eq",
     "h0", "h1", "is_principal", "parity_representatives",
-    "reduce_weierstrass", "rr_space", "theta_characteristics",
+    "rr_space", "semi_reduce", "theta_characteristics",
     "RankPair", "SplitSupercurve", "berezinian_bundle",
     "deformation_injectivity_dims", "dual_supercurve", "is_autodual",
     "make_split_supercurve", "moduli_dimension",

@@ -181,8 +181,7 @@ def cmd_superpoint(args) -> int:
     X = _get_supercurve(args)
     h = random_deformation(X.curve, seed=args.seed)
     family = SuperPointFamily(X, h)
-    report = pushforward_over_superpoint(family, args.nu,
-                                         allow_low_nu=args.nu < 3)
+    report = pushforward_over_superpoint(family, args.nu)
     _emit(args, report.to_json(), str(report))
     return 0 if report.free else 1
 

@@ -22,12 +22,12 @@ from .fieldext import normalised, rows_independent
 from .linalg import ColumnSpace
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, branch_roots,
                            canonical_divisor, h0, parity_representatives,
-                           reduce_weierstrass, rr_space)
+                           rr_space, semi_reduce)
 from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
 
 
 def _power_divisor(X: SplitSupercurve, k: int) -> Divisor:
-    return reduce_weierstrass(X.curve, k * X.L.rep)
+    return semi_reduce(X.curve, k * X.L.rep)
 
 
 def summand_powers(nu: int) -> Tuple[int, int]:
@@ -88,22 +88,15 @@ def pluri_canonical_rank(X: SplitSupercurve, nu: int) -> RankReport:
     """
     if nu < 1:
         raise ValueError("nu must be at least 1")
-    curve = X.curve
-    g = curve.genus
-    K = canonical_divisor(curve)
-    D_nu = _power_divisor(X, nu)
-    D_nu1 = _power_divisor(X, nu + 1)
-    h0s = {nu: h0(curve, D_nu), nu + 1: h0(curve, D_nu1)}
-    h1_nu = h0(curve, K - D_nu)
-    h1_nu1 = h0(curve, K - D_nu1)
-    hyp = h1_nu == 0 and h1_nu1 == 0
-
+    g = X.genus
+    cert = criterion_local_freeness(X, nu * X.L,
+                                    "even" if nu % 2 == 0 else "odd")
     k_even, k_odd = summand_powers(nu)
     alt = {nu: (nu - 1) * g - nu + 1, nu + 1: (2 * nu - 1) * g - 2 * nu + 1}
     formula = RankPair(alt[k_even], alt[k_odd])
-    if hyp:
-        return RankReport(nu, RankPair(h0s[k_even], h0s[k_odd]), True, formula)
-    return RankReport(nu, RankPair(h0s[nu], h0s[nu + 1]), False, formula,
+    if cert.passed:
+        return RankReport(nu, cert.rank, True, formula)
+    return RankReport(nu, RankPair(cert.h0_E, cert.h0_EL), False, formula,
                       note="hypotheses fail; point-base value")
 
 
@@ -192,6 +185,31 @@ def _effective_points(curve: HyperellipticCurve, rep: Divisor,
     return pts
 
 
+def _residual_points(X: SplitSupercurve, m: int,
+                     npoints: int) -> Optional[List[CurvePoint]]:
+    """Points x_1..x_npoints with K - L^m + x_1 + ... + x_npoints
+    effective, or None when there are none.
+
+    The residual degree d decides: for d < 0 there are none; for d = 0
+    they are the points of an effective divisor in L^m - K; for d = 1 at
+    genus 2 with two points, place the leftover point at infinity: every
+    degree-2 class on a genus-2 curve is effective, so a pair always
+    exists."""
+    curve = X.curve
+    g = curve.genus
+    d = (2 * g - 2) - m * (g - 1) + npoints
+    if d < 0:
+        return None
+    if d > 1 or (d == 1 and (g, npoints) != (2, 2)):
+        raise RuntimeError(f"unexpected residual degree {d} at genus {g}")
+    rep = semi_reduce(curve, m * X.L.rep - canonical_divisor(curve)
+                      + Divisor.of_point(curve.infinity(), d))
+    pts = _effective_points(curve, rep, npoints)
+    if pts is None and d == 1:
+        raise RuntimeError("degree-2 classes on genus 2 are effective")
+    return pts
+
+
 def very_ample_check(X: SplitSupercurve, nu: int) -> VeryAmpleReport:
     """Separation test for the nu-th power of the Berezinian bundle.
 
@@ -204,60 +222,19 @@ def very_ample_check(X: SplitSupercurve, nu: int) -> VeryAmpleReport:
     with an explicit witness pair."""
     if nu < 3:
         raise ValueError("need nu >= 3 so that the rank hypotheses hold")
-    curve = X.curve
-    g = curve.genus
-    K = canonical_divisor(curve)
-    Lrep = X.L.rep
-
-    cond1_ok = True
+    conditions = (
+        (nu, 2, "K - L^nu + x + y is effective at the witness pair"),
+        (summand_powers(nu)[1], 1,
+         "K - M + x is effective for the odd-direction summand"))
+    ok: List[bool] = []
     witness: Optional[Tuple[CurvePoint, CurvePoint]] = None
     note = ""
-    d1 = (2 * g - 2) - nu * (g - 1) + 2
-    if d1 < 0:
-        pass
-    elif d1 == 0:
-        # K - L^nu + x + y sweeps the degree-0 classes T - x - y with
-        # T in |L^nu - K|; effectivity of that degree-2 class decides.
-        rep = reduce_weierstrass(curve, nu * Lrep - K)
-        pts = _effective_points(curve, rep, 2)
-        if pts is not None:
-            cond1_ok = False
-            witness = (pts[0], pts[1])
-            note = "K - L^nu + x + y is effective at the witness pair"
-    elif d1 == 1 and g == 2:
-        # Residual degree 1: place the leftover point at infinity; on a
-        # genus-2 curve every degree-2 class is effective, so this always
-        # produces a witness pair.
-        rep = reduce_weierstrass(
-            curve, nu * Lrep - K + Divisor.of_point(curve.infinity()))
-        pts = _effective_points(curve, rep, 2)
-        if pts is None:
-            raise RuntimeError("degree-2 classes on genus 2 are effective")
-        cond1_ok = False
-        witness = (pts[0], pts[1])
-        note = "K - L^nu + x + y is effective at the witness pair"
-    else:
-        raise RuntimeError(f"unexpected residual degree {d1} at genus {g}")
-
-    # The other summand against a single point.
-    _, m2 = summand_powers(nu)
-    cond2_ok = True
-    d2 = (2 * g - 2) - m2 * (g - 1) + 1
-    if d2 < 0:
-        pass
-    elif d2 == 0:
-        rep2 = reduce_weierstrass(curve, m2 * Lrep - K)
-        pts2 = _effective_points(curve, rep2, 1)
-        if pts2 is not None:
-            cond2_ok = False
-            if witness is None:
-                witness = (pts2[0], pts2[0])
-                note = "K - M + x is effective for the odd-direction summand"
-    else:
-        raise RuntimeError(f"unexpected residual degree {d2} at genus {g}")
-
-    return VeryAmpleReport(nu, cond1_ok and cond2_ok, cond1_ok, cond2_ok,
-                           witness, note)
+    for m, npoints, claim in conditions:
+        pts = _residual_points(X, m, npoints)
+        ok.append(pts is None)
+        if pts is not None and witness is None:
+            witness, note = (pts[0], pts[-1]), claim
+    return VeryAmpleReport(nu, all(ok), ok[0], ok[1], witness, note)
 
 
 def minimal_nu(g: int, quantifier: str = "all-thetas",
@@ -691,9 +668,8 @@ class SuperPointReport:
         }
 
 
-def pushforward_over_superpoint(F: SuperPointFamily, nu: int,
-                                allow_low_nu: bool = False
-                                ) -> SuperPointReport:
+def pushforward_over_superpoint(F: SuperPointFamily,
+                                nu: int) -> SuperPointReport:
     """Sections of the deformed nu-th Berezinian power over Lambda[eta].
 
     A section is a chart pair (f0 + eta f1, g0 + eta g1) matching as
@@ -709,9 +685,6 @@ def pushforward_over_superpoint(F: SuperPointFamily, nu: int,
     the rank pair equals pluri_canonical_rank of the fiber."""
     if nu < 1:
         raise ValueError("nu must be at least 1")
-    if nu < 3 and not allow_low_nu:
-        raise ValueError("the rank hypotheses need nu >= 3; "
-                         "pass allow_low_nu=True to explore anyway")
     X = F.fiber
     k_even, k_odd = summand_powers(nu)
     m_even = _residue_matrix(X.curve, _power_divisor(X, k_even), F.deformation)

@@ -105,11 +105,11 @@ def monic(p: Poly) -> Poly:
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    a, b = p, q
-    while b:
-        a, b = b, divmod_(a, b)[1]
-    return monic(a)
+    """Monic greatest common divisor, by the primitive pseudo-remainder
+    sequence of the integer primitive parts."""
+    if not p or not q:
+        return monic(p or q)
+    return monic(poly(_int_gcd(_primitive_ints(p), _primitive_ints(q))))
 
 
 def lcm(p: Poly, q: Poly) -> Poly:

@@ -42,14 +42,18 @@ def _split_rows(entries: List) -> List[List[Fraction]]:
     return [[Fraction(e) for e in entries]]
 
 
+def _require_stable(D: Divisor) -> None:
+    if not D.galois_stable():
+        raise ValueError("divisor is not stable under conjugation, "
+                         "so L(D) is not defined over Q")
+
+
 def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement]:
     """Basis of L(D) = { h : div(h) + D >= 0 }, cached per divisor."""
     key = D.key()
     if key in curve._rr_cache:
         return curve._rr_cache[key]
-    if not D.galois_stable():
-        raise ValueError("divisor is not stable under conjugation, "
-                         "so L(D) is not defined over Q")
+    _require_stable(D)
     result = _rr_space_uncached(curve, D)
     curve._rr_cache[key] = result
     return result
@@ -129,9 +133,7 @@ def _semi_reduced(D: Divisor) -> Dict[CurvePoint, int]:
     to infinity, -n P becomes n iota P - 2n inf, and a branch point keeps
     its multiplicity mod 2.  On a point with y irrational iota is the
     Galois conjugation, so a stable D leaves nothing of it in E."""
-    if not D.galois_stable():
-        raise ValueError("divisor is not stable under conjugation, "
-                         "so L(D) is not defined over Q")
+    _require_stable(D)
     E: Dict[CurvePoint, int] = {}
     for P, n in D.data.items():
         if P.at_infinity:
@@ -145,6 +147,16 @@ def _semi_reduced(D: Divisor) -> Dict[CurvePoint, int]:
         if m:
             E[P if m > 0 else iP] = abs(m)
     return E
+
+
+def semi_reduce(curve: HyperellipticCurve, D: Divisor) -> Divisor:
+    """The representative E + (deg D - deg E) inf of the class of D, with
+    E the semi-reduced part of D: effective, on rational finite points,
+    never holding a point with its image under iota, and each branch
+    point at most once."""
+    E = _semi_reduced(D)
+    return Divisor(E) + Divisor.of_point(curve.infinity(),
+                                         D.degree() - sum(E.values()))
 
 
 def _mumford_pair(curve: HyperellipticCurve, E: Dict[CurvePoint, int]
@@ -227,23 +239,6 @@ def class_eq(curve: HyperellipticCurve, D1: Divisor, D2: Divisor) -> bool:
     return D.degree() == 0 and _reduced_degree(curve, D) == 0
 
 
-def reduce_weierstrass(curve: HyperellipticCurve, D: Divisor) -> Divisor:
-    """Linearly equivalent divisor with branch-point coefficients in
-    {-1, 0, 1}: pairs at a branch point move to infinity since
-    div(x - r) = 2 W_r - 2 inf."""
-    inf = curve.infinity()
-    data = dict(D.data)
-    extra = 0
-    for P, n in list(data.items()):
-        if not P.at_infinity and P.is_branch() and abs(n) >= 2:
-            pairs = (abs(n) // 2) * (1 if n > 0 else -1)
-            data[P] = n - 2 * pairs
-            extra += 2 * pairs
-    if extra:
-        data[inf] = data.get(inf, 0) + extra
-    return Divisor(data)
-
-
 class DivisorClass:
     """A divisor class, carried by an explicit representative."""
 
@@ -269,9 +264,6 @@ class DivisorClass:
         return DivisorClass(self.curve, n * self.rep)
 
     __mul__ = __rmul__
-
-    def reduced(self) -> "DivisorClass":
-        return DivisorClass(self.curve, reduce_weierstrass(self.curve, self.rep))
 
     def h0(self) -> int:
         return h0(self.curve, self.rep)

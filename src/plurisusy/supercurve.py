@@ -89,9 +89,9 @@ def dual_supercurve(X: SplitSupercurve) -> SplitSupercurve:
 
 
 def is_autodual(X: SplitSupercurve) -> bool:
-    """True iff L ~ K - L, which is exactly the susy condition."""
-    K = canonical_class(X.curve)
-    return class_eq(X.curve, X.L.rep, (K - X.L).rep)
+    """True iff L ~ K - L, which is the susy condition 2L ~ K that the
+    constructor has already decided."""
+    return X.susy
 
 
 @dataclass

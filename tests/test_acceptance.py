@@ -23,9 +23,9 @@ from plurisusy.pluricanonical import (SuperPointFamily, build_model,
                                       random_deformation, threshold_table,
                                       verify_embedding, very_ample_check)
 from plurisusy.riemann_roch import (DivisorClass, canonical_class, class_eq,
-                                    h0, parity_representatives,
-                                    reduce_weierstrass, rr_space,
-                                    theta_characteristics, theta_from_subset)
+                                    h0, parity_representatives, rr_space,
+                                    semi_reduce, theta_characteristics,
+                                    theta_from_subset)
 from plurisusy.supercurve import (RankPair, SplitSupercurve, is_autodual,
                                   make_split_supercurve, moduli_dimension,
                                   verify_berezinian_transition)
@@ -80,7 +80,7 @@ def test_criterion_2_rank_grid(capsys):
             # degree - g + 1 closed form, for both summands
             dims = []
             for m in (nu, nu + 1):
-                D = reduce_weierstrass(curve, m * X.L.rep)
+                D = semi_reduce(curve, m * X.L.rep)
                 dim = len(rr_space(curve, D))
                 ok = ok and dim == m * (g - 1) - g + 1
                 dims.append(dim)
@@ -112,7 +112,7 @@ def test_criterion_3_threshold_table(capsys):
             P, Q = c.witness
             D = (canonical_class(curve).rep - c.nu * th.cls.rep
                  + Divisor.of_point(P) + Divisor.of_point(Q))
-            ok = ok and h0(curve, reduce_weierstrass(curve, D)) >= 1
+            ok = ok and h0(curve, semi_reduce(curve, D)) >= 1
     dt = time.monotonic() - t0
     _report(capsys, 3, ok and dt < 30.0, dt,
             "very-ampleness passes exactly on g>=4, (3,nu>=4), (2,nu>=5); "

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from plurisusy import polyq
 from plurisusy.curve import Divisor, HyperellipticCurve, standard_curve
 from plurisusy.pluricanonical import (SuperPointFamily, ThresholdCell,
                                       build_model,
@@ -15,9 +16,8 @@ from plurisusy.pluricanonical import (SuperPointFamily, ThresholdCell,
                                       random_deformation, threshold_table,
                                       verify_embedding, very_ample_check)
 from plurisusy.riemann_roch import (DivisorClass, canonical_class, h0, h1,
-                                    parity_representatives,
-                                    reduce_weierstrass, rr_space,
-                                    theta_from_subset)
+                                    parity_representatives, rr_space,
+                                    semi_reduce, theta_from_subset)
 from plurisusy.supercurve import RankPair, make_split_supercurve
 
 C2 = standard_curve(2)
@@ -112,8 +112,8 @@ def test_local_freeness_high_power_passes():
     cert = criterion_local_freeness(X2E, E, E_parity="odd")
     assert cert.passed
     assert cert.h1_E == cert.h1_EL == 0
-    assert cert.rank == RankPair(h0(C2, reduce_weierstrass(C2, (4 * X2E.L).rep)),
-                                 h0(C2, reduce_weierstrass(C2, (3 * X2E.L).rep)))
+    assert cert.rank == RankPair(h0(C2, semi_reduce(C2, (4 * X2E.L).rep)),
+                                 h0(C2, semi_reduce(C2, (3 * X2E.L).rep)))
 
 
 def test_local_freeness_trivial_class_fails():
@@ -169,7 +169,38 @@ def test_very_ample_witness_confirmed_by_rr():
         curve = X.curve
         K = canonical_class(curve).rep
         D = K - nu * X.L.rep + Divisor.of_point(P) + Divisor.of_point(Q)
-        assert h0(curve, reduce_weierstrass(curve, D)) >= 1
+        assert h0(curve, semi_reduce(curve, D)) >= 1
+
+
+def test_non_theta_class_with_non_branch_support():
+    """On y^2 = x^5 + 1, div(y - 1) = 5Q - 5 inf with Q = (0, 1), so
+    L = 2Q + iota Q - 2 inf ~ Q is not a theta characteristic, and its
+    powers are represented by multiples of Q alone."""
+    C = HyperellipticCurve(polyq.poly([1, 0, 0, 0, 0, 1]))
+    Q = C.point(Fraction(0), y=Fraction(1))
+    inf = C.infinity()
+    assert C.divisor_of(C.y_fn() - C.one_fn()) == Divisor({Q: 5, inf: -5})
+    L = Divisor({Q: 2, Q.conjugate(): 1, inf: -2})
+    X = make_split_supercurve(C, L)
+    assert not X.susy
+    for k in range(1, 8):
+        assert semi_reduce(C, k * L) == Divisor({Q: k})
+    K = canonical_class(C).rep
+    for nu in (3, 4, 5, 6):
+        rep = very_ample_check(X, nu)
+        assert rep.passed == (nu >= 5)
+        if rep.witness is not None:
+            P1, P2 = rep.witness
+            D = K - nu * L + Divisor.of_point(P1) + Divisor.of_point(P2)
+            assert h0(C, D) >= 1
+    W = C.branch_point(Fraction(-1))
+    samples = [Q, Q.conjugate(), inf, W, C.point(Fraction(2)),
+               C.point(Fraction(2)).conjugate()]
+    for nu in (5, 6):
+        M = build_model(X, nu)
+        assert M.cleared_divisors["even"] == Divisor({Q: 6})
+        assert verify_embedding(M, samples=samples).all_pass
+        assert verify_embedding(M, samples=30, seed=1).all_pass
 
 
 def test_very_ample_passes_above_threshold():
@@ -377,8 +408,7 @@ def test_pushforward_free_above_two():
 
 def test_pushforward_obstruction_at_nu1():
     h = random_deformation(C2, seed=7)
-    rep = pushforward_over_superpoint(SuperPointFamily(X2E, h), 1,
-                                      allow_low_nu=True)
+    rep = pushforward_over_superpoint(SuperPointFamily(X2E, h), 1)
     assert not rep.free
     assert (rep.drop_even, rep.drop_odd) == (1, 0)
     assert rep.rank == RankPair(0, 2)
@@ -387,11 +417,13 @@ def test_pushforward_obstruction_at_nu1():
 
 
 def test_pushforward_guards_low_nu():
+    rep = pushforward_over_superpoint(SuperPointFamily(X2E, 0), 2)
+    assert rep.to_json() == {"nu": 2, "free": True, "rank": "2|2",
+                             "drop_even": 0, "drop_odd": 0,
+                             "hypotheses_hold": False}
+    assert rep.residues_even == ((0,), (0,)) and rep.residues_odd == ()
     with pytest.raises(ValueError):
-        pushforward_over_superpoint(SuperPointFamily(X2E, 0), 2)
-    with pytest.raises(ValueError):
-        pushforward_over_superpoint(SuperPointFamily(X2E, 0), 0,
-                                    allow_low_nu=True)
+        pushforward_over_superpoint(SuperPointFamily(X2E, 0), 0)
 
 
 # ---------------------------------------------------------------------------

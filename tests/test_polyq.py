@@ -97,3 +97,28 @@ def test_split_curves_of_the_census_shape():
 def test_zero_polynomial_is_rejected():
     with pytest.raises(ValueError, match="zero polynomial"):
         polyq.rational_roots(polyq.ZERO)
+
+
+def _euclid_gcd(p, q):
+    """Monic gcd by the Euclidean algorithm in Fraction arithmetic."""
+    while q:
+        p, q = q, polyq.divmod_(p, q)[1]
+    return polyq.monic(p)
+
+
+def test_gcd_matches_euclid():
+    rng = random.Random(17)
+
+    def rand(n):
+        return polyq.poly(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                          for _ in range(n))
+
+    for _ in range(300):
+        p, q = rand(rng.randint(0, 6)), rand(rng.randint(0, 6))
+        if rng.random() < 0.5:
+            common = rand(rng.randint(1, 4))
+            p, q = polyq.mul(p, common), polyq.mul(q, common)
+        assert polyq.gcd(p, q) == _euclid_gcd(p, q), (p, q)
+    p = polyq.poly([Fraction(3, 2), 0, -3])
+    assert polyq.gcd(p, polyq.ZERO) == polyq.gcd(polyq.ZERO, p) == polyq.monic(p)
+    assert polyq.gcd(polyq.ZERO, polyq.ZERO) == polyq.ZERO

@@ -11,9 +11,9 @@ from plurisusy.curve import Divisor, HyperellipticCurve, standard_curve
 from plurisusy.riemann_roch import (DivisorClass, _semi_reduced, branch_roots,
                                     canonical_class, canonical_divisor,
                                     class_eq, h0, h1, is_principal,
-                                    parity_representatives,
-                                    reduce_weierstrass, rr_space,
-                                    theta_characteristics, theta_from_subset)
+                                    parity_representatives, rr_space,
+                                    semi_reduce, theta_characteristics,
+                                    theta_from_subset)
 
 C2 = standard_curve(2)
 C3 = standard_curve(3)
@@ -202,6 +202,41 @@ def test_h0_matches_rr_space_on_random_split_curves(g):
     assert cantor >= 10  # the Mumford-pair reduction ran, not only the shortcut
 
 
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_semi_reduce_on_random_split_curves(g):
+    rng = random.Random(900 + g)  # the divisors of the h0 test above
+    for _ in range(2):
+        C, rational, quadratic = _split_curve_with_points(g, rng)
+        inf = C.infinity()
+        for _ in range(25):
+            D = _random_divisor(C, rng, rational, quadratic)
+            R = semi_reduce(C, D)
+            assert R.degree() == D.degree() and class_eq(C, D, R), D
+            assert semi_reduce(C, R) == R, D
+            E = R - Divisor.of_point(inf, R[inf])
+            assert E.is_effective(), D
+            for P, n in E.items():
+                assert P.is_rational() and not P.at_infinity, D
+                if P.is_branch():
+                    assert n == 1, D
+                else:
+                    assert E[P.conjugate()] == 0, D
+
+
+@pytest.mark.parametrize("g", [2, 3, 4])
+def test_semi_reduce_of_theta_powers(g):
+    """k * L for a theta characteristic keeps each subset root k mod 2
+    times and puts the rest at infinity."""
+    C = standard_curve(g)
+    inf = C.infinity()
+    for th in theta_characteristics(C):
+        for k in range(1, 9):
+            kept = k % 2 * len(th.roots)
+            literal = Divisor({C.branch_point(r): k % 2 for r in th.roots}
+                              ) + Divisor.of_point(inf, k * (g - 1) - kept)
+            assert semi_reduce(C, k * th.divisor) == literal, (th.subset, k)
+
+
 # y^2 = v^2 + (x + 3)(x + 2)...(x - 3) with v = x^2 + 1: f has no rational
 # root, and y - v vanishes exactly at the seven points (s, v(s))
 CV3 = HyperellipticCurve(polyq.add(
@@ -244,7 +279,8 @@ def test_galois_unstable_divisor_is_rejected():
     D = Divisor({P: 1, CV3.infinity(): -1})
     for call in (lambda: h0(CV3, D), lambda: h0(CV3, D - D - D),
                  lambda: class_eq(CV3, D, Divisor()),
-                 lambda: is_principal(CV3, D)):
+                 lambda: is_principal(CV3, D), lambda: semi_reduce(CV3, D),
+                 lambda: rr_space(CV3, D)):
         with pytest.raises(ValueError, match="not stable under conjugation"):
             call()
 
@@ -321,12 +357,13 @@ def test_class_eq_is_equivalence_random():
         assert class_eq(CR2, D + T, E + T) == class_eq(CR2, D, E)
 
 
-def test_reduce_weierstrass():
+def test_semi_reduce_moves_branch_pairs():
     W0 = C2.branch_point(Fraction(0))
     W1 = C2.branch_point(Fraction(1))
     inf = C2.infinity()
     D = Divisor({W0: 5, W1: -2, inf: 1})
-    R = reduce_weierstrass(C2, D)
+    R = semi_reduce(C2, D)
+    assert R == Divisor({W0: 1, inf: 3})
     assert class_eq(C2, D, R)
     assert R[W0] == 1 and R[W1] == 0
     assert R.degree() == D.degree()

@@ -22,8 +22,8 @@ from plurisusy.pluricanonical import (SuperPointFamily,
                                       pushforward_over_superpoint,
                                       random_deformation, summand_powers)
 from plurisusy.riemann_roch import (canonical_divisor, clearing_frame, h0,
-                                    parity_representatives,
-                                    reduce_weierstrass, rr_space)
+                                    parity_representatives, rr_space,
+                                    semi_reduce)
 from plurisusy.supercurve import make_split_supercurve
 
 
@@ -64,7 +64,7 @@ def cech_drops(F, nu):
                     curve.valuation(h, curve.infinity()), 0)
     drops = []
     for k in summand_powers(nu):
-        D = reduce_weierstrass(curve, k * X.L.rep)
+        D = semi_reduce(curve, k * X.L.rep)
         N = D.degree() + 2 * curve.genus + 2 + pole
         drop = _cech_drop_at(curve, D, W, h, N)
         assert drop == _cech_drop_at(curve, D, W, h, 2 * N), \
@@ -97,7 +97,7 @@ def test_residue_drops_match_cech_oracle():
     drops = []
     for F in _families(random.Random(5), 2):
         for nu in (1, 2):
-            rep = pushforward_over_superpoint(F, nu, allow_low_nu=True)
+            rep = pushforward_over_superpoint(F, nu)
             got = (rep.drop_even, rep.drop_odd)
             assert got == cech_drops(F, nu), (F, nu)
             assert rep.free == (got == (0, 0))
@@ -117,7 +117,7 @@ def test_deep_pole_cochains_are_decided(h_text, nus):
     h = x * x * x * x * x * x if h_text == "x**6" else y / (x * x * x * x * x)
     F = SuperPointFamily(X, h)
     for nu in nus:
-        rep = pushforward_over_superpoint(F, nu, allow_low_nu=True)
+        rep = pushforward_over_superpoint(F, nu)
         assert str(rep).startswith("free"), (h_text, nu)
         if nu < 3:
             assert cech_drops(F, nu) == (0, 0)
@@ -128,12 +128,12 @@ def test_residue_matrix_certifies_the_drops():
         curve = F.fiber.curve
         K = canonical_divisor(curve)
         for nu in (1, 2, 3):
-            rep = pushforward_over_superpoint(F, nu, allow_low_nu=True)
+            rep = pushforward_over_superpoint(F, nu)
             pairs = zip(summand_powers(nu),
                         (rep.residues_even, rep.residues_odd),
                         (rep.drop_even, rep.drop_odd))
             for k, M, drop in pairs:
-                D = reduce_weierstrass(curve, k * F.fiber.L.rep)
+                D = semi_reduce(curve, k * F.fiber.L.rep)
                 rows, cols = h0(curve, D), h0(curve, K - D)
                 if rows and cols:
                     assert len(M) == rows
