@@ -115,11 +115,17 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def cmd_theta_census(args) -> int:
-    curve = _get_curve(args)
-    if curve.genus > CENSUS_MAX_GENUS:
+def _check_census_genus(genus: int) -> None:
+    if genus > CENSUS_MAX_GENUS:
         raise UsageError(f"theta-census enumerates 4^g classes and stops at "
-                         f"genus {CENSUS_MAX_GENUS}; got genus {curve.genus}")
+                         f"genus {CENSUS_MAX_GENUS}; got genus {genus}")
+
+
+def cmd_theta_census(args) -> int:
+    if args.curve is None and args.genus is not None:
+        _check_census_genus(args.genus)  # before the stock curve is built
+    curve = _get_curve(args)
+    _check_census_genus(curve.genus)
     census = theta_characteristics(curve)
     n_odd = sum(1 for t in census if t.is_odd)
     payload = {

@@ -5,10 +5,20 @@ Rationals always serialize as exact "p/q" strings, never floats.  A point
 with y outside Q is stored as {"x": ..., "y_in_ext": [u, v]} meaning
 u + v*sqrt(f(x)).  Every writer sorts its keys and every reader rebuilds
 the identical in-memory value, so artifacts round-trip bit for bit.
+
+parse_function reads a function string with the standard library alone.
+Its grammar: integer and decimal literals (a decimal is the exact
+rational of its digits, 0.1 is 1/10), the names x and y, unary + and -,
+binary + - * /, parentheses, and ** or ^ raised to an integer literal.
+The string is evaluated in Q(x)[y] without applying y^2 = f and must come
+out of y-degree at most 1.  A negative power needs a nonzero y-free base
+and a divisor must be nonzero and y-free, so y/y and x*y/y, which earlier
+versions cancelled, are rejected.  Anything else raises ValueError.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from fractions import Fraction
 from typing import Dict, List, Union
@@ -122,39 +132,103 @@ def function_to_string(fn: FunctionFieldElement) -> str:
     return f"({num})/({polyq.format_poly(fn.den, 'x')})"
 
 
-def _poly_from_sympy(expr, x) -> polyq.Poly:
-    import sympy as sp
+# A function string is evaluated in Q(x)[y], with y^2 = f not applied: as
+# the list of its y-coefficients, y-free function field elements with the
+# coefficient of y^i at index i and no trailing zero.
 
-    p = sp.Poly(expr, x)
-    coeffs = []
-    for c in reversed(p.all_coeffs()):
-        r = sp.Rational(c)
-        coeffs.append(Fraction(int(r.p), int(r.q)))
-    return polyq.poly(coeffs)
+_YPoly = List[FunctionFieldElement]
+
+
+def _trim(cs: _YPoly) -> _YPoly:
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def _ymul(a: _YPoly, b: _YPoly) -> _YPoly:
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        terms = [a[i] * b[k - i] for i in range(lo, hi + 1)]
+        out.append(sum(terms[1:], terms[0]))
+    return _trim(out)
+
+
+def _exponent(node: ast.expr) -> int:
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op,
+                                                    (ast.UAdd, ast.USub)):
+        sign = -1 if isinstance(node.op, ast.USub) else 1
+        node = node.operand
+    if not (isinstance(node, ast.Constant) and type(node.value) is int):
+        raise ValueError("exponents must be integer literals")
+    return sign * node.value
+
+
+def _eval(curve: HyperellipticCurve, src: str, node: ast.expr) -> _YPoly:
+    if isinstance(node, ast.Name) and node.id in ("x", "y"):
+        if node.id == "x":
+            return [curve.x_fn()]
+        return [curve.function(polyq.ZERO), curve.one_fn()]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        # a decimal is read exactly from its digits: 0.1 is 1/10
+        c = Fraction(node.value if type(node.value) is int
+                     else ast.get_source_segment(src, node))
+        return [curve.function((c,))] if c else []
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op,
+                                                    (ast.UAdd, ast.USub)):
+        a = _eval(curve, src, node.operand)
+        return a if isinstance(node.op, ast.UAdd) else [-c for c in a]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        a, n = _eval(curve, src, node.left), _exponent(node.right)
+        if len(a) == 1:  # a nonzero y-free base takes any power
+            return [a[0] ** n]
+        if n < 0:
+            raise ValueError("division by zero" if not a else
+                             "negative power of an expression in y")
+        out = [curve.one_fn()]
+        for _ in range(n):
+            out = _ymul(out, a)
+        return out
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        a = _eval(curve, src, node.left)
+        b = _eval(curve, src, node.right)
+        if isinstance(node.op, ast.Mult):
+            return _ymul(a, b)
+        if isinstance(node.op, ast.Div):
+            if len(b) != 1:
+                raise ValueError("division by an expression in y" if b else
+                                 "division by zero")
+            inv = b[0] ** -1
+            return [c * inv for c in a]
+        if isinstance(node.op, ast.Sub):
+            b = [-c for c in b]
+        return _trim([p + q for p, q in zip(a, b)] + a[len(b):] + b[len(a):])
+    raise ValueError(
+        f"unsupported expression {ast.get_source_segment(src, node)!r}")
 
 
 def parse_function(curve: HyperellipticCurve, s: str) -> FunctionFieldElement:
-    """Parse "a(x) + b(x)*y" (rational coefficients, denominators in x
-    allowed, y-degree at most 1) into a function field element."""
-    import sympy as sp
-
-    x, y = sp.symbols("x y")
-    expr = sp.sympify(s, locals={"x": x, "y": y}, rational=True)
-    a = sp.cancel(expr.subs(y, 0))
-    b = sp.cancel(sp.together(expr - a) / y)
-    if a.has(sp.zoo) or a.has(sp.nan) or b.free_symbols - {x} or \
-            a.free_symbols - {x}:
-        raise ValueError(f"function string must be linear in y: {s!r}")
-    if sp.cancel(sp.together(expr - a - b * y)) != 0:
-        raise ValueError(f"function string must be linear in y: {s!r}")
-    pa, qa = sp.fraction(sp.cancel(a))
-    pb, qb = sp.fraction(sp.cancel(b))
-    qa_p = _poly_from_sympy(qa, x)
-    qb_p = _poly_from_sympy(qb, x)
-    den = polyq.lcm(qa_p, qb_p)
-    A = polyq.mul(_poly_from_sympy(pa, x), polyq.exact_div(den, qa_p))
-    B = polyq.mul(_poly_from_sympy(pb, x), polyq.exact_div(den, qb_p))
-    return curve.function(A, B, den)
+    """Parse "a(x) + b(x)*y", in the grammar of the module docstring,
+    into a function field element; a malformed string raises ValueError."""
+    if not isinstance(s, str):
+        raise ValueError(f"function string expected, got {s!r}")
+    src = s.replace("^", "**")
+    try:
+        cs = _eval(curve, src, ast.parse(src, mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"function string {s!r}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"function string {s!r}: nested too deeply") from exc
+    except ValueError as exc:
+        raise ValueError(f"function string {s!r}: {exc}") from exc
+    if len(cs) > 2:
+        raise ValueError(f"function string {s!r}: y-degree {len(cs) - 1} "
+                         f"is above 1")
+    zero = curve.function(polyq.ZERO)
+    a, b = (cs + [zero, zero])[:2]
+    return a + b * curve.y_fn()
 
 
 def model_to_json(M: PluriCanonicalModel) -> Dict:

@@ -351,6 +351,19 @@ def test_theta_census_above_genus_bound_is_usage_error(capsys, tmp_path,
                f"genus {g - 1}; got genus {g}\n")
 
 
+def test_theta_census_checks_genus_bound_before_building_curve(capsys,
+                                                              monkeypatch):
+    def refuse(g):
+        raise AssertionError(f"standard_curve({g}) was built")
+
+    monkeypatch.setattr(cli, "standard_curve", refuse)
+    g = cli.CENSUS_MAX_GENUS + 1
+    code, out, err = run(capsys, "theta-census", "--genus", str(g))
+    assert (code, out, err) == (
+        2, "", f"error: theta-census enumerates 4^g classes and stops at "
+               f"genus {g - 1}; got genus {g}\n")
+
+
 def test_bad_theta_is_usage_error(capsys):
     code, _, err = run(capsys, "rank", "--genus", "2", "--nu", "3",
                        "--theta", "nonsense")
@@ -422,6 +435,24 @@ def test_bad_number_in_model_file_is_usage_error(capsys, tmp_path, keys,
     code, out, err = run(capsys, "verify", str(path), "--samples", "4")
     assert (code, out, err) == (
         2, "", f"error: malformed {path}: ValueError: {message}\n")
+
+
+@pytest.mark.parametrize("section, message", [
+    ("(x + 1", "'(x + 1': '(' was never closed"),
+    ("1/0", "'1/0': division by zero"),
+    ("y**2", "'y**2': y-degree 2 is above 1"),
+])
+def test_bad_section_string_in_model_file_is_usage_error(capsys, tmp_path,
+                                                         section, message):
+    X = make_split_supercurve(C2, theta_from_subset(C2, (0,)))
+    obj = serialize.model_to_json(build_model(X, 5))
+    obj["odd_sections"][0] = section
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path), "--samples", "4")
+    assert (code, out, err) == (
+        2, "", f"error: malformed {path}: ValueError: function string "
+               f"{message}\n")
 
 
 @pytest.mark.parametrize("subset", ["[0.9]", "[true]", "5", '["1"]'])

@@ -1,5 +1,7 @@
-"""sympy is loaded only where an expression is parsed: the package, and
-every subcommand that reads no expression, run without it."""
+"""sympy is loaded only where check-superconformal parses its
+expressions: the package and every other subcommand run without it,
+verify included, which reads the section strings of a model file with
+the package's own parser."""
 
 import json
 import os
@@ -15,9 +17,12 @@ import plurisusy
 import plurisusy.cli as cli
 
 G2 = ["--genus", "2"]
+M = sys.argv[1]  # the model file that embed writes and verify reads
+EMBED = ["embed", *G2, "--nu", "5", "--theta", '{"subset": [0]}']
 runs = [["rank", *G2, "--nu", "3"], ["theta-census", *G2],
-        ["thresholds", *G2, "--nu", "3"],
-        ["embed", *G2, "--nu", "5", "--theta", '{"subset": [0]}'],
+        ["thresholds", *G2, "--nu", "3"], EMBED, EMBED + ["--out", M],
+        ["verify", M, "--samples", "4"],
+        ["verify", M, "--samples", "4", "--format", "json"],
         ["dual", *G2], ["moduli-dim", *G2],
         ["superpoint-rank", *G2, "--nu", "3"]]
 report = {"codes": [], "sympy_after_runs": None}
@@ -36,13 +41,14 @@ print(json.dumps(report))
 """
 
 
-def test_subcommands_without_expressions_do_not_import_sympy():
+def test_subcommands_without_expressions_do_not_import_sympy(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run([sys.executable, "-c", CHILD], env=env,
+    res = subprocess.run([sys.executable, "-c", CHILD,
+                          str(tmp_path / "model.json")], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
-    assert report["codes"] == [0] * 7
+    assert report["codes"] == [0] * 10
     assert report["sympy_after_runs"] is False
     assert report["unresolved"] == []
     assert (report["sc_code"], report["sc_out"]) == (0,
