@@ -16,13 +16,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
-                    HyperellipticCurve, UnrepresentableSupportError,
-                    standard_curve)
+                    HyperellipticCurve, standard_curve)
 from .fieldext import normalised, rows_independent
 from .linalg import ColumnSpace
-from .riemann_roch import (DivisorClass, ThetaCharacteristic, branch_roots,
-                           canonical_divisor, h0, parity_representatives,
-                           rr_space, semi_reduce)
+from .riemann_roch import (DivisorClass, ThetaCharacteristic, _reduce,
+                           canonical_divisor, class_eq, h0,
+                           parity_representatives, rr_space, semi_reduce)
 from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
 
 
@@ -159,36 +158,33 @@ def witness_str(witness: Optional[Tuple[CurvePoint, CurvePoint]]) -> str:
     return f"x={P!r}, y={Q!r}"
 
 
-def _effective_points(curve: HyperellipticCurve, rep: Divisor,
-                      degree: int) -> Optional[List[CurvePoint]]:
-    """Points (with multiplicity) of an effective divisor linearly
-    equivalent to rep, or None when the class has no sections."""
-    if h0(curve, rep) == 0:
+def _effective_points(curve: HyperellipticCurve, rep: Divisor
+                      ) -> Optional[Tuple[List[CurvePoint], polyq.Poly]]:
+    """The effective divisor E + n inf of the class of rep, with E
+    reduced, or None when n < 0 and the class has no sections.  It is
+    returned as (points, rest): the points with rational x-coordinates,
+    with multiplicity and infinity last, and the factor of the Mumford u
+    of E that has no rational root (ONE when the points are all of it)."""
+    e, R = _reduce(curve, rep)
+    n = rep.degree() - e
+    if n < 0:
         return None
-    basis = rr_space(curve, rep)
-    T = None
-    for b in basis:
-        try:
-            T = curve.divisor_of(b) + rep
-        except UnrepresentableSupportError:
-            continue
-        break
-    if T is None:
-        raise UnrepresentableSupportError(
-            "no section of the class has representable zeros")
-    if not (T.is_effective() and T.degree() == degree):
-        raise RuntimeError("section divisor is not an effective divisor "
-                           "of the class degree")
-    pts: List[CurvePoint] = []
-    for P, n in T.items():
-        pts.extend([P] * n)
-    return pts
+    E, rest = R, polyq.ONE
+    if not isinstance(R, dict):
+        u, v = R
+        roots, rest = polyq.rational_roots(u)
+        E = {curve.point(r, polyq.eval_at(v, r)): m for r, m in roots}
+    T = Divisor(E) + Divisor.of_point(curve.infinity(), n)
+    if polyq.deg(rest) == 0 and not class_eq(curve, T, rep):
+        raise RuntimeError("reduced divisor is not in the class")
+    return [P for P, m in T.items() for _ in range(m)], rest
 
 
-def _residual_points(X: SplitSupercurve, m: int,
-                     npoints: int) -> Optional[List[CurvePoint]]:
+def _residual_points(X: SplitSupercurve, m: int, npoints: int
+                     ) -> Optional[Tuple[List[CurvePoint], polyq.Poly]]:
     """Points x_1..x_npoints with K - L^m + x_1 + ... + x_npoints
-    effective, or None when there are none.
+    effective, as _effective_points gives them, or None when there are
+    none.
 
     The residual degree d decides: for d < 0 there are none; for d = 0
     they are the points of an effective divisor in L^m - K; for d = 1 at
@@ -204,10 +200,10 @@ def _residual_points(X: SplitSupercurve, m: int,
         raise RuntimeError(f"unexpected residual degree {d} at genus {g}")
     rep = semi_reduce(curve, m * X.L.rep - canonical_divisor(curve)
                       + Divisor.of_point(curve.infinity(), d))
-    pts = _effective_points(curve, rep, npoints)
-    if pts is None and d == 1:
+    found = _effective_points(curve, rep)
+    if found is None and d == 1:
         raise RuntimeError("degree-2 classes on genus 2 are effective")
-    return pts
+    return found
 
 
 def very_ample_check(X: SplitSupercurve, nu: int) -> VeryAmpleReport:
@@ -217,9 +213,11 @@ def very_ample_check(X: SplitSupercurve, nu: int) -> VeryAmpleReport:
     when K - L^nu + x + y is effective for some points x, y.  Condition 2
     (odd directions): the same with a single point against the summand of
     the other parity.  Degrees settle both except when the residual
-    degree is 0, 1 or 2, where effectivity of the residual class is
-    decided by an exact section-space computation and a failure comes
-    with an explicit witness pair."""
+    degree is 0, 1 or 2, where effectivity of the residual class is read
+    off its reduced divisor, and so is the witness pair of the first
+    failure.  A pair with irrational x-coordinates is no CurvePoint pair:
+    such a failure has witness None, and `note` names the polynomial of
+    their x-coordinates."""
     if nu < 3:
         raise ValueError("need nu >= 3 so that the rank hypotheses hold")
     conditions = (
@@ -230,9 +228,15 @@ def very_ample_check(X: SplitSupercurve, nu: int) -> VeryAmpleReport:
     witness: Optional[Tuple[CurvePoint, CurvePoint]] = None
     note = ""
     for m, npoints, claim in conditions:
-        pts = _residual_points(X, m, npoints)
-        ok.append(pts is None)
-        if pts is not None and witness is None:
+        found = _residual_points(X, m, npoints)
+        ok.append(found is None)
+        if found is None or note:
+            continue
+        pts, rest = found
+        if polyq.deg(rest) > 0:
+            note = (f"{claim}; the witness points lie over the irrational "
+                    f"roots of {polyq.format_poly(rest)}")
+        else:
             witness, note = (pts[0], pts[-1]), claim
     return VeryAmpleReport(nu, all(ok), ok[0], ok[1], witness, note)
 
@@ -367,9 +371,10 @@ def build_model(X: SplitSupercurve, nu: int,
     verify_embedding."""
     report = very_ample_check(X, nu)
     if not report.passed and not force:
-        raise ValueError(
-            f"power {nu} is not very ample ({report.note}; "
-            f"witness {report.witness_str()})")
+        detail = report.note
+        if report.witness is not None:
+            detail += f"; witness {report.witness_str()}"
+        raise ValueError(f"power {nu} is not very ample ({detail})")
     curve = X.curve
     k_even, k_odd = summand_powers(nu)
     D_even = _power_divisor(X, k_even)
@@ -545,26 +550,12 @@ class SuperPointFamily:
             h = curve.one_fn() * h
         if h.curve is not curve:
             raise ValueError("deformation lives on a different curve")
-        if not h.is_zero():
-            # Finite poles sit above roots of den.  Normal form keeps den
-            # coprime to gcd(A, B), so an irrational den root is a genuine
-            # pole on at least one sheet; rational roots are checked by
-            # exact valuation.
-            roots, cof = polyq.rational_roots(h.den)
-            if polyq.deg(cof) > 0:
-                raise ValueError(
-                    "deformation cochain has poles at irrational "
-                    "x-coordinates, away from the chart overlap")
-            for r, _m in roots:
-                if polyq.eval_at(curve.f, r) == 0:
-                    above = [curve.branch_point(r)]
-                else:
-                    above = [curve.point(r, sign=1), curve.point(r, sign=-1)]
-                for P in above:
-                    if curve.valuation(h, P) < 0 and P != W:
-                        raise ValueError(
-                            f"deformation cochain has a pole at {P!r}, "
-                            f"away from the chart overlap")
+        # den is coprime to gcd(A, B), so each root of den is a pole at
+        # some point above it: only W may lie above one
+        if h.den != polyq.from_roots([W.x] * polyq.deg(h.den)):
+            raise ValueError(f"deformation cochain has poles away from the "
+                             f"chart overlap: denominator "
+                             f"{polyq.format_poly(h.den)}")
         self.fiber = fiber
         self.deformation = h
         self.chart_point = W

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
@@ -178,21 +178,24 @@ def _mumford_pair(curve: HyperellipticCurve, E: Dict[CurvePoint, int]
     return u, v
 
 
-def _reduced_degree(curve: HyperellipticCurve, D: Divisor) -> int:
-    """Degree e of the reduced divisor E with D ~ E + (deg D - e) inf
-    (Cantor 1987).  A semi-reduced divisor of degree at most g is already
-    reduced; only a longer one is built as a Mumford pair (u, v) and
-    reduced by u <- monic((f - v^2)/u), v <- -v mod u."""
+def _reduce(curve: HyperellipticCurve, D: Divisor
+            ) -> Tuple[int, Union[Dict[CurvePoint, int],
+                                  Tuple[polyq.Poly, polyq.Poly]]]:
+    """(e, R) with D ~ E + (deg D - e) inf for the reduced divisor E of
+    degree e (Cantor 1987).  A semi-reduced divisor of degree at most g
+    is already reduced, and R is its points; a longer one is built as a
+    Mumford pair (u, v), reduced by u <- monic((f - v^2)/u), v <- -v mod
+    u, and R is that pair: E is the zeros (r, v(r)) of u."""
     E = _semi_reduced(D)
     e = sum(E.values())
     if e <= curve.genus:
-        return e
+        return e, E
     u, v = _mumford_pair(curve, E)
     while polyq.deg(u) > curve.genus:
         u = polyq.monic(polyq.exact_div(
             polyq.sub(curve.f, polyq.mul(v, v)), u))
         v = polyq.divmod_(polyq.neg(v), u)[1]
-    return polyq.deg(u)
+    return polyq.deg(u), (u, v)
 
 
 def h0(curve: HyperellipticCurve, D: Divisor) -> int:
@@ -200,7 +203,7 @@ def h0(curve: HyperellipticCurve, D: Divisor) -> int:
     L(E + n inf) is spanned by x^i, 2i <= n, and x^j (y + v)/u,
     2j + 2g + 1 - 2 deg E <= n (Mumford, Tata Lectures on Theta II,
     ch. IIIa), and is zero when n < 0."""
-    e = _reduced_degree(curve, D)
+    e, _ = _reduce(curve, D)
     n = D.degree() - e
     if n < 0:
         return 0
@@ -222,7 +225,7 @@ def is_principal(curve: HyperellipticCurve, D: Divisor
                  ) -> Tuple[bool, Optional[FunctionFieldElement]]:
     """Decide whether D = div(h) for some function; the witness h satisfies
     div(h) = D exactly."""
-    if D.degree() != 0 or _reduced_degree(curve, D) != 0:
+    if D.degree() != 0 or _reduce(curve, D)[0] != 0:
         return False, None
     basis = rr_space(curve, D)
     if not basis:
@@ -236,7 +239,7 @@ def is_principal(curve: HyperellipticCurve, D: Divisor
 def class_eq(curve: HyperellipticCurve, D1: Divisor, D2: Divisor) -> bool:
     """D1 ~ D2: equal degrees and D1 - D2 reduces to the zero divisor."""
     D = D1 - D2
-    return D.degree() == 0 and _reduced_degree(curve, D) == 0
+    return D.degree() == 0 and _reduce(curve, D)[0] == 0
 
 
 class DivisorClass:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import ast
 import json
 from fractions import Fraction
-from typing import Dict, List, Union
+from typing import Dict, List
 
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,

@@ -11,7 +11,7 @@ ones), and the super moduli dimensions are (3g-3 | 2g-2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from .curve import Divisor, HyperellipticCurve, standard_curve
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, canonical_class,

@@ -1,21 +1,26 @@
 """Rank pairs, very-ampleness thresholds, models, and superpoint families."""
 
 import random
+import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from plurisusy import polyq
-from plurisusy.curve import Divisor, HyperellipticCurve, standard_curve
+from plurisusy import pluricanonical, polyq, riemann_roch
+from plurisusy.curve import (Divisor, HyperellipticCurve,
+                             UnrepresentableSupportError, standard_curve)
 from plurisusy.pluricanonical import (SuperPointFamily, ThresholdCell,
-                                      build_model,
+                                      _effective_points, build_model,
                                       canonical_nonembedding_demo,
                                       criterion_local_freeness, minimal_nu,
                                       pluri_canonical_rank,
                                       pushforward_over_superpoint,
-                                      random_deformation, threshold_table,
-                                      verify_embedding, very_ample_check)
-from plurisusy.riemann_roch import (DivisorClass, canonical_class, h0, h1,
+                                      random_deformation, summand_powers,
+                                      threshold_table, verify_embedding,
+                                      very_ample_check)
+from plurisusy.riemann_roch import (DivisorClass, canonical_class,
+                                    canonical_divisor, class_eq, h0, h1,
                                     parity_representatives, rr_space,
                                     semi_reduce, theta_from_subset)
 from plurisusy.supercurve import RankPair, make_split_supercurve
@@ -210,6 +215,210 @@ def test_very_ample_passes_above_threshold():
         assert very_ample_check(Xo, nu).passed
 
 
+def reference_effective_points(curve, rep, degree):
+    """The witness search that very_ample_check used before it read the
+    reduced divisor: the zeros of the first basis section of L(rep) whose
+    divisor has rational support.  Raises UnrepresentableSupportError
+    when no basis section has one."""
+    if h0(curve, rep) == 0:
+        return None
+    T = None
+    for b in rr_space(curve, rep):
+        try:
+            T = curve.divisor_of(b) + rep
+        except UnrepresentableSupportError:
+            continue
+        break
+    if T is None:
+        raise UnrepresentableSupportError(
+            "no section of the class has representable zeros")
+    if not (T.is_effective() and T.degree() == degree):
+        raise RuntimeError("section divisor is not an effective divisor "
+                           "of the class degree")
+    pts = []
+    for P, n in T.items():
+        pts.extend([P] * n)
+    return pts
+
+
+def _residual_reps(X, nu):
+    """(m, npoints, d, rep) of each residual class very_ample_check
+    decides for the nu-th power: rep is L^m - K + d inf, semi-reduced."""
+    curve = X.curve
+    g = curve.genus
+    out = []
+    for m, npoints in ((nu, 2), (summand_powers(nu)[1], 1)):
+        d = (2 * g - 2) - m * (g - 1) + npoints
+        if d >= 0:
+            rep = semi_reduce(curve, m * X.L.rep - canonical_divisor(curve)
+                              + Divisor.of_point(curve.infinity(), d))
+            out.append((m, npoints, d, rep))
+    return out
+
+
+def _random_non_theta(rng, g):
+    """A split supercurve on y^2 = v(x)^2 + x^(2g+1) for a random v of
+    degree at most g, and L a random combination of the rational points
+    with |x| <= 6 (and infinity) that is not a theta characteristic.
+    Since div(y - v) = (2g+1)((0, v(0)) - inf), the residual classes
+    often reduce to rational points, and as often they do not."""
+    while True:
+        v = polyq.poly([rng.choice((-3, -2, -1, 1, 2, 3))]
+                       + [rng.randint(-3, 3) for _ in range(g)])
+        f = polyq.add(polyq.mul(v, v), polyq.from_roots([0] * (2 * g + 1)))
+        if polyq.is_squarefree(f):
+            break
+    C = HyperellipticCurve(f)
+    points = []
+    for x in range(-6, 7):
+        fx = polyq.eval_at(f, x)
+        if fx > 0 and isqrt(int(fx)) ** 2 == fx:
+            points.append(C.point(x, isqrt(int(fx))))
+    while True:
+        L = Divisor()
+        for _ in range(rng.randint(1, 3)):
+            P = rng.choice(points)
+            if rng.random() < 0.5:
+                P = P.conjugate()
+            L = L + Divisor.of_point(P, rng.choice((-2, -1, 1, 2)))
+        L = L + Divisor.of_point(C.infinity(), g - 1 - L.degree())
+        X = make_split_supercurve(C, L)
+        if not X.susy:
+            return X
+
+
+def _witness_in_class(X, nu, report):
+    """The witness of a failed check makes the residual class K - L^m +
+    x (+ y) of the first failed condition equal to d inf."""
+    curve = X.curve
+    m, npoints, d, _ = _residual_reps(X, nu)[0 if not report.condition1_ok
+                                               else -1]
+    P, Q = report.witness
+    pts = [P, Q] if npoints == 2 else [P]
+    D = canonical_divisor(curve) - m * X.L.rep
+    for R in pts:
+        D = D + Divisor.of_point(R)
+    return class_eq(curve, D, Divisor.of_point(curve.infinity(), d))
+
+
+@pytest.mark.parametrize("L_of_P", [lambda P: {P: 1},
+                                    lambda P: {P: 2, P.conjugate(): -1}],
+                         ids=["P", "2P-iotaP"])
+def test_very_ample_irrational_witness_is_a_fail(L_of_P):
+    """On y^2 = x(x-1)(x-2)(x-3)(x+7) the residual classes of nu = 3, 4
+    are effective only on a pair with irrational x-coordinates: the
+    verdict is FAIL without a witness, and u names the pair."""
+    C = HyperellipticCurve(polyq.from_roots([0, 1, 2, 3, -7]))
+    P = C.point(-1, 12)
+    X = make_split_supercurve(C, Divisor(L_of_P(P)))
+    assert not X.susy
+    for nu in (3, 4):
+        rep = very_ample_check(X, nu)
+        assert not rep.passed and not rep.condition1_ok
+        assert rep.witness is None
+        assert "irrational roots of" in rep.note
+        with pytest.raises(UnrepresentableSupportError):
+            for _m, npoints, _d, D in _residual_reps(X, nu):
+                reference_effective_points(C, D, npoints)
+        with pytest.raises(ValueError, match="not very ample"):
+            build_model(X, nu)
+    for nu in (5, 6):
+        rep = very_ample_check(X, nu)
+        assert rep.passed and rep.witness is None
+
+
+def test_irrational_witness_polynomial():
+    """For L = P = (-1, 12) and nu = 3 the residual class is 3P - inf.
+    With w the quadratic whose graph meets the curve to order 3 at P,
+    div(y - w) = 3P + D' - 5 inf, so 3P - inf ~ iota D', and the
+    x-coordinates of D' are the roots of (f - w^2)/(x + 1)^3."""
+    C = HyperellipticCurve(polyq.from_roots([0, 1, 2, 3, -7]))
+    P = C.point(-1, 12)
+    f1, f2 = polyq.shift(C.f, -1)[1:3]
+    b = f1 / 24
+    c = (f2 - b * b) / 24
+    w = polyq.shift(polyq.poly([12, b, c]), 1)  # 12 + b t + c t^2, t = x + 1
+    q = polyq.exact_div(polyq.sub(C.f, polyq.mul(w, w)),
+                        polyq.from_roots([-1] * 3))
+    roots, rest = polyq.rational_roots(q)
+    assert not roots and polyq.deg(rest) == 2
+    note = very_ample_check(make_split_supercurve(C, Divisor({P: 1})), 3).note
+    assert note.endswith(f"irrational roots of {polyq.format_poly(rest)}")
+
+
+def test_very_ample_random_non_theta_against_reference():
+    """Seeded non-theta L at g = 2..4, nu = 3..5: very_ample_check never
+    raises, its residual points equal the basis search wherever that
+    finds representable zeros, and each witness lies in its class."""
+    rng = random.Random(13)
+    raised = irrational = failed = 0
+    for _ in range(120):
+        g, nu = rng.randint(2, 4), rng.randint(3, 5)
+        X = _random_non_theta(rng, g)
+        curve = X.curve
+        report = very_ample_check(X, nu)
+        for _m, npoints, _d, rep in _residual_reps(X, nu):
+            new = _effective_points(curve, rep)
+            try:
+                old = reference_effective_points(curve, rep, npoints)
+            except UnrepresentableSupportError:
+                raised += 1
+                assert new is not None and polyq.deg(new[1]) > 0
+                continue
+            assert (new is None) == (old is None)
+            if old is not None:
+                assert new == (old, polyq.ONE)
+        if not report.passed:
+            failed += 1
+            if report.witness is None:
+                irrational += 1
+                assert "irrational roots of" in report.note
+            else:
+                assert _witness_in_class(X, nu, report)
+    # the batch reaches every branch: rational and irrational witnesses
+    assert raised > 0 and irrational > 0 and failed > irrational
+
+
+@pytest.fixture
+def without_bases(monkeypatch):
+    """A switch after which rr_space and divisor_of raise whenever they
+    are called from inside very_ample_check."""
+    depth = []
+    check = pluricanonical.very_ample_check
+
+    def guard(fn):
+        def call(*args, **kwargs):
+            if depth:
+                raise AssertionError(f"{fn.__name__} called by "
+                                     f"very_ample_check")
+            return fn(*args, **kwargs)
+        return call
+
+    def checked(X, nu):
+        depth.append(nu)
+        try:
+            return check(X, nu)
+        finally:
+            depth.pop()
+
+    def switch():
+        monkeypatch.setattr(pluricanonical, "rr_space", guard(rr_space))
+        monkeypatch.setattr(riemann_roch, "rr_space", guard(rr_space))
+        monkeypatch.setattr(HyperellipticCurve, "divisor_of",
+                            guard(HyperellipticCurve.divisor_of))
+        monkeypatch.setattr(pluricanonical, "very_ample_check", checked)
+        monkeypatch.setattr(sys.modules[__name__], "very_ample_check",
+                            checked)
+    return switch
+
+
+def test_very_ample_check_builds_no_basis(without_bases):
+    want = [(str(c), c.to_json()) for c in threshold_table(4, 6)]
+    without_bases()
+    assert [(str(c), c.to_json()) for c in threshold_table(4, 6)] == want
+    test_non_theta_class_with_non_branch_support()
+
+
 # ---------------------------------------------------------------------------
 # minimal nu and the threshold table
 # ---------------------------------------------------------------------------
@@ -368,6 +577,59 @@ def test_family_rejects_irrational_poles():
     fn = C2.function(polyq.ONE, polyq.ZERO, den).inverse().inverse()
     with pytest.raises(ValueError):
         SuperPointFamily(X2E, fn)
+
+
+def reference_overlap_regular(curve, W, h):
+    """The pole test SuperPointFamily used before it compared den with a
+    power of x - x_W: no irrational root of den, and a pole above a
+    rational root only at W, by exact valuation."""
+    if h.is_zero():
+        return True
+    roots, cof = polyq.rational_roots(h.den)
+    if polyq.deg(cof) > 0:
+        return False
+    for r, _m in roots:
+        if polyq.eval_at(curve.f, r) == 0:
+            above = [curve.branch_point(r)]
+        else:
+            above = [curve.point(r, sign=1), curve.point(r, sign=-1)]
+        if any(curve.valuation(h, P) < 0 and P != W for P in above):
+            return False
+    return True
+
+
+def test_family_overlap_check_matches_reference():
+    """Seeded cochains (A + B y) c / (den c), where den and c are products
+    of x - x_W, x - 2 (another branch root), x + 5 and x^2 - 2: the
+    common factor c cancels, and the family accepts exactly what the
+    valuation test accepts."""
+    rng = random.Random(17)
+    W = SuperPointFamily(X2E, 0).chart_point
+    assert W == C2.branch_point(0)
+    factors = [polyq.from_roots([0]), polyq.from_roots([2]),
+               polyq.from_roots([-5]), polyq.poly([-2, 0, 1])]
+
+    def product():
+        out = polyq.ONE
+        for fac in factors:
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                out = polyq.mul(out, fac)
+        return out
+
+    verdicts = []
+    for _ in range(150):
+        A = polyq.poly(rng.randint(-3, 3) for _ in range(4))
+        B = polyq.poly(rng.randint(-3, 3) for _ in range(3))
+        den, c = product(), product()
+        h = C2.function(polyq.mul(A, c), polyq.mul(B, c), polyq.mul(den, c))
+        try:
+            SuperPointFamily(X2E, h)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == reference_overlap_regular(C2, W, h), h
+        verdicts.append(accepted)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
 
 
 def test_no_rational_branch_point_is_scope_error():
