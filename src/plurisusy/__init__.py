@@ -21,8 +21,10 @@ from .pluricanonical import (PluriCanonicalModel, SuperPointFamily,
 
 __version__ = "0.1.0"
 
-# The Grassmann algebra is built on sympy, whose import costs most of a cold
-# start, so its names are loaded on first access (PEP 562).
+# The Grassmann algebra is loaded on first access to its names (PEP 562):
+# only check-superconformal and the transition check use it, and compiling
+# it adds about a sixth to the package's import time where no bytecode
+# cache is written.
 _GRADED_ALGEBRA = (
     "GrassmannAlgebra", "GrassmannElement", "SuperMatrix", "VectorFieldSC",
     "berezinian", "bracket", "check_superconformal", "grassmann_mul",

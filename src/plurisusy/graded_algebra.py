@@ -1,48 +1,192 @@
 """Supercommutative algebra with nilpotent odd generators, exactly.
 
 Elements live in the Grassmann algebra over a fixed ordered list of odd
-generators, with coefficients that are rational functions of even symbols
-(sympy expressions with exact rational arithmetic; no floats).  On top of
-the element arithmetic this module provides supermatrices with their
-Berezinian, graded vector fields in one even and one odd coordinate with
-the super Lie bracket, and the superconformality test
+generators, with coefficients in Q(z), the rational functions of the one
+even coordinate z, held as `RationalFunction`s: reduced pairs of `polyq`
+polynomials, so that the zero test is decidable and no float ever enters.
+On top of the element arithmetic this module provides supermatrices with
+their Berezinian, graded vector fields in one even and one odd coordinate
+with the super Lie bracket, and the superconformality test
 
     D z' = theta' * D theta'      where D = d/dtheta + theta * d/dz,
 
 whose square is the generator of translations: (1/2)[D, D] = d/dz.
+
+A coefficient may be given as an int, a Fraction, a string or a sympy
+expression; sympy is imported only to convert such an expression and to
+print a coefficient that is not constant (as sympy's cancelled p/q form,
+the text earlier versions printed).  A float, or a sympy expression that
+is not in Q(z), raises ValueError.
+
+`GrassmannAlgebra.parse` reads an element with the package's `reader`:
+integer and decimal literals (0.1 is 1/10), the name z, the algebra's odd
+generators, unary + and -, binary + - * /, parentheses, and ** or ^
+raised to an integer literal.  Products are taken in the algebra, in the
+order written, so eta*theta is -theta*eta; earlier versions read the
+string as a commutative polynomial and lost that sign.  A divisor, and
+the base of a negative power, must be a nonzero element of Q(z): 1/theta,
+theta/(1 + eta), z**theta, (2*z)**(1/2), exp(z) and a*z raise ValueError,
+where earlier versions accepted some of them with coefficients outside
+Q(z).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-import sympy as sp
+from . import polyq
+from .polyq import Poly
+from .reader import evaluate
 
 Subset = Tuple[int, ...]
 
+EVEN = "z"  # the name of the one even coordinate
 
-def _to_expr(c) -> sp.Expr:
-    if isinstance(c, sp.Expr):
+
+class RationalFunction:
+    """num/den in Q(z), with polyq polynomials num and den, den monic and
+    coprime to num; so equal functions have equal fields, and zero is
+    (ZERO, ONE)."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly = polyq.ONE):
+        if not den:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if polyq.deg(den) > 0:
+            g = polyq.gcd(num, den)
+            if polyq.deg(g) > 0:
+                num, den = polyq.exact_div(num, g), polyq.exact_div(den, g)
+        if den[-1] != 1:
+            num, den = polyq.scale(num, 1 / den[-1]), polyq.monic(den)
+        self.num, self.den = num, den
+
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly = polyq.ONE) -> "RationalFunction":
+        """From a pair already in the normal form of the class."""
+        r = object.__new__(cls)
+        r.num, r.den = num, den
+        return r
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _coeff(other)
+        elif not isinstance(other, RationalFunction):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __neg__(self):
+        return RationalFunction._reduced(polyq.neg(self.num), self.den)
+
+    def __add__(self, other):
+        other = _coeff(other)
+        if self.den == other.den == polyq.ONE:
+            return RationalFunction._reduced(polyq.add(self.num, other.num))
+        return RationalFunction(
+            polyq.add(polyq.mul(self.num, other.den),
+                      polyq.mul(other.num, self.den)),
+            polyq.mul(self.den, other.den))
+
+    def __mul__(self, other):
+        other = _coeff(other)
+        if self.den == other.den == polyq.ONE:
+            if len(self.num) == len(other.num) == 1:  # constants
+                return RationalFunction._reduced((self.num[0] * other.num[0],))
+            return RationalFunction._reduced(polyq.mul(self.num, other.num))
+        return RationalFunction(polyq.mul(self.num, other.num),
+                                polyq.mul(self.den, other.den))
+
+    def inverse(self) -> "RationalFunction":
+        if not self.num:
+            raise ZeroDivisionError("zero rational function is not invertible")
+        return RationalFunction(self.den, self.num)
+
+    def derivative(self) -> "RationalFunction":
+        d = polyq.derivative
+        if self.den == polyq.ONE:
+            return RationalFunction._reduced(d(self.num))
+        return RationalFunction(
+            polyq.sub(polyq.mul(d(self.num), self.den),
+                      polyq.mul(self.num, d(self.den))),
+            polyq.mul(self.den, self.den))
+
+    def compose(self, r: "RationalFunction") -> "RationalFunction":
+        """This function with z replaced by r."""
+        def at(p: Poly) -> RationalFunction:
+            acc = _ZERO
+            for c in reversed(p):
+                acc = acc * r + c
+            return acc
+
+        return at(self.num) * at(self.den).inverse()
+
+    def __str__(self):
+        if self.den == polyq.ONE and len(self.num) <= 1:
+            return str(self.num[0] if self.num else Fraction(0))
+        import sympy as sp
+
+        z = sp.Symbol(EVEN)
+
+        def expr(p: Poly):
+            return sum((sp.Rational(c.numerator, c.denominator) * z ** i
+                        for i, c in enumerate(p) if c), sp.Integer(0))
+
+        return str(sp.cancel(expr(self.num) / expr(self.den)))
+
+    __repr__ = __str__
+
+
+_ZERO = RationalFunction._reduced(polyq.ZERO)
+_ONE = RationalFunction._reduced(polyq.ONE)
+
+
+def _coeff(c) -> RationalFunction:
+    """c as an element of Q(z); see the module docstring for what c may be."""
+    if isinstance(c, RationalFunction):
         return c
-    if isinstance(c, Fraction):
-        return sp.Rational(c.numerator, c.denominator)
+    if isinstance(c, (int, Fraction)):
+        return RationalFunction._reduced(polyq.poly((c,)))
     if isinstance(c, str):
-        return sp.sympify(c, rational=True)
-    return sp.sympify(c)
+        return GrassmannAlgebra(()).parse(c).body()
+    if isinstance(c, float):
+        raise ValueError(f"coefficient {c!r} is a float, not an exact "
+                         f"rational")
+    return _from_sympy(c)
 
 
-def _norm_expr(e: sp.Expr) -> sp.Expr:
-    # rational constants are already canonical; everything else is put in
-    # cancelled p/q form so that zero detection is decidable
+def _from_sympy(e) -> RationalFunction:
+    import sympy as sp
+
+    if not isinstance(e, sp.Expr):
+        raise ValueError(f"coefficient {e!r} is not in Q({EVEN})")
     if e.is_Rational:
-        return e
-    return sp.cancel(sp.together(e))
+        return _coeff(Fraction(int(e.p), int(e.q)))
+    zs = e.free_symbols
+    if any(s.name != EVEN for s in zs):
+        raise ValueError(f"coefficient {e} is not in Q({EVEN})")
+    polys = []
+    for part in sp.fraction(sp.cancel(sp.together(e))):
+        if zs and not part.is_polynomial(*zs):
+            raise ValueError(f"coefficient {e} is not in Q({EVEN})")
+        cs = sp.Poly(part, *zs).all_coeffs() if zs else [part]
+        if not all(c.is_Rational for c in cs):
+            raise ValueError(f"coefficient {e} is not in Q({EVEN})")
+        polys.append(polyq.poly(Fraction(int(c.p), int(c.q))
+                                for c in reversed(cs)))
+    return RationalFunction(*polys)
 
 
-def _expr_is_zero(e: sp.Expr) -> bool:
-    return _norm_expr(e) == 0
+def _even_name(z) -> str:
+    """The even coordinate, given by its name or a sympy symbol: it is z."""
+    if str(z) != EVEN:
+        raise ValueError(f"the even coordinate is {EVEN}, got {z!r}")
+    return EVEN
 
 
 def _merge_sign(s: Subset, t: Subset) -> int:
@@ -57,48 +201,58 @@ def _merge_sign(s: Subset, t: Subset) -> int:
 
 
 class GrassmannElement:
-    """A finite sum  sum_S c_S(z, ...) * theta_S  over sorted subsets S of
-    the odd generators.  Immutable in use; terms maps sorted index tuples
-    to nonzero sympy coefficients."""
+    """A finite sum  sum_S c_S(z) * theta_S  over sorted subsets S of the
+    odd generators.  Immutable in use; terms maps sorted index tuples to
+    nonzero RationalFunction coefficients."""
 
     __slots__ = ("gens", "terms")
 
     def __init__(self, gens: Sequence[str], terms: Mapping[Subset, object]):
         self.gens = tuple(gens)
-        clean: Dict[Subset, sp.Expr] = {}
+        clean: Dict[Subset, RationalFunction] = {}
         for key, c in terms.items():
             key = tuple(key)
             if list(key) != sorted(set(key)):
                 raise ValueError(f"term key {key} not a sorted subset")
             if not all(0 <= i < len(self.gens) for i in key):
                 raise ValueError(f"term key {key} names an unknown generator")
-            e = _norm_expr(_to_expr(c))
-            if e != 0:
-                clean[key] = e
+            c = _coeff(c)
+            if c:
+                clean[key] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, gens: Tuple[str, ...],
+            terms: Mapping[Subset, RationalFunction]) -> "GrassmannElement":
+        """From sorted keys and RationalFunction values, dropping zeros."""
+        e = object.__new__(cls)
+        e.gens = gens
+        e.terms = {k: c for k, c in terms.items() if c}
+        return e
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def scalar(gens: Sequence[str], c) -> "GrassmannElement":
-        return GrassmannElement(gens, {(): c})
+        return GrassmannElement._of(tuple(gens), {(): _coeff(c)})
 
     @staticmethod
     def generator(gens: Sequence[str], name: str) -> "GrassmannElement":
-        idx = tuple(gens).index(name)
-        return GrassmannElement(gens, {(idx,): 1})
+        gens = tuple(gens)
+        return GrassmannElement._of(gens, {(gens.index(name),): _ONE})
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def body(self) -> sp.Expr:
+    def body(self) -> RationalFunction:
         """Image under the projection that kills every odd generator."""
-        return self.terms.get((), sp.Integer(0))
+        return self.terms.get((), _ZERO)
 
     def soul(self) -> "GrassmannElement":
-        return GrassmannElement(self.gens, {k: c for k, c in self.terms.items() if k})
+        return GrassmannElement._of(
+            self.gens, {k: c for k, c in self.terms.items() if k})
 
     def has_parity(self, p: int) -> bool:
         return all(len(k) % 2 == p for k in self.terms)
@@ -116,19 +270,25 @@ class GrassmannElement:
         if self.gens != other.gens:
             raise ValueError("elements from algebras with different odd generators")
 
+    def _scaled(self, c) -> "GrassmannElement":
+        c = _coeff(c)
+        return GrassmannElement._of(
+            self.gens, {k: v * c for k, v in self.terms.items()})
+
     def __add__(self, other):
         if not isinstance(other, GrassmannElement):
             other = GrassmannElement.scalar(self.gens, other)
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, sp.Integer(0)) + c
-        return GrassmannElement(self.gens, terms)
+            terms[k] = terms[k] + c if k in terms else c
+        return GrassmannElement._of(self.gens, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement(self.gens, {k: -c for k, c in self.terms.items()})
+        return GrassmannElement._of(
+            self.gens, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, GrassmannElement):
@@ -140,31 +300,35 @@ class GrassmannElement:
 
     def __mul__(self, other):
         if not isinstance(other, GrassmannElement):
-            c = _to_expr(other)
-            return GrassmannElement(self.gens, {k: v * c for k, v in self.terms.items()})
+            return self._scaled(other)
         self._check(other)
-        terms: Dict[Subset, sp.Expr] = {}
+        terms: Dict[Subset, RationalFunction] = {}
         for s, cs in self.terms.items():
             for t, ct in other.terms.items():
                 if set(s) & set(t):
                     continue  # nilpotency
                 key = tuple(sorted(s + t))
-                sign = _merge_sign(s, t)
-                add = sign * cs * ct
-                terms[key] = terms.get(key, sp.Integer(0)) + add
-        return GrassmannElement(self.gens, terms)
+                add = cs * ct
+                if _merge_sign(s, t) < 0:
+                    add = -add
+                terms[key] = terms[key] + add if key in terms else add
+        return GrassmannElement._of(self.gens, terms)
 
     def __rmul__(self, other):
         # only scalars reach here; they commute with everything
-        c = _to_expr(other)
-        return GrassmannElement(self.gens, {k: c * v for k, v in self.terms.items()})
+        return self._scaled(other)
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
         acc = GrassmannElement.scalar(self.gens, 1)
-        for _ in range(n):
-            acc = acc * self
+        base = self
+        while n:  # by squaring, so z**n costs O(log n) products
+            if n & 1:
+                acc = acc * base
+            n >>= 1
+            if n:
+                base = base * base
         return acc
 
     def __eq__(self, other):
@@ -179,9 +343,9 @@ class GrassmannElement:
         """Multiplicative inverse; exists iff the body is a nonzero rational
         function, via a finite geometric series in the nilpotent part."""
         b = self.body()
-        if _expr_is_zero(b):
+        if not b:
             raise ZeroDivisionError("element with zero body is not invertible")
-        binv = _norm_expr(1 / b)
+        binv = b.inverse()
         n = self.soul()
         result = GrassmannElement.scalar(self.gens, binv)
         power = GrassmannElement.scalar(self.gens, 1)
@@ -190,49 +354,45 @@ class GrassmannElement:
             power = power * n
             if power.is_zero():
                 break
-            coeff = _norm_expr(-coeff * binv)
+            coeff = -coeff * binv
             result = result + power * coeff
         return result
 
     def __truediv__(self, other):
         if isinstance(other, GrassmannElement):
             return self * other.inverse()
-        c = _to_expr(other)
-        return self * _norm_expr(1 / c)
+        return self * _coeff(other).inverse()
 
     # -- calculus ----------------------------------------------------------
 
-    def d_even(self, sym: sp.Symbol) -> "GrassmannElement":
-        """Coefficientwise d/d(sym) for an even symbol."""
-        return GrassmannElement(
-            self.gens, {k: sp.diff(c, sym) for k, c in self.terms.items()}
-        )
+    def d_even(self, sym=EVEN) -> "GrassmannElement":
+        """Coefficientwise d/dz."""
+        _even_name(sym)
+        return GrassmannElement._of(
+            self.gens, {k: c.derivative() for k, c in self.terms.items()})
 
     def d_odd(self, name: str) -> "GrassmannElement":
         """Left derivative with respect to an odd generator."""
         idx = self.gens.index(name)
-        terms: Dict[Subset, sp.Expr] = {}
+        terms: Dict[Subset, RationalFunction] = {}
         for k, c in self.terms.items():
             if idx not in k:
                 continue
             pos = k.index(idx)
-            sign = -1 if pos % 2 else 1
             key = tuple(x for x in k if x != idx)
-            terms[key] = terms.get(key, sp.Integer(0)) + sign * c
-        return GrassmannElement(self.gens, terms)
+            terms[key] = -c if pos % 2 else c  # keys stay distinct
+        return GrassmannElement._of(self.gens, terms)
 
     def substitute(
         self,
-        even_subs: Optional[Mapping[sp.Symbol, "GrassmannElement"]] = None,
+        even_subs: Optional[Mapping[object, "GrassmannElement"]] = None,
         odd_subs: Optional[Mapping[str, "GrassmannElement"]] = None,
     ) -> "GrassmannElement":
-        """Substitute elements for coordinates: an even element for at most
-        one even symbol (Taylor expansion in its nilpotent part) and odd
-        elements for odd generators."""
-        even_subs = dict(even_subs or {})
+        """Substitute elements for coordinates: an even element for z
+        (Taylor expansion in its nilpotent part) and odd elements for odd
+        generators."""
+        even_subs = {_even_name(k): v for k, v in (even_subs or {}).items()}
         odd_subs = dict(odd_subs or {})
-        if len(even_subs) > 1:
-            raise ValueError("only one even symbol substitution is supported")
         for e in even_subs.values():
             if not e.has_parity(0):
                 raise ValueError("even symbol must receive an even element")
@@ -240,9 +400,9 @@ class GrassmannElement:
             if not o.has_parity(1):
                 raise ValueError("odd generator must receive an odd element")
 
-        result = GrassmannElement(self.gens, {})
+        result = GrassmannElement._of(self.gens, {})
         for k, c in self.terms.items():
-            piece = self._subst_coeff(c, even_subs)
+            piece = self._subst_coeff(c, even_subs.get(EVEN))
             for idx in k:
                 name = self.gens[idx]
                 factor = odd_subs.get(name, GrassmannElement.generator(self.gens, name))
@@ -250,13 +410,13 @@ class GrassmannElement:
             result = result + piece
         return result
 
-    def _subst_coeff(self, c: sp.Expr, even_subs) -> "GrassmannElement":
-        if not even_subs:
+    def _subst_coeff(self, c: RationalFunction,
+                     elem: Optional["GrassmannElement"]) -> "GrassmannElement":
+        if elem is None:
             return GrassmannElement.scalar(self.gens, c)
-        (sym, elem), = even_subs.items()
         zb = elem.body()
         nil = elem.soul()
-        result = GrassmannElement.scalar(self.gens, c.subs(sym, zb))
+        result = GrassmannElement.scalar(self.gens, c.compose(zb))
         power = GrassmannElement.scalar(self.gens, 1)
         dc = c
         fact = 1
@@ -264,9 +424,9 @@ class GrassmannElement:
             power = power * nil
             if power.is_zero():
                 break
-            dc = sp.diff(dc, sym)
+            dc = dc.derivative()
             fact *= k
-            result = result + power * _norm_expr(dc.subs(sym, zb) / fact)
+            result = result + power * (dc.compose(zb) * Fraction(1, fact))
         return result
 
     def __repr__(self):
@@ -280,6 +440,39 @@ class GrassmannElement:
         return " + ".join(bits)
 
 
+def _scalar_inverse(a: GrassmannElement, what: str) -> RationalFunction:
+    """1/a for a nonzero element a of Q(z), else ValueError naming what."""
+    if not a.terms:
+        raise ValueError("division by zero")
+    if list(a.terms) != [()]:
+        raise ValueError(f"{what} an expression in the odd generators")
+    return a.terms[()].inverse()
+
+
+class _Reader:
+    """One Grassmann algebra as the ring of `reader.evaluate`: a divisor,
+    and the base of a negative power, must be a nonzero element of Q(z)."""
+
+    neg = staticmethod(operator.neg)
+    add = staticmethod(operator.add)
+    mul = staticmethod(operator.mul)
+
+    def __init__(self, alg: "GrassmannAlgebra"):
+        self.alg = alg
+
+    def const(self, c: Fraction) -> GrassmannElement:
+        return self.alg.scalar(c)
+
+    @staticmethod
+    def div(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
+        return a * _scalar_inverse(b, "division by")
+
+    def pow(self, a: GrassmannElement, n: int) -> GrassmannElement:
+        if n < 0:
+            a = self.alg.scalar(_scalar_inverse(a, "negative power of"))
+        return a ** abs(n)
+
+
 class GrassmannAlgebra:
     """Convenience factory around a fixed ordered tuple of odd generators."""
 
@@ -287,6 +480,8 @@ class GrassmannAlgebra:
         gens = tuple(gens)
         if len(set(gens)) != len(gens):
             raise ValueError("duplicate odd generator names")
+        if EVEN in gens:
+            raise ValueError(f"{EVEN} is the even coordinate")
         self.gens = gens
 
     def zero(self) -> GrassmannElement:
@@ -303,6 +498,18 @@ class GrassmannAlgebra:
 
     def element(self, terms: Mapping[Subset, object]) -> GrassmannElement:
         return GrassmannElement(self.gens, terms)
+
+    def parse(self, text: str) -> GrassmannElement:
+        """The element text names, in the grammar of the module docstring;
+        anything else raises ValueError."""
+        if not isinstance(text, str):
+            raise ValueError(f"expression string expected, got {text!r}")
+        names = {g: self.gen(g) for g in self.gens}
+        names[EVEN] = self.scalar(RationalFunction._reduced(polyq.X))
+        try:
+            return evaluate(text, names, _Reader(self))
+        except ValueError as exc:
+            raise ValueError(f"expression {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +621,7 @@ class SuperMatrix:
             return _det_even(self.block("A"))
         D = self.block("D")
         det_D = _det_even(D)
-        if _expr_is_zero(det_D.body()):
+        if not det_D.body():
             raise ZeroDivisionError("Berezinian undefined: det(D) has zero body")
         if self.p == 0:
             return det_D.inverse()
@@ -442,12 +649,12 @@ class VectorFieldSC:
     coefficients; supports application to elements and the super bracket."""
 
     def __init__(self, a: GrassmannElement, b: GrassmannElement,
-                 z: sp.Symbol, theta: str):
+                 z=EVEN, theta: str = "theta"):
         if a.gens != b.gens:
             raise ValueError("coefficients from different algebras")
         self.a = a
         self.b = b
-        self.z = z
+        self.z = _even_name(z)
         self.theta = theta
 
     def parity(self) -> Optional[int]:
@@ -488,7 +695,7 @@ class VectorFieldSC:
         return f"({self.a!r}) d/d{self.z} + ({self.b!r}) d/d{self.theta}"
 
 
-def superconformal_derivation(algebra: GrassmannAlgebra, z: sp.Symbol,
+def superconformal_derivation(algebra: GrassmannAlgebra, z=EVEN,
                               theta: str = "theta") -> VectorFieldSC:
     """D = d/dtheta + theta d/dz, the odd derivation whose square generates
     d/dz."""
@@ -497,7 +704,7 @@ def superconformal_derivation(algebra: GrassmannAlgebra, z: sp.Symbol,
 
 def susy_generator_square(X: VectorFieldSC) -> VectorFieldSC:
     """(1/2)[X, X]; for X = D this is exactly d/dz."""
-    return X.bracket(X).scale(sp.Rational(1, 2))
+    return X.bracket(X).scale(Fraction(1, 2))
 
 
 def grassmann_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
@@ -533,7 +740,7 @@ class SuperconformalReport:
 
 
 def check_superconformal(zp: GrassmannElement, tp: GrassmannElement,
-                         z: sp.Symbol, theta: str = "theta") -> SuperconformalReport:
+                         z=EVEN, theta: str = "theta") -> SuperconformalReport:
     """Decide whether (z', theta') = (zp, tp) satisfies D z' = theta' D theta'.
 
     zp must be even and tp odd; the report carries the exact residual
@@ -546,5 +753,5 @@ def check_superconformal(zp: GrassmannElement, tp: GrassmannElement,
     alg = GrassmannAlgebra(zp.gens)
     D = superconformal_derivation(alg, z, theta)
     residual = D.apply(zp) - tp * D.apply(tp)
-    jac_ok = not _expr_is_zero(zp.d_even(z).body())
+    jac_ok = bool(zp.d_even(z).body())
     return SuperconformalReport(residual.is_zero(), residual, jac_ok)

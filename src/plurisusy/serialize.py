@@ -6,7 +6,7 @@ with y outside Q is stored as {"x": ..., "y_in_ext": [u, v]} meaning
 u + v*sqrt(f(x)).  Every writer sorts its keys and every reader rebuilds
 the identical in-memory value, so artifacts round-trip bit for bit.
 
-parse_function reads a function string with the standard library alone.
+parse_function reads a function string with the package's `reader`.
 Its grammar: integer and decimal literals (a decimal is the exact
 rational of its digits, 0.1 is 1/10), the names x and y, unary + and -,
 binary + - * /, parentheses, and ** or ^ raised to an integer literal.
@@ -18,7 +18,6 @@ versions cancelled, are rejected.  Anything else raises ValueError.
 
 from __future__ import annotations
 
-import ast
 import json
 from fractions import Fraction
 from typing import Dict, List
@@ -28,6 +27,7 @@ from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
 from .fieldext import make_sqrt, rational_sqrt
 from .pluricanonical import PluriCanonicalModel
+from .reader import evaluate
 from .riemann_roch import ThetaCharacteristic, theta_from_subset
 from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
 
@@ -154,59 +154,44 @@ def _ymul(a: _YPoly, b: _YPoly) -> _YPoly:
     return _trim(out)
 
 
-def _exponent(node: ast.expr) -> int:
-    sign = 1
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op,
-                                                    (ast.UAdd, ast.USub)):
-        sign = -1 if isinstance(node.op, ast.USub) else 1
-        node = node.operand
-    if not (isinstance(node, ast.Constant) and type(node.value) is int):
-        raise ValueError("exponents must be integer literals")
-    return sign * node.value
+class _YRing:
+    """Q(x)[y] as the ring of `reader.evaluate`: a divisor, and the base
+    of a negative power, must be nonzero and y-free."""
 
+    mul = staticmethod(_ymul)
 
-def _eval(curve: HyperellipticCurve, src: str, node: ast.expr) -> _YPoly:
-    if isinstance(node, ast.Name) and node.id in ("x", "y"):
-        if node.id == "x":
-            return [curve.x_fn()]
-        return [curve.function(polyq.ZERO), curve.one_fn()]
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        # a decimal is read exactly from its digits: 0.1 is 1/10
-        c = Fraction(node.value if type(node.value) is int
-                     else ast.get_source_segment(src, node))
-        return [curve.function((c,))] if c else []
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op,
-                                                    (ast.UAdd, ast.USub)):
-        a = _eval(curve, src, node.operand)
-        return a if isinstance(node.op, ast.UAdd) else [-c for c in a]
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        a, n = _eval(curve, src, node.left), _exponent(node.right)
+    def __init__(self, curve: HyperellipticCurve):
+        self.curve = curve
+
+    def const(self, c: Fraction) -> _YPoly:
+        return [self.curve.function((c,))] if c else []
+
+    @staticmethod
+    def neg(a: _YPoly) -> _YPoly:
+        return [-c for c in a]
+
+    @staticmethod
+    def add(a: _YPoly, b: _YPoly) -> _YPoly:
+        return _trim([p + q for p, q in zip(a, b)] + a[len(b):] + b[len(a):])
+
+    @staticmethod
+    def div(a: _YPoly, b: _YPoly) -> _YPoly:
+        if len(b) != 1:
+            raise ValueError("division by an expression in y" if b else
+                             "division by zero")
+        inv = b[0] ** -1
+        return [c * inv for c in a]
+
+    def pow(self, a: _YPoly, n: int) -> _YPoly:
         if len(a) == 1:  # a nonzero y-free base takes any power
             return [a[0] ** n]
         if n < 0:
             raise ValueError("division by zero" if not a else
                              "negative power of an expression in y")
-        out = [curve.one_fn()]
+        out = [self.curve.one_fn()]
         for _ in range(n):
             out = _ymul(out, a)
         return out
-    if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-        a = _eval(curve, src, node.left)
-        b = _eval(curve, src, node.right)
-        if isinstance(node.op, ast.Mult):
-            return _ymul(a, b)
-        if isinstance(node.op, ast.Div):
-            if len(b) != 1:
-                raise ValueError("division by an expression in y" if b else
-                                 "division by zero")
-            inv = b[0] ** -1
-            return [c * inv for c in a]
-        if isinstance(node.op, ast.Sub):
-            b = [-c for c in b]
-        return _trim([p + q for p, q in zip(a, b)] + a[len(b):] + b[len(a):])
-    raise ValueError(
-        f"unsupported expression {ast.get_source_segment(src, node)!r}")
 
 
 def parse_function(curve: HyperellipticCurve, s: str) -> FunctionFieldElement:
@@ -214,19 +199,15 @@ def parse_function(curve: HyperellipticCurve, s: str) -> FunctionFieldElement:
     into a function field element; a malformed string raises ValueError."""
     if not isinstance(s, str):
         raise ValueError(f"function string expected, got {s!r}")
-    src = s.replace("^", "**")
+    zero = curve.function(polyq.ZERO)
+    names = {"x": [curve.x_fn()], "y": [zero, curve.one_fn()]}
     try:
-        cs = _eval(curve, src, ast.parse(src, mode="eval").body)
-    except SyntaxError as exc:
-        raise ValueError(f"function string {s!r}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise ValueError(f"function string {s!r}: nested too deeply") from exc
+        cs = evaluate(s, names, _YRing(curve))
     except ValueError as exc:
         raise ValueError(f"function string {s!r}: {exc}") from exc
     if len(cs) > 2:
         raise ValueError(f"function string {s!r}: y-degree {len(cs) - 1} "
                          f"is above 1")
-    zero = curve.function(polyq.ZERO)
     a, b = (cs + [zero, zero])[:2]
     return a + b * curve.y_fn()
 

@@ -11,15 +11,13 @@ ones), and the super moduli dimensions are (3g-3 | 2g-2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .curve import Divisor, HyperellipticCurve, standard_curve
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, canonical_class,
                            class_eq, h0, parity_representatives)
 
-if TYPE_CHECKING:  # imported where used: both load sympy
-    import sympy as sp
-
+if TYPE_CHECKING:  # imported where used, as the package's __init__ explains
     from .graded_algebra import GrassmannElement
 
 
@@ -111,28 +109,23 @@ class TransitionReport:
         return self.superconformal and self.d_factor_ok and self.berezinian_ok
 
 
-def verify_berezinian_transition(phi, psi, z: Optional[sp.Symbol] = None
-                                 ) -> TransitionReport:
+def verify_berezinian_transition(phi, psi, z="z") -> TransitionReport:
     """Check the split transition z' = phi(z), theta' = psi(z) theta.
 
     Verifies (a) superconformality D z' = theta' D theta'; (b) the cocycle
     identities D theta' = psi and D z' = theta' psi, so D transforms by
     psi^(-1) and the dual of D by psi; (c) the Berezinian of the
-    super-Jacobian equals psi.  All checks are exact and symbolic.
+    super-Jacobian equals psi.  All checks are exact; phi and psi are
+    elements of Q(z), given as the `graded_algebra` coefficients are (a
+    string is read by `GrassmannAlgebra.parse`).
     """
-    import sympy as sp
-
     from .graded_algebra import (GrassmannAlgebra, SuperMatrix,
                                  check_superconformal,
                                  superconformal_derivation)
 
-    if z is None:
-        z = sp.Symbol("z")
-    phi = sp.sympify(phi, rational=True)
-    psi = sp.sympify(psi, rational=True)
     alg = GrassmannAlgebra(("theta",))
     theta = alg.gen("theta")
-    zp = alg.scalar(phi)
+    zp, psi = alg.scalar(phi), alg.scalar(psi)
     tp = theta * psi
 
     sc = check_superconformal(zp, tp, z, "theta")
@@ -140,7 +133,7 @@ def verify_berezinian_transition(phi, psi, z: Optional[sp.Symbol] = None
     D = superconformal_derivation(alg, z, "theta")
     d_tp = D.apply(tp)
     d_zp = D.apply(zp)
-    d_factor_ok = (d_tp == alg.scalar(psi)) and (d_zp == tp * psi)
+    d_factor_ok = (d_tp == psi) and (d_zp == tp * psi)
 
     # super-Jacobian in block form [[dz'/dz, dtheta'/dz], [dz'/dtheta, dtheta'/dtheta]]
     A = [[zp.d_even(z)]]
@@ -148,7 +141,7 @@ def verify_berezinian_transition(phi, psi, z: Optional[sp.Symbol] = None
     C = [[zp.d_odd("theta")]]
     Dblk = [[tp.d_odd("theta")]]
     ber = SuperMatrix.from_blocks(A, B, C, Dblk).berezinian()
-    ber_ok = ber == alg.scalar(psi)
+    ber_ok = ber == psi
 
     return TransitionReport(sc.ok, d_factor_ok, ber_ok, sc.residual)
 

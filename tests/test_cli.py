@@ -186,11 +186,24 @@ def test_check_superconformal(capsys):
     assert out == "superconformal: no\nresidual: (-3)*theta\n"
 
 
-@pytest.mark.parametrize("zp", ["1/theta", "z**theta"])
+def test_check_superconformal_odd_product_out_of_order(capsys):
+    # eta*theta = -theta*eta, so z' = z - theta*eta: D z' = theta - eta
+    # while theta' D theta' = theta + eta
+    want = (1, "superconformal: no\nresidual: (-2)*eta\n", "")
+    assert run(capsys, "check-superconformal", "z + eta*theta",
+               "theta + eta") == want
+    assert run(capsys, "check-superconformal", "z - theta*eta",
+               "theta + eta") == want
+
+
+@pytest.mark.parametrize("zp", ["1/theta", "z**theta", "a*z", "exp(z)",
+                                "(2*z)**(1/2)", "theta/(1+eta)",
+                                "(1 + theta*eta)**-1", "z +", "z**1.5"])
 def test_check_superconformal_non_polynomial_is_usage_error(capsys, zp):
     code, out, err = run(capsys, "check-superconformal", zp, "theta")
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -214,9 +214,9 @@ def _random_field(alg, rng, parity):
 def test_susy_generator_square_is_dz():
     D = superconformal_derivation(ALG1, z)
     halfDD = susy_generator_square(D)
-    f = ALG1.element({(): z ** 3 + 2 * z, (0,): sp.sin(z)})
+    f = ALG1.element({(): z ** 3 + 2 * z, (0,): 1 / (z ** 2 + 1)})
     assert halfDD.apply(f) == ALG1.element(
-        {(): 3 * z ** 2 + 2, (0,): sp.cos(z)})
+        {(): 3 * z ** 2 + 2, (0,): -2 * z / (z ** 2 + 1) ** 2})
     # and as a field: coefficients (1, 0)
     assert halfDD.a == ALG1.one()
     assert halfDD.b.is_zero()
@@ -354,3 +354,68 @@ def test_even_substitution_with_nilpotent_part():
     f = ALG2.element({(): z ** 3})
     g = f.substitute(even_subs={z: ALG2.scalar(z) + th * eta})
     assert g == ALG2.element({(): z ** 3}) + th * eta * (3 * z ** 2)
+
+
+# ---------------------------------------------------------------------------
+# coefficients in Q(z) and the expression reader
+# ---------------------------------------------------------------------------
+
+
+def test_odd_product_out_of_order_keeps_its_sign():
+    th = ALG2.gen("theta")
+    eta = ALG2.gen("eta")
+    zp = ALG2.parse("z + eta*theta")
+    assert zp == ALG2.scalar(z) - th * eta
+    assert zp == ALG2.parse("z - theta*eta")
+    rep = check_superconformal(zp, ALG2.parse("theta + eta"), z)
+    assert not rep.ok
+    assert rep.residual == eta * -2
+    assert repr(rep.residual) == "(-2)*eta"
+
+
+def test_parse_reads_the_grammar_exactly():
+    th = ALG2.gen("theta")
+    eta = ALG2.gen("eta")
+    assert ALG2.parse("0.5*z^2 - (z + 1)/(2*z) + 3*theta*eta") == \
+        ALG2.scalar(z ** 2 / 2 - (z + 1) / (2 * z)) + th * eta * 3
+    assert ALG2.parse("(theta + eta)**2").is_zero()
+    assert ALG2.parse("z**-2*theta") == th * (1 / z ** 2)
+    assert ALG2.parse("(1 + theta*eta)**3") == ALG2.one() + th * eta * 3
+
+
+@pytest.mark.parametrize("text", ["1/theta", "theta/(1+eta)", "z**theta",
+                                  "(2*z)**(1/2)", "exp(z)", "a*z", "z/0",
+                                  "(1 + theta)**-1", "z**1.0", "theta +",
+                                  "z == 1", "2j"])
+def test_parse_rejects_what_is_outside_its_scope(text):
+    with pytest.raises(ValueError, match="^expression "):
+        ALG2.parse(text)
+
+
+@pytest.mark.parametrize("c", [sp.sin(z), sp.Symbol("a") * z,
+                               sp.sqrt(2) * z, sp.Float(0.5), 0.5,
+                               z ** sp.Rational(1, 2), sp.exp(z) / z])
+def test_coefficient_outside_q_of_z_raises_value_error(c):
+    with pytest.raises(ValueError):
+        ALG1.scalar(c)
+
+
+def test_coefficients_are_reduced_rational_functions():
+    a = ALG1.scalar((z ** 2 - 1) / (2 * z + 2))
+    b = ALG1.scalar("(z - 1)/2")
+    assert a == b and repr(a) == repr(b) == "(z/2 - 1/2)"
+    assert repr(ALG1.scalar(sp.Rational(-3, 4))) == "(-3/4)"
+    assert repr(ALG1.scalar(1 / (1 - z))) == "(-1/(z - 1))"
+    with pytest.raises(ZeroDivisionError):
+        ALG1.scalar(z) / ALG1.zero()
+
+
+def test_rational_taylor_substitution():
+    # f(z + theta eta) = f(z) + f'(z) theta eta for f = 1/(z + 1)
+    th = ALG2.gen("theta")
+    eta = ALG2.gen("eta")
+    f = ALG2.scalar(1 / (z + 1))
+    g = f.substitute(even_subs={z: ALG2.scalar(z) + th * eta})
+    assert g == f - th * eta * (1 / (z + 1) ** 2)
+    assert f.substitute(even_subs={"z": ALG2.scalar(2)}) == \
+        ALG2.scalar(sp.Rational(1, 3))
