@@ -15,10 +15,10 @@ import sys
 from typing import List, Optional
 
 from .curve import HyperellipticCurve, standard_curve
-from .pluricanonical import (SuperPointFamily, build_model,
-                             pluri_canonical_rank, pushforward_over_superpoint,
-                             random_deformation, threshold_table,
-                             verify_embedding)
+from .pluricanonical import (NotVeryAmpleError, SuperPointFamily,
+                             build_model, pluri_canonical_rank,
+                             pushforward_over_superpoint, random_deformation,
+                             threshold_table, verify_embedding)
 from .riemann_roch import parity_representatives, theta_characteristics
 from .serialize import (curve_from_json, dumps, model_from_json,
                         model_to_json, supercurve_to_json, theta_from_json)
@@ -138,7 +138,7 @@ def cmd_embed(args) -> int:
     X = _get_supercurve(args)
     try:
         model = build_model(X, args.nu)
-    except ValueError as exc:
+    except NotVeryAmpleError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
     text = dumps(model_to_json(model))

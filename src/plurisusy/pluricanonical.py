@@ -360,21 +360,26 @@ class PluriCanonicalModel:
             raise ValueError("section counts do not match the ambient space")
 
 
+class NotVeryAmpleError(ValueError):
+    """build_model's refusal of a power that fails very_ample_check."""
+
+
 def build_model(X: SplitSupercurve, nu: int,
                 force: bool = False) -> PluriCanonicalModel:
     """Model of X by the sections of the nu-th Berezinian power.
 
     The even coordinates come from the summand of even parity (L^nu for
     even nu, L^(nu+1) for odd nu) and the odd coordinates from the other
-    summand.  Raises when the very-ampleness check fails; `force` skips
-    that gate so deliberately failing models can be built and fed to
-    verify_embedding."""
+    summand.  Raises NotVeryAmpleError when the very-ampleness check
+    fails; `force` skips that gate so deliberately failing models can be
+    built and fed to verify_embedding.  Below nu = 3 it raises ValueError
+    either way."""
     report = very_ample_check(X, nu)
     if not report.passed and not force:
         detail = report.note
         if report.witness is not None:
             detail += f"; witness {report.witness_str()}"
-        raise ValueError(f"power {nu} is not very ample ({detail})")
+        raise NotVeryAmpleError(f"power {nu} is not very ample ({detail})")
     curve = X.curve
     k_even, k_odd = summand_powers(nu)
     D_even = _power_divisor(X, k_even)

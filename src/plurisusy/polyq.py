@@ -133,16 +133,37 @@ def eval_at(p: Poly, x0):
     return acc
 
 
+def taylor(p: Poly, x0, n: int) -> Poly:
+    """The first n coefficients of p(x0 + t), as a polynomial in t.
+
+    Integer arithmetic throughout (von zur Gathen and Gerhard, ISSAC
+    1997): with x0 = a/b, N = deg p and L the lcm of p's denominators,
+    b^N L p(x0 + s/b) = R(a + s) for the integer polynomial
+    R = sum L c_k b^(N-k) X^k.  Synthetic division of R by X - a, once
+    per coefficient, leaves r_k, the coefficient of s^k in R(a + s), and
+    the coefficient of t^k in p(x0 + t) is r_k / (L b^(N-k)).
+    """
+    if not p:
+        return ZERO
+    a, b = x0.numerator, x0.denominator  # x0 is a Fraction or an int
+    N = len(p) - 1
+    L = lcm_int(*[c.denominator for c in p])
+    cs = [c.numerator * (L // c.denominator) * b ** (N - k)
+          for k, c in enumerate(p)]
+    n = min(n, N + 1)
+    if a:  # at a = 0, R(a + s) is R(s) already
+        for i in range(n):
+            for k in range(N - 1, i - 1, -1):
+                cs[k] += a * cs[k + 1]
+    out = [Fraction(cs[k], L * b ** (N - k)) for k in range(n)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def shift(p: Poly, x0) -> Poly:
     """Taylor shift: coefficients of p(x0 + t) as a polynomial in t."""
-    x0 = Fraction(x0)
-    cs = list(p)
-    n = len(cs)
-    # repeated synthetic division by (t - 0) after substituting x = x0 + t
-    for i in range(n):
-        for k in range(n - 2, i - 1, -1):
-            cs[k] += x0 * cs[k + 1]
-    return poly(cs)
+    return taylor(p, x0, len(p))
 
 
 def mult_at(p: Poly, x0) -> int:

@@ -245,6 +245,16 @@ def test_embed_below_threshold_fails(capsys):
     assert "witness x=y=Inf" in err
 
 
+@pytest.mark.parametrize("nu", ["2", "0", "-1"])
+def test_embed_below_nu_3_is_usage_error(capsys, nu):
+    # a nu outside the theory is a usage error, not a failed very-ampleness
+    # verdict (exit 1 with a witness, as at nu = 4 above)
+    code, out, err = run(capsys, "embed", "--genus", "2",
+                         "--theta", '{"subset": [0]}', "--nu", nu)
+    assert (code, out) == (2, "")
+    assert err == "error: need nu >= 3 so that the rank hypotheses hold\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_verify_without_samples_is_usage_error(capsys, tmp_path, samples):
     path = tmp_path / "model.json"

@@ -402,3 +402,125 @@ def test_laurent_window_ends_at_requested_depth():
         n = rng.randint(1, 4)
         s = C3.laurent_at(fn, P, nterms=n)
         assert s.cut == C3.valuation(fn, P) + n
+
+
+# ---------------------------------------------------------------------------
+# the regular-point path of laurent_at against the valuation-first path
+# ---------------------------------------------------------------------------
+
+
+def reference_laurent_at(C, fn, P, nterms):
+    """The valuation-first expansion: v sizes the series windows of A, B y
+    and 1/den, whatever the point."""
+    v = C.valuation(fn, P)
+    vd = C._poly_val(fn.den, P)
+    cut = v + vd + nterms
+    q = C._poly_series_at(fn.A, P, cut)
+    if fn.B:
+        bcut = ycut = cut
+        if P.at_infinity:
+            bcut = cut + 2 * C.genus + 1
+            ycut = cut + 2 * polyq.deg(fn.B)
+        q = q + C._poly_series_at(fn.B, P, bcut) * C._y_at(P, ycut)
+    if fn.den != polyq.ONE:
+        q = q * C._inverse_at(fn.den, P, vd + nterms)
+    assert q.first_nonzero() == v
+    return q
+
+
+def _differential_curves():
+    rng = random.Random(77)
+    curves = [HyperellipticCurve(polyq.from_roots([Fraction(r) for r in roots]))
+              for roots in ((0, 1, 2, 3, -7),  # (-1, +-12) on it
+                            (0, 1, 2, 3, 4, 5, -6))]  # (-1, +-60) on it
+    for g in (2, 3):
+        roots = rng.sample(range(-6, 7), 2 * g + 1)
+        curves.append(HyperellipticCurve(polyq.from_roots(
+            [Fraction(r) for r in roots])))
+    # f with rational coefficients and one rational root only
+    curves.append(HyperellipticCurve(polyq.mul(
+        polyq.poly([Fraction(-1, 3), 1]),
+        polyq.poly([Fraction(5, 2), 0, 1, Fraction(-7, 4), 2]))))
+    return curves
+
+
+def _differential_case(C, rng, kind, rational):
+    """(fn, P) for one kind of point: 'regular' (y(P) in Q or Q(sqrt d),
+    fn without zero or pole there), 'zero' of the numerator, 'pole' at a
+    root of den, 'branch' or 'infinity'.  Finite points come from the
+    list of rational-y points `rational` 40 % of the time."""
+    def rpoly(deg):
+        return polyq.poly(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                          for _ in range(deg + 1))
+
+    if kind == "infinity":
+        P = C.infinity()
+    elif kind == "branch":
+        P = rng.choice(C.rational_branch_points())
+    elif rational and rng.random() < 0.4:
+        P = rng.choice(rational)
+    else:
+        while True:
+            x0 = Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+            if polyq.eval_at(C.f, x0) != 0:
+                break
+        P = C.point(x0, sign=rng.choice((1, -1)))
+    while True:
+        A = rpoly(rng.randint(0, 4))
+        B = rpoly(rng.randint(0, 3)) if rng.random() < 0.7 else polyq.ZERO
+        den = rpoly(rng.randint(0, 2)) if rng.random() < 0.5 else polyq.ONE
+        if not den or not (A or B):
+            continue
+        if kind != "regular" or (
+                polyq.eval_at(den, P.x) != 0
+                and polyq.eval_at(A, P.x) + polyq.eval_at(B, P.x) * P.y != 0):
+            break
+    if kind in ("zero", "pole"):
+        lin = polyq.from_roots([P.x] * rng.randint(1, 3))
+        if kind == "pole":
+            den = polyq.mul(den, lin)
+        elif P.is_rational() and rng.random() < 0.5:
+            # A(x0) + B(x0) y0 = 0 with A and B not both vanishing at x0
+            A = polyq.sub(A, (polyq.eval_at(A, P.x)
+                              + polyq.eval_at(B, P.x) * P.y,))
+        else:
+            A, B = polyq.mul(A, lin), polyq.mul(B, lin)
+    return C.function(A, B, den), P
+
+
+@pytest.mark.parametrize("C", _differential_curves(),
+                         ids=["g2pt", "g3pt", "g2", "g3", "g2q"])
+def test_regular_path_matches_valuation_first(C, monkeypatch):
+    rng = random.Random(hash(C.f) % 997)
+    rational = [P for P in _finite_points(C)[0] if P.x.denominator == 1]
+    kinds = ("regular", "regular", "regular", "zero", "pole",
+             "branch", "infinity")
+    reached = []  # points at which laurent_at asked for the valuation
+    real_valuation = C.valuation
+
+    def spy(fn, P):
+        reached.append(P)
+        return real_valuation(fn, P)
+
+    monkeypatch.setattr(C, "valuation", spy)  # this instance only
+    seen = set()
+    for i in range(140):
+        kind = kinds[i % len(kinds)]
+        fn, P = _differential_case(C, rng, kind, rational)
+        n = rng.randint(1, 4)
+        reached.clear()
+        got = C.laurent_at(fn, P, nterms=n)
+        fast = not reached
+        want = reference_laurent_at(HyperellipticCurve(C.f), fn, P, n)
+        assert (got.val, got.coeffs, got.cut) \
+            == (want.val, want.coeffs, want.cut), (kind, fn, P, n)
+        if fast:
+            assert real_valuation(fn, P) == 0, (fn, P)
+        assert fast == (kind == "regular"), (kind, fn, P)
+        seen.add((kind, P.is_rational()))
+    # every kind occurs, and finite points with y in Q(sqrt d) and, on
+    # the curves with such points in reach, in Q
+    assert {k for k, _ in seen} == set(kinds)
+    assert ("regular", False) in seen and ("zero", False) in seen
+    if rational:
+        assert ("regular", True) in seen and ("zero", True) in seen

@@ -540,6 +540,41 @@ def test_verify_embedding_separates_conjugate_points():
     assert rep.pairs_checked == 6
 
 
+def test_verify_embedding_expands_regular_points_without_valuations(
+        monkeypatch):
+    # at a non-branch point where no section has a zero or a pole,
+    # laurent_at reads the Taylor window directly: only infinity, where
+    # every section of these models has its pole, computes a valuation
+    rng = random.Random(31)
+    C3 = HyperellipticCurve(polyq.from_roots(
+        [Fraction(r) for r in (-5, -3, -2, 0, 1, 4, 6)]))
+    models = [build_model(XW0, 5),
+              build_model(make_split_supercurve(
+                  C3, theta_from_subset(C3, (1, 4))), 4)]
+    reached = []
+    real = HyperellipticCurve.valuation
+
+    def spy(self, fn, P):
+        reached.append(P)
+        return real(self, fn, P)
+
+    monkeypatch.setattr(HyperellipticCurve, "valuation", spy)
+    for M in models:
+        C = M.curve
+        pts = [C.infinity()]
+        while len(pts) < 16:
+            x0 = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+            if polyq.eval_at(C.f, x0) != 0:
+                P = C.point(x0, sign=rng.choice((1, -1)))
+                if P not in pts:
+                    pts.append(P)
+        reached.clear()
+        rep = verify_embedding(M, samples=pts)
+        assert rep.all_pass and rep.points_checked == 16
+        n_sections = len(M.even_sections) + len(M.odd_sections)
+        assert reached == [C.infinity()] * n_sections
+
+
 @pytest.mark.parametrize("samples", [0, -3, []])
 def test_verify_embedding_needs_a_sample(samples):
     M = build_model(XW0, 5)

@@ -122,3 +122,41 @@ def test_gcd_matches_euclid():
     p = polyq.poly([Fraction(3, 2), 0, -3])
     assert polyq.gcd(p, polyq.ZERO) == polyq.gcd(polyq.ZERO, p) == polyq.monic(p)
     assert polyq.gcd(polyq.ZERO, polyq.ZERO) == polyq.ZERO
+
+
+def _fraction_shift(p, x0):
+    """p(x0 + t) by the in-place Taylor shift in Fraction arithmetic."""
+    x0 = Fraction(x0)
+    cs = list(p)
+    n = len(cs)
+    for i in range(n):
+        for k in range(n - 2, i - 1, -1):
+            cs[k] += x0 * cs[k + 1]
+    return polyq.poly(cs)
+
+
+def test_taylor_matches_fraction_shift():
+    rng = random.Random(23)
+    for _ in range(600):
+        p = polyq.poly(Fraction(rng.randint(-30, 30), rng.randint(1, 9))
+                       * rng.choice([1, 1, 10 ** 12])
+                       for _ in range(rng.randint(1, 9)))
+        x0 = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+        if rng.random() < 0.1:
+            x0 = Fraction(0)
+        full = _fraction_shift(p, x0)
+        assert polyq.shift(p, x0) == full, (p, x0)
+        for n in range(len(p) + 3):
+            got = polyq.taylor(p, x0, n)
+            assert got == polyq.poly(full[:n]), (p, x0, n)
+            assert all(type(c) is Fraction for c in got)
+
+
+def test_taylor_edges():
+    assert polyq.taylor(polyq.ZERO, Fraction(3, 7), 4) == polyq.ZERO
+    assert polyq.shift(polyq.ZERO, -2) == polyq.ZERO
+    p = polyq.poly([1, 2, 1])  # (x + 1)^2
+    assert polyq.taylor(p, -1, 10) == polyq.poly([0, 0, 1])
+    assert polyq.taylor(p, -1, 2) == polyq.ZERO  # t^2 mod t^2
+    assert polyq.taylor(p, 0, 0) == polyq.ZERO
+    assert polyq.taylor(p, Fraction(1, 2), 1) == (Fraction(9, 4),)
