@@ -25,9 +25,15 @@ from .serialize import (curve_from_json, dumps, model_from_json,
 from .supercurve import (dual_supercurve, is_autodual, make_split_supercurve,
                          moduli_dimension)
 
-# theta-census lists all 4^g classes, so each genus past this bound
-# would cost four times the one before
+# The largest genus of each subcommand that builds a curve, checked
+# before the stock curve is built: one run at the bound takes at most
+# about 3.5 s (measured in the README).  theta-census lists all 4^g
+# classes, so each genus past its bound would cost four times the one
+# before.
 CENSUS_MAX_GENUS = 8
+MAX_GENUS = {"theta-census": CENSUS_MAX_GENUS, "rank": 160, "dual": 160,
+             "moduli-dim": 160, "thresholds": 50, "embed": 40,
+             "superpoint-rank": 40}
 
 
 class UsageError(Exception):
@@ -63,10 +69,21 @@ def _emit(args, payload, text: str) -> None:
     _write(args.out, dumps(payload) if args.format == "json" else text + "\n")
 
 
+def _check_genus(args, genus: int) -> None:
+    bound = MAX_GENUS[args.command]
+    if genus > bound:
+        what = ("theta-census enumerates 4^g classes and"
+                if args.command == "theta-census" else args.command)
+        raise UsageError(f"{what} stops at genus {bound}; got genus {genus}")
+
+
 def _get_curve(args) -> HyperellipticCurve:
     if getattr(args, "curve", None) is not None:
-        return _load_json(args.curve, curve_from_json)
+        curve = _load_json(args.curve, curve_from_json)
+        _check_genus(args, curve.genus)
+        return curve
     if getattr(args, "genus", None) is not None:
+        _check_genus(args, args.genus)  # before the stock curve is built
         return standard_curve(args.genus)
     raise UsageError("need --curve FILE or --genus G")
 
@@ -104,22 +121,14 @@ def cmd_rank(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
+    _check_genus(args, args.genus)
     cells = threshold_table(args.genus, args.nu)
     _emit(args, [c.to_json() for c in cells], "\n".join(map(str, cells)))
     return 0
 
 
-def _check_census_genus(genus: int) -> None:
-    if genus > CENSUS_MAX_GENUS:
-        raise UsageError(f"theta-census enumerates 4^g classes and stops at "
-                         f"genus {CENSUS_MAX_GENUS}; got genus {genus}")
-
-
 def cmd_theta_census(args) -> int:
-    if args.curve is None and args.genus is not None:
-        _check_census_genus(args.genus)  # before the stock curve is built
     curve = _get_curve(args)
-    _check_census_genus(curve.genus)
     census = theta_characteristics(curve)
     n_odd = sum(1 for t in census if t.is_odd)
     payload = {
@@ -171,6 +180,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_moduli_dim(args) -> int:
+    _check_genus(args, args.genus)
     dim = moduli_dimension(args.genus)
     _emit(args, {"even": dim.even, "odd": dim.odd, "dimension": str(dim)},
           str(dim))

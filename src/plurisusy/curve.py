@@ -56,6 +56,8 @@ class HyperellipticCurve:
         self._roots: Optional[Tuple[List[Tuple[Fraction, int]], Poly]] = None
         self._branch: Dict[Fraction, CurvePoint] = {}
         self._local: Dict[CurvePoint, _Local] = {}
+        # points are never mutated, so every caller shares this one
+        self._infinity = CurvePoint(self, None, None, at_infinity=True)
 
     # -- identity ----------------------------------------------------------
 
@@ -71,7 +73,7 @@ class HyperellipticCurve:
     # -- points ------------------------------------------------------------
 
     def infinity(self) -> "CurvePoint":
-        return CurvePoint(self, None, None, at_infinity=True)
+        return self._infinity
 
     def point(self, x, y=None, sign: int = 1) -> "CurvePoint":
         """Finite point with rational x.  If y is omitted it is taken to be

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
@@ -155,8 +155,7 @@ def semi_reduce(curve: HyperellipticCurve, D: Divisor) -> Divisor:
     never holding a point with its image under iota, and each branch
     point at most once."""
     E = _semi_reduced(D)
-    return Divisor(E) + Divisor.of_point(curve.infinity(),
-                                         D.degree() - sum(E.values()))
+    return Divisor({**E, curve.infinity(): D.degree() - sum(E.values())})
 
 
 def _mumford_pair(curve: HyperellipticCurve, E: Dict[CurvePoint, int]
@@ -198,17 +197,17 @@ def _reduce(curve: HyperellipticCurve, D: Divisor
     return polyq.deg(u), (u, v)
 
 
+def _h0_reduced(g: int, e: int, n: int) -> int:
+    """dim L(E + n inf) for a reduced E of degree e, spanned by x^i with
+    2i <= n and x^j (y + v)/u with 2j + 2g + 1 - 2e <= n (Mumford, Tata
+    Lectures on Theta II, ch. IIIa)."""
+    return max(0, n // 2 + 1) + max(0, (n - 2 * g - 1 + 2 * e) // 2 + 1)
+
+
 def h0(curve: HyperellipticCurve, D: Divisor) -> int:
-    """dim L(D) in closed form from the reduced representative E + n inf:
-    L(E + n inf) is spanned by x^i, 2i <= n, and x^j (y + v)/u,
-    2j + 2g + 1 - 2 deg E <= n (Mumford, Tata Lectures on Theta II,
-    ch. IIIa), and is zero when n < 0."""
+    """dim L(D) in closed form from the reduced representative of D."""
     e, _ = _reduce(curve, D)
-    n = D.degree() - e
-    if n < 0:
-        return 0
-    n_y = n - (2 * curve.genus + 1 - 2 * e)
-    return n // 2 + 1 + (n_y // 2 + 1 if n_y >= 0 else 0)
+    return _h0_reduced(curve.genus, e, D.degree() - e)
 
 
 def canonical_divisor(curve: HyperellipticCurve) -> Divisor:
@@ -260,13 +259,8 @@ class DivisorClass:
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.curve, self.rep - other.rep)
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.curve, -self.rep)
-
     def __rmul__(self, n: int) -> "DivisorClass":
         return DivisorClass(self.curve, n * self.rep)
-
-    __mul__ = __rmul__
 
     def h0(self) -> int:
         return h0(self.curve, self.rep)
@@ -322,35 +316,44 @@ def branch_roots(curve: HyperellipticCurve) -> List[Fraction]:
     return [r for r, _ in roots]
 
 
-def theta_divisor(curve: HyperellipticCurve, roots) -> Divisor:
-    g = curve.genus
-    roots = tuple(roots)
-    data = {curve.branch_point(r): 1 for r in roots}
-    return Divisor(data) + Divisor({curve.infinity(): g - 1 - len(roots)})
+def _theta(curve: HyperellipticCurve, points: List[CurvePoint], inf: CurvePoint,
+           subset: Tuple[int, ...], h: int) -> ThetaCharacteristic:
+    """The class of the points[i], i in subset, plus (g - 1 - |subset|) inf."""
+    D = Divisor({**{points[i]: 1 for i in subset},
+                 inf: curve.genus - 1 - len(subset)})
+    return ThetaCharacteristic(subset, tuple(points[i].x for i in subset),
+                               DivisorClass(curve, D), h)
+
+
+def _census(curve: HyperellipticCurve) -> Iterator[ThetaCharacteristic]:
+    """The theta characteristics in census order (see theta_characteristics)."""
+    points = [curve.branch_point(r) for r in branch_roots(curve)]
+    inf, g = curve.infinity(), curve.genus
+    for size in range(g + 1):
+        h = _h0_reduced(g, size, g - 1 - size)
+        for S in combinations(range(len(points)), size):
+            yield _theta(curve, points, inf, S, h)
 
 
 def theta_from_subset(curve: HyperellipticCurve, subset) -> ThetaCharacteristic:
     rs = branch_roots(curve)
     subset = tuple(sorted(int(i) for i in subset))
-    if len(set(subset)) != len(subset) or any(not 0 <= i < len(rs) for i in subset):
+    g, e = curve.genus, len(subset)
+    if len(set(subset)) != e or any(not 0 <= i < len(rs) for i in subset):
         raise ValueError(f"invalid branch-root subset {subset}")
-    if len(subset) > curve.genus:
+    if e > g:
         raise ValueError("representatives use at most g branch points")
-    roots = tuple(rs[i] for i in subset)
-    D = theta_divisor(curve, roots)
-    return ThetaCharacteristic(subset, roots, DivisorClass(curve, D), h0(curve, D))
+    return _theta(curve, curve.rational_branch_points(), curve.infinity(),
+                  subset, _h0_reduced(g, e, g - 1 - e))
 
 
 def theta_characteristics(curve: HyperellipticCurve) -> List[ThetaCharacteristic]:
     """All 2^(2g) theta characteristics, for curves whose finite branch
-    points are all rational.  Representatives use at most g branch points."""
-    rs = branch_roots(curve)
-    g = curve.genus
-    out: List[ThetaCharacteristic] = []
-    for size in range(g + 1):
-        for S in combinations(range(len(rs)), size):
-            out.append(theta_from_subset(curve, S))
-    if len(out) != 2 ** (2 * g):
+    points are all rational, by subset size, then lexicographically.  At
+    most g distinct branch points form a reduced divisor, so h0 of
+    S + (g - 1 - |S|) inf is the closed form at e = |S|: no reduction."""
+    out = list(_census(curve))
+    if len(out) != 2 ** (2 * curve.genus):
         raise RuntimeError("census size mismatch")
     return out
 
@@ -367,14 +370,10 @@ def parity_representatives(curve: HyperellipticCurve
     size-g subset has h0 = 0 (a section would need its denominator to
     divide out of its numerator), so the first h0 = 0 class is the one on
     the first g roots; it is built directly rather than scanned for."""
-    rs = branch_roots(curve)
-    g = curve.genus
-    even = theta_from_subset(curve, tuple(range(g)))
+    even = theta_from_subset(curve, tuple(range(curve.genus)))
     if even.h0 != 0:
         raise RuntimeError("size-g subset with unexpected sections")
-    for size in range(g + 1):
-        for S in combinations(range(len(rs)), size):
-            th = theta_from_subset(curve, S)
-            if th.is_odd:
-                return even, th
+    for t in _census(curve):
+        if t.is_odd:
+            return even, t
     raise RuntimeError("no odd theta characteristic found")

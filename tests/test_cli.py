@@ -1,12 +1,13 @@
 """Command-line interface and JSON serialization."""
 
+import argparse
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from plurisusy import cli, serialize
+from plurisusy import cli, pluricanonical, serialize, supercurve
 from plurisusy.curve import Divisor, standard_curve
 from plurisusy.pluricanonical import build_model
 from plurisusy.riemann_roch import theta_from_subset
@@ -385,6 +386,49 @@ def test_theta_census_checks_genus_bound_before_building_curve(capsys,
     assert (code, out, err) == (
         2, "", f"error: theta-census enumerates 4^g classes and stops at "
                f"genus {g - 1}; got genus {g}\n")
+
+
+class StockCurveBuilt(Exception):
+    pass
+
+
+def test_every_genus_option_has_a_bound():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    with_genus = {name for name, p in sub.choices.items()
+                  if any("--genus" in a.option_strings for a in p._actions)}
+    assert with_genus == set(cli.MAX_GENUS)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("theta-census", ()), ("rank", ("--nu", "3")), ("embed", ("--nu", "3")),
+    ("dual", ()), ("superpoint-rank", ("--nu", "3")), ("moduli-dim", ()),
+    ("thresholds", ())])
+def test_genus_bound_is_checked_before_building_curve(capsys, monkeypatch,
+                                                      command, extra):
+    def refuse(g):
+        raise StockCurveBuilt(g)
+
+    for module in (cli, supercurve, pluricanonical):
+        monkeypatch.setattr(module, "standard_curve", refuse)
+    g = cli.MAX_GENUS[command]
+    code, out, err = run(capsys, command, "--genus", str(g + 1), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {command} ")
+    assert err.endswith(f" stops at genus {g}; got genus {g + 1}\n")
+    # the bound itself passes the check and reaches the stock curve
+    with pytest.raises(StockCurveBuilt):
+        cli.main([command, "--genus", str(g), *extra])
+
+
+def test_genus_bound_applies_to_curve_files(capsys, tmp_path):
+    g = cli.MAX_GENUS["embed"] + 1
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(serialize.curve_to_json(standard_curve(g))))
+    code, out, err = run(capsys, "embed", "--curve", str(path), "--nu", "3")
+    assert (code, out, err) == (
+        2, "", f"error: embed stops at genus {g - 1}; got genus {g}\n")
 
 
 def test_bad_theta_is_usage_error(capsys):

@@ -447,6 +447,44 @@ def test_census_pairwise_distinct_genus_2():
         assert not class_eq(C2, s.divisor, t.divisor)
 
 
+# a split curve whose branch points are not all integral
+CQ3 = HyperellipticCurve(polyq.from_roots(
+    [Fraction(r) for r in ("-3/2", -1, 0, "1/2", 2, 5, 7)]))
+
+
+@pytest.mark.parametrize("curve", [C2, C3, standard_curve(4), CQ3],
+                         ids=["g2", "g3", "g4", "g3-fractional"])
+def test_census_against_independent_oracles(curve):
+    g = curve.genus
+    rs = branch_roots(curve)
+    K = canonical_divisor(curve)
+    census = theta_characteristics(curve)
+    assert [t.subset for t in census] == [
+        S for k in range(g + 1) for S in combinations(range(2 * g + 1), k)]
+    for t in census:
+        one = theta_from_subset(curve, t.subset)
+        assert (one.subset, one.roots, one.divisor, one.h0) == (
+            t.subset, t.roots, t.divisor, t.h0)
+        assert t.roots == tuple(rs[i] for i in t.subset)
+        assert t.h0 == h0(curve, t.divisor)  # reduces the divisor
+        assert class_eq(curve, 2 * t.divisor, K)
+        if g <= 3:  # the series-based basis of L(D)
+            assert t.h0 == len(rr_space(curve, t.divisor)), t.subset
+
+
+def test_census_reduces_no_divisor(monkeypatch):
+    C = standard_curve(3)
+
+    def refuse(*args):
+        raise AssertionError("the census reduced or added divisors")
+
+    monkeypatch.setattr(riemann_roch, "_reduce", refuse)
+    monkeypatch.setattr(Divisor, "__add__", refuse)
+    census = theta_characteristics(C)
+    assert len(census) == 64
+    assert sum(t.is_odd for t in census) == 28
+
+
 def test_theta_from_subset_validation():
     with pytest.raises(ValueError):
         theta_from_subset(C2, (0, 0))
