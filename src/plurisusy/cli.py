@@ -34,6 +34,10 @@ CENSUS_MAX_GENUS = 8
 MAX_GENUS = {"theta-census": CENSUS_MAX_GENUS, "rank": 160, "dual": 160,
              "moduli-dim": 160, "thresholds": 50, "embed": 40,
              "superpoint-rank": 40}
+# The largest degree (nu + 1)(g - 1) of the larger summand for the
+# subcommands whose run time grows with it, checked with the genus and
+# held to the same 3.5 s.
+MAX_DEGREE = {"embed": 160, "superpoint-rank": 160}
 
 
 class UsageError(Exception):
@@ -69,21 +73,26 @@ def _emit(args, payload, text: str) -> None:
     _write(args.out, dumps(payload) if args.format == "json" else text + "\n")
 
 
-def _check_genus(args, genus: int) -> None:
+def _check_bounds(args, genus: int) -> None:
     bound = MAX_GENUS[args.command]
     if genus > bound:
         what = ("theta-census enumerates 4^g classes and"
                 if args.command == "theta-census" else args.command)
         raise UsageError(f"{what} stops at genus {bound}; got genus {genus}")
+    bound = MAX_DEGREE.get(args.command)
+    if bound is not None and (args.nu + 1) * (genus - 1) > bound:
+        raise UsageError(
+            f"{args.command} stops at degree (nu + 1)(g - 1) = {bound}; got "
+            f"{(args.nu + 1) * (genus - 1)} at nu {args.nu}, genus {genus}")
 
 
 def _get_curve(args) -> HyperellipticCurve:
     if getattr(args, "curve", None) is not None:
         curve = _load_json(args.curve, curve_from_json)
-        _check_genus(args, curve.genus)
+        _check_bounds(args, curve.genus)
         return curve
     if getattr(args, "genus", None) is not None:
-        _check_genus(args, args.genus)  # before the stock curve is built
+        _check_bounds(args, args.genus)  # before the stock curve is built
         return standard_curve(args.genus)
     raise UsageError("need --curve FILE or --genus G")
 
@@ -121,7 +130,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    _check_genus(args, args.genus)
+    _check_bounds(args, args.genus)
     cells = threshold_table(args.genus, args.nu)
     _emit(args, [c.to_json() for c in cells], "\n".join(map(str, cells)))
     return 0
@@ -180,7 +189,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_moduli_dim(args) -> int:
-    _check_genus(args, args.genus)
+    _check_bounds(args, args.genus)
     dim = moduli_dimension(args.genus)
     _emit(args, {"even": dim.even, "odd": dim.odd, "dimension": str(dim)},
           str(dim))

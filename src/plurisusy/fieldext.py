@@ -5,12 +5,21 @@ Elements are u + v*sqrt(d) with u, v rational and d a squarefree integer
 structural: sqrt(8) is always stored as 2*sqrt(2).  Constructions with
 v == 0 collapse to the base element, so a QuadExt instance always has a
 genuinely irrational part.
+
+The squarefree part is found by trial division up to 1000, then Pollard's
+rho on what is left, each prime factor certified by the Miller-Rabin test
+with the first 13 primes as bases, which is exact below about 3.3 * 10^24.
+A number whose part left after trial division is not below that bound
+raises ValueError: no factor is ever taken as prime on a probable-prime
+test alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -26,15 +35,51 @@ def rational_sqrt(fr: Fraction) -> Optional[Fraction]:
     return None
 
 
-# Trial division reaches every prime up to this bound.  What is left then
-# has only larger prime factors, so when it is below the cube of the bound
-# it is a square or has at most two distinct prime factors.
+# Trial division reaches every prime up to this bound, so what is left
+# then, and each factor of it, is prime when below the bound's square.
 _TRIAL_BOUND = 1000
+# Miller-Rabin with these bases, the first 13 primes, proves primality
+# below _MR_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n with 41 < n < _MR_BOUND."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard's rho."""
+    for c in count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+        if g != n:
+            return g
 
 
 def _square_factors(n: int):
-    """Pairs (q, e) with n = prod q^e for n >= 1, the q pairwise coprime
-    and squarefree wherever e is odd."""
+    """Pairs (p, e) with n = prod p^e for n >= 1, each p a certified
+    prime.  Raises ValueError, before any rho step, when the part of n
+    left by trial division is not below _MR_BOUND."""
     for q in range(2, _TRIAL_BOUND + 1):
         if q * q > n:
             break
@@ -44,17 +89,20 @@ def _square_factors(n: int):
             e += 1
         if e:
             yield q, e
-    if n == 1:
-        return
-    s = isqrt(n)
-    if s * s == n:
-        yield s, 2
-    elif n < _TRIAL_BOUND ** 3:
-        yield n, 1
-    else:
-        import sympy
-
-        yield from sympy.factorint(n).items()
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot certify the prime factors of {n}: it is "
+                         f"not below {_MR_BOUND}, where the deterministic "
+                         f"Miller-Rabin test stops")
+    left = [n] if n > 1 else []
+    primes = Counter()
+    while left:
+        m = left.pop()
+        if m < _TRIAL_BOUND ** 2 or _is_prime(m):
+            primes[m] += 1
+        else:
+            f = _rho(m)
+            left += [f, m // f]
+    yield from primes.items()
 
 
 def sqrt_normal_form(fr: Fraction) -> Tuple[Fraction, int]:

@@ -13,10 +13,11 @@ with the super Lie bracket, and the superconformality test
 whose square is the generator of translations: (1/2)[D, D] = d/dz.
 
 A coefficient may be given as an int, a Fraction, a string or a sympy
-expression; sympy is imported only to convert such an expression and to
-print a coefficient that is not constant (as sympy's cancelled p/q form,
-the text earlier versions printed).  A float, or a sympy expression that
-is not in Q(z), raises ValueError.
+expression.  sympy is not a dependency: it is imported only to convert
+an object whose type comes from sympy, which a caller who passes one has
+installed.  A float, any other object, or a sympy expression that is not
+in Q(z) raises ValueError.  A coefficient prints natively in the form of
+sympy's str of the cancelled p/q, the text earlier versions printed.
 
 `GrassmannAlgebra.parse` reads an element with the package's `reader`:
 integer and decimal literals (0.1 is 1/10), the name z, the algebra's odd
@@ -35,6 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from . import polyq
@@ -127,19 +129,47 @@ class RationalFunction:
         return at(self.num) * at(self.den).inverse()
 
     def __str__(self):
-        if self.den == polyq.ONE and len(self.num) <= 1:
-            return str(self.num[0] if self.num else Fraction(0))
-        import sympy as sp
-
-        z = sp.Symbol(EVEN)
-
-        def expr(p: Poly):
-            return sum((sp.Rational(c.numerator, c.denominator) * z ** i
-                        for i, c in enumerate(p) if c), sp.Integer(0))
-
-        return str(sp.cancel(expr(self.num) / expr(self.den)))
+        """sympy's str of the cancelled p/q, the text earlier versions
+        printed: ε·N/Q over integer polynomials N and Q, where num = N/δ
+        and δ·den = Q/ε with the least δ and ε."""
+        if self.den == polyq.ONE:
+            return _sum(self.num)
+        delta = lcm(*(c.denominator for c in self.num))
+        q = polyq.scale(self.den, delta)
+        eps = lcm(*(c.denominator for c in q))
+        q = polyq.scale(q, eps)
+        num, den = _sum(polyq.scale(self.num, eps * delta)), _sum(q)
+        if len(self.num) - self.num.count(0) > 1:
+            num = f"({num})"
+        if len(q) - q.count(0) > 1 or q[-1] != 1:
+            den = f"({den})"
+        elif num == "1" and polyq.deg(q) > 1:  # sympy's power z**(-k)
+            return f"{EVEN}**(-{polyq.deg(q)})"
+        return f"{num}/{den}"
 
     __repr__ = __str__
+
+
+def _sum(p: Poly) -> str:
+    """p as sympy prints it: terms n*z**k/d in descending degree, except
+    that -a*z**k + c with a, c > 0 prints as c - a*z**k."""
+    terms = [(c, k) for k, c in reversed(list(enumerate(p))) if c]
+    if (len(terms) == 2 and terms[0][0] < 0 and terms[1][1] == 0
+            and terms[1][0] > 0):
+        terms.reverse()
+    out = ""
+    for c, k in terms:
+        n, d = abs(c.numerator), c.denominator
+        t = str(n) if k == 0 else EVEN if k == 1 else f"{EVEN}**{k}"
+        if k and n != 1:
+            t = f"{n}*{t}"
+        if d != 1:
+            t = f"{t}/{d}"
+        if not out:
+            out = f"-{t}" if c < 0 else t
+        else:
+            out += f" - {t}" if c < 0 else f" + {t}"
+    return out or "0"
 
 
 _ZERO = RationalFunction._reduced(polyq.ZERO)
@@ -157,10 +187,13 @@ def _coeff(c) -> RationalFunction:
     if isinstance(c, float):
         raise ValueError(f"coefficient {c!r} is a float, not an exact "
                          f"rational")
+    if type(c).__module__.partition(".")[0] != "sympy":
+        raise ValueError(f"coefficient {c!r} is not in Q({EVEN})")
     return _from_sympy(c)
 
 
 def _from_sympy(e) -> RationalFunction:
+    """A caller's sympy expression in Q(z); only here is sympy imported."""
     import sympy as sp
 
     if not isinstance(e, sp.Expr):
@@ -333,7 +366,10 @@ class GrassmannElement:
 
     def __eq__(self, other):
         if not isinstance(other, GrassmannElement):
-            other = GrassmannElement.scalar(self.gens, other)
+            try:
+                other = GrassmannElement.scalar(self.gens, other)
+            except ValueError:  # not in Q(z): never equal
+                return NotImplemented
         return (self - other).is_zero()
 
     def __hash__(self):

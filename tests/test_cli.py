@@ -431,6 +431,47 @@ def test_genus_bound_applies_to_curve_files(capsys, tmp_path):
         2, "", f"error: embed stops at genus {g - 1}; got genus {g}\n")
 
 
+def test_every_degree_bound_is_on_a_subcommand_with_nu():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in cli.MAX_DEGREE:
+        assert command in cli.MAX_GENUS
+        assert any("--nu" in a.option_strings
+                   for a in sub.choices[command]._actions)
+
+
+@pytest.mark.parametrize("command", sorted(cli.MAX_DEGREE))
+@pytest.mark.parametrize("genus", [2, "max"])
+def test_degree_bound_is_checked_before_building_curve(capsys, monkeypatch,
+                                                       command, genus):
+    def refuse(g):
+        raise StockCurveBuilt(g)
+
+    for module in (cli, supercurve, pluricanonical):
+        monkeypatch.setattr(module, "standard_curve", refuse)
+    g = cli.MAX_GENUS[command] if genus == "max" else genus
+    bound = cli.MAX_DEGREE[command]
+    nu = bound // (g - 1) - 1  # the largest nu with (nu + 1)(g - 1) <= bound
+    code, out, err = run(capsys, command, "--genus", str(g),
+                         "--nu", str(nu + 1))
+    assert (code, out, err) == (
+        2, "", f"error: {command} stops at degree (nu + 1)(g - 1) = {bound}; "
+               f"got {(nu + 2) * (g - 1)} at nu {nu + 1}, genus {g}\n")
+    with pytest.raises(StockCurveBuilt):
+        cli.main([command, "--genus", str(g), "--nu", str(nu)])
+
+
+def test_degree_bound_applies_to_curve_files(capsys, tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(serialize.curve_to_json(standard_curve(3))))
+    nu = cli.MAX_DEGREE["superpoint-rank"] // 2
+    code, out, err = run(capsys, "superpoint-rank", "--curve", str(path),
+                         "--nu", str(nu))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"got {2 * (nu + 1)} at nu {nu}, genus 3\n")
+
+
 def test_bad_theta_is_usage_error(capsys):
     code, _, err = run(capsys, "rank", "--genus", "2", "--nu", "3",
                        "--theta", "nonsense")

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from plurisusy.fieldext import (QuadExt, make_sqrt, normalised, qext,
+from plurisusy import fieldext
+from plurisusy.fieldext import (_MR_BOUND, QuadExt, _square_factors,
+                                make_sqrt, normalised, qext,
                                 rows_independent, sqrt_normal_form)
 
 DS = (1, 2, 3, -1, 6)
@@ -140,6 +142,12 @@ P1, P2, P3 = 1009, 1013, 1019
     P1, 18 * P1, 999983, P1 * P2, 50 * P1 * P2,  # prime or pq, squarefree
     P1 * P2 * P3, 10 ** 9 + 7, 7 * P1 ** 3,      # leftover >= 10^9: fallback
     P1 ** 4, 2 ** 40 * 3 ** 7, 1000 ** 3,
+    # leftovers between 2^64 and the Miller-Rabin bound over P2: a prime,
+    # three primes, a square times a prime, a cube, two primes near 2^33
+    # and 2^37
+    2 ** 64 + 13, P1 * (10 ** 9 + 7) * (10 ** 9 + 9),
+    (10 ** 6 + 3) ** 2 * (10 ** 9 + 7), (10 ** 7 + 19) ** 3,
+    8589934609 * 137438953481,
 ])
 def test_sqrt_normal_form_matches_factorint(n):
     for fr in (Fraction(n), Fraction(-n), Fraction(n, 45),
@@ -154,3 +162,25 @@ def test_sqrt_normal_form_of_random_rationals():
         if fr:
             assert sqrt_normal_form(fr) == _sqrt_oracle(fr), fr
     assert sqrt_normal_form(Fraction(0)) == (Fraction(0), 1)
+
+
+def test_strong_pseudoprimes_are_split():
+    """Composites that pass Miller-Rabin to the first 9 and 12 primes."""
+    for n in (3825123056546413051, 318665857834031151167461):
+        assert dict(_square_factors(n)) == sp.factorint(n)
+        assert sqrt_normal_form(Fraction(n)) == _sqrt_oracle(Fraction(n))
+
+
+@pytest.mark.parametrize("n", [
+    2 ** 89 - 1, 7 * (2 ** 89 - 1), (10 ** 13 + 37) ** 2,
+    P1 * (10 ** 6 + 3) * (10 ** 9 + 7) * (10 ** 9 + 9),  # small, yet refused
+])
+def test_leftover_above_the_miller_rabin_bound_is_refused(monkeypatch, n):
+    def refuse(m):
+        raise AssertionError(f"rho ran on {m}")
+
+    monkeypatch.setattr(fieldext, "_rho", refuse)
+    leftover = n // 7 if n % 7 == 0 else n
+    assert leftover >= _MR_BOUND
+    with pytest.raises(ValueError, match=f"factors of {leftover}: "):
+        sqrt_normal_form(Fraction(n))

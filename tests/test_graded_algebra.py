@@ -1,15 +1,17 @@
 """Grassmann algebra, Berezinian, and superconformal calculus."""
 
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plurisusy import polyq
 from plurisusy.graded_algebra import (GrassmannAlgebra, GrassmannElement,
-                                      SuperMatrix, VectorFieldSC,
-                                      check_superconformal,
+                                      RationalFunction, SuperMatrix,
+                                      VectorFieldSC, check_superconformal,
                                       superconformal_derivation,
                                       susy_generator_square)
 
@@ -419,3 +421,53 @@ def test_rational_taylor_substitution():
     assert g == f - th * eta * (1 / (z + 1) ** 2)
     assert f.substitute(even_subs={"z": ALG2.scalar(2)}) == \
         ALG2.scalar(sp.Rational(1, 3))
+
+
+def _random_poly(rng, degree, sparse):
+    """Rational coefficients, zero with probability 0.6 when sparse."""
+    return [Fraction(0) if sparse and rng.random() < 0.6
+            else Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 12)))
+            for _ in range(degree + 1)]
+
+
+def test_coefficients_print_as_sympy_cancels_them():
+    """The native printer against str(sp.cancel(p/q)), its oracle: seeded
+    reduced pairs with and without a denominator, sparse or dense, many
+    with negative leading terms or a monomial denominator."""
+    rng = random.Random(17)
+    with_den = 0
+    for _ in range(800):
+        p = _random_poly(rng, rng.randint(0, 5), rng.random() < 0.5)
+        q = ([Fraction(1)] if rng.random() < 0.3
+             else _random_poly(rng, rng.randint(1, 4), rng.random() < 0.5))
+        if not any(q):
+            continue
+        c = RationalFunction(polyq.poly(p), polyq.poly(q))
+        with_den += polyq.deg(c.den) > 0
+        e = sp.cancel(sum(sp.Rational(a) * z ** i for i, a in enumerate(p))
+                      / sum(sp.Rational(b) * z ** i for i, b in enumerate(q)))
+        assert str(c) == str(e), (p, q)
+    assert with_den > 250
+    for e in (1 - z, 2 - z ** 2, -z ** 2 - 1, -z ** 4 + z ** 3, 1 / z,
+              1 / z ** 3, -1 / z ** 2, 1 / (2 * z ** 2), z / (3 * z ** 2 + 3),
+              (1 - z) / (z + 2), sp.Integer(0), sp.Rational(-1, 4)):
+        assert str(ALG1.scalar(e).body()) == str(sp.cancel(e)), e
+
+
+@pytest.mark.parametrize("other", [None, [1], object(), "theta +", 0.5])
+def test_comparison_with_a_foreign_object_is_false(other):
+    one = ALG1.one()
+    assert (one == other) is False and (one != other) is True
+    assert other not in [one, ALG1.gen("theta")]
+
+
+def test_coefficient_of_a_foreign_type_imports_nothing(monkeypatch):
+    import plurisusy.graded_algebra as ga
+
+    def refuse(e):
+        raise AssertionError("_from_sympy reached")
+
+    monkeypatch.setattr(ga, "_from_sympy", refuse)
+    for c in (None, [1], object(), {1: 2}):
+        with pytest.raises(ValueError, match="is not in Q"):
+            ALG1.scalar(c)

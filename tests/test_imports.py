@@ -1,9 +1,9 @@
-"""sympy is not loaded by the package or by any subcommand on its usual
-path: verify reads the section strings of a model file, and
-check-superconformal its expressions, with the package's own reader, and
-the Grassmann algebra computes over Q(z) in exact rational arithmetic.
-Only a non-constant residual coefficient, printed in sympy's form, would
-load it."""
+"""sympy is not loaded by the package or by any subcommand: verify reads
+the section strings of a model file, and check-superconformal its
+expressions, with the package's own reader, and the Grassmann algebra
+computes over Q(z) in exact rational arithmetic and prints its
+coefficients itself.  With sympy made unimportable, every subcommand
+gives the same exit code and output as with it."""
 
 import json
 import os
@@ -29,10 +29,12 @@ runs = [["rank", *G2, "--nu", "3"], ["theta-census", *G2],
         ["verify", M, "--samples", "4", "--format", "json"],
         ["dual", *G2], ["moduli-dim", *G2],
         ["superpoint-rank", *G2, "--nu", "3"]]
-report["codes"] = []
+report["codes"], report["outs"] = [], []
 for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         report["codes"].append(cli.main(argv))
+    report["outs"].append(out.getvalue())
 report["sympy_after_runs"] = "sympy" in sys.modules
 report["unresolved"] = [n for n in plurisusy.__all__
                         if getattr(plurisusy, n, None) is None]
@@ -47,31 +49,69 @@ for argv in sc_runs:
         with contextlib.redirect_stdout(out):
             code = cli.main(["check-superconformal", *argv, *fmt])
         report["sc"].append([code, out.getvalue()])
+report["sc_nonconstant"] = []  # a residual with a non-constant coefficient
+for fmt in ([], ["--format", "json"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check-superconformal", "z**2", "theta", *fmt])
+    report["sc_nonconstant"].append([code, out.getvalue()])
 report["sympy_after_sc"] = "sympy" in sys.modules
 print(json.dumps(report))
 """
 
 
-def test_subcommands_without_expressions_do_not_import_sympy(tmp_path):
+# Makes sympy unimportable in the child, as where it is not installed.
+BLOCK_SYMPY = r"""
+import sys
+
+
+class _NoSympy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "sympy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, _NoSympy())
+"""
+
+
+def _child_report(model, block=False):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run([sys.executable, "-c", CHILD,
-                          str(tmp_path / "model.json")], env=env,
+    code = (BLOCK_SYMPY if block else "") + CHILD
+    res = subprocess.run([sys.executable, "-c", code, str(model)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
-    report = json.loads(res.stdout)
+    return json.loads(res.stdout)
+
+
+def _js(ok, residual):
+    return json.dumps({"jacobian_body_invertible": True,
+                       "residual": residual, "superconformal": ok},
+                      sort_keys=True, indent=2) + "\n"
+
+
+def test_subcommands_without_expressions_do_not_import_sympy(tmp_path):
+    report = _child_report(tmp_path / "model.json")
     assert report["sympy_after_import"] is False
     assert report["codes"] == [0] * 10
     assert report["sympy_after_runs"] is False
     assert report["unresolved"] == []
     yes = "superconformal: yes\n"
     no = "superconformal: no\nresidual: (1)*theta\n"
-
-    def js(ok, residual):
-        return json.dumps({"jacobian_body_invertible": True,
-                           "residual": residual, "superconformal": ok},
-                          sort_keys=True, indent=2) + "\n"
-
-    assert report["sc"] == [[0, yes], [0, js(True, "0")],
-                            [0, yes], [0, js(True, "0")],
-                            [1, no], [1, js(False, "(1)*theta")]]
+    assert report["sc"] == [[0, yes], [0, _js(True, "0")],
+                            [0, yes], [0, _js(True, "0")],
+                            [1, no], [1, _js(False, "(1)*theta")]]
     assert report["sympy_after_sc"] is False
+
+
+def test_every_subcommand_runs_the_same_with_sympy_blocked(tmp_path):
+    model = tmp_path / "model.json"
+    with_sympy = _child_report(model)
+    blocked = _child_report(model, block=True)
+    assert blocked == with_sympy
+    assert blocked["codes"] == [0] * 10
+    assert all(blocked["outs"])
+    residual = "(2*z - 1)*theta"
+    assert blocked["sc_nonconstant"] == [
+        [1, f"superconformal: no\nresidual: {residual}\n"],
+        [1, _js(False, residual)]]
