@@ -38,6 +38,9 @@ MAX_GENUS = {"theta-census": CENSUS_MAX_GENUS, "rank": 160, "dual": 160,
 # subcommands whose run time grows with it, checked with the genus and
 # held to the same 3.5 s.
 MAX_DEGREE = {"embed": 160, "superpoint-rank": 160}
+# The largest --samples of verify, checked before the model is read and
+# held to the same 3.5 s on the stock models up to genus 8.
+MAX_SAMPLES = 50_000
 
 
 class UsageError(Exception):
@@ -170,6 +173,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"verify stops at {MAX_SAMPLES} samples; "
+                         f"got {args.samples}")
     model = _load_json(args.model, model_from_json)
     report = verify_embedding(model, samples=args.samples, seed=args.seed)
     _emit(args, report.to_json(), str(report))

@@ -271,17 +271,9 @@ class HyperellipticCurve:
     def laurent_at(self, fn: "FunctionFieldElement", P: "CurvePoint",
                    nterms: int = 1) -> TSeries:
         """Exact Laurent expansion of fn at P: the window runs from the
-        valuation v up to the cut v + nterms (nterms at least 1).
-
-        At a finite non-branch point where fn has neither a zero nor a
-        pole, v = 0 and the window is the first nterms Taylor coefficients
-        in t = x - x0, read without computing v (`_regular_window`).
-        Elsewhere v comes first and sizes the series windows."""
+        valuation v up to the cut v + nterms (nterms at least 1).  The
+        valuation comes first and sizes the series windows."""
         nterms = max(nterms, 1)
-        if not (P.at_infinity or P.y == 0):
-            q = self._regular_window(fn, P, nterms)
-            if q is not None:
-                return q
         v = self.valuation(fn, P)
         vd = self._poly_val(fn.den, P)
         cut = v + vd + nterms  # the numerator starts at t^(v + vd)
@@ -297,30 +289,6 @@ class HyperellipticCurve:
             q = q * self._inverse_at(fn.den, P, vd + nterms)
         if q.first_nonzero() != v:
             raise RuntimeError("series disagrees with valuation")
-        return q
-
-    def _regular_window(self, fn: "FunctionFieldElement", P: "CurvePoint",
-                        nterms: int) -> Optional[TSeries]:
-        """The first nterms Taylor coefficients of fn at the finite
-        non-branch point P, or None when fn has a zero or a pole there.
-        Those are the coefficients of A + B y(t) times 1/den(t), and its
-        constant term is nonzero exactly when the valuation is 0."""
-        x0 = P.x
-        has_den = fn.den != polyq.ONE
-        if has_den and polyq.eval_at(fn.den, x0) == 0:
-            return None  # a pole
-        w = list(polyq.taylor(fn.A, x0, nterms))
-        w += [Fraction(0)] * (nterms - len(w))
-        if fn.B:
-            y = self._y_at(P, nterms).coeffs  # y(0) != 0: all nterms of them
-            for i, b in enumerate(polyq.taylor(fn.B, x0, nterms)):
-                for k in range(i, nterms):
-                    w[k] += b * y[k - i]
-        if w[0] == 0:
-            return None  # a zero
-        q = TSeries(0, w, nterms)
-        if has_den:
-            q = q * self._inverse_at(fn.den, P, nterms)
         return q
 
     def evaluate(self, fn: "FunctionFieldElement", P: "CurvePoint") -> Scalar:

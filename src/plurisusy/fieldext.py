@@ -6,6 +6,10 @@ structural: sqrt(8) is always stored as 2*sqrt(2).  Constructions with
 v == 0 collapse to the base element, so a QuadExt instance always has a
 genuinely irrational part.
 
+Rows over one such field are compared for linear dependence exactly,
+by `rows_independent` on field elements or by `row_key` on their
+integer form (`int_row`).
+
 The squarefree part is found by trial division up to 1000, then Pollard's
 rho on what is left, each prime factor certified by the Miller-Rabin test
 with the first 13 primes as bases, which is exact below about 3.3 * 10^24.
@@ -21,6 +25,8 @@ from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
+
+from .polyq import clear_denominators
 
 
 def rational_sqrt(fr: Fraction) -> Optional[Fraction]:
@@ -254,3 +260,51 @@ def rows_independent(row1: Sequence, row2: Sequence) -> bool:
     """
     s1, s2 = normalised(row1), normalised(row2)
     return s1 is not None and s2 is not None and s1 != s2
+
+
+# A row of entries u_j + v_j sqrt(d) with integers u_j and v_j, stored as
+# (us, vs, d); vs is None for a row of integers.
+IntRow = Tuple[List[int], Optional[List[int]], int]
+
+
+def int_row(row: Sequence, scale: Sequence[Fraction]) -> IntRow:
+    """The row of rationals and QuadExts of one field Q(sqrt d), with entry
+    j times scale[j], as an IntRow up to a positive rational factor."""
+    us: List[Fraction] = []
+    vs: List[Fraction] = []
+    d = 1
+    for x, c in zip(row, scale):
+        if isinstance(x, QuadExt):
+            us.append(Fraction(x.u) * c)
+            vs.append(Fraction(x.v) * c)
+            d = x.d
+        else:
+            us.append(Fraction(x) * c)
+            vs.append(Fraction(0))
+    _, (ius, ivs) = clear_denominators(us, vs)
+    return (ius, ivs if d != 1 else None, d)
+
+
+def row_key(row: IntRow):
+    """Canonical key of a row up to a nonzero factor in Q(sqrt d), or None
+    for the zero row.  The row is multiplied by the conjugate of its first
+    nonzero entry, which makes that entry rational, then divided by the
+    gcd of its integers, with the sign that makes that entry positive; a
+    row whose sqrt(d) parts are then all 0 is keyed without d.  Two rows
+    are dependent iff either key is None or the keys are equal: the rule
+    of rows_independent, in integers."""
+    us, vs, d = row
+    if vs is not None and any(vs):
+        p, q = next((u, v) for u, v in zip(us, vs) if u or v)
+        us, vs = ([u * p - v * q * d for u, v in zip(us, vs)],
+                  [v * p - u * q for u, v in zip(us, vs)])
+        if any(vs):
+            g = gcd(*us, *vs)
+            if p * p - q * q * d < 0:
+                g = -g
+            return (tuple(u // g for u in us), tuple(v // g for v in vs), d)
+    lead = next((u for u in us if u), 0)
+    if not lead:
+        return None
+    g = gcd(*us) if lead > 0 else -gcd(*us)
+    return tuple(u // g for u in us)

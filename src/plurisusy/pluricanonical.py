@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve, standard_curve)
-from .fieldext import normalised, rows_independent
+from .fieldext import row_key
+from .jets import PointFrame, SectionJets
 from .linalg import ColumnSpace
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, _reduce,
                            canonical_divisor, class_eq, h0,
@@ -391,21 +392,6 @@ def build_model(X: SplitSupercurve, nu: int,
                                odd_sections, {"even": D_even, "odd": D_odd})
 
 
-def _jet_rows(curve: HyperellipticCurve,
-              sections: Sequence[FunctionFieldElement], D: Divisor,
-              P: CurvePoint, nterms: int) -> List[List]:
-    """Laurent coefficient rows of the sections at P in the local
-    trivialization of the D-twisted bundle: row k lists the t^(m+k)
-    coefficients with m = -D[P], so the fiber evaluation is row 0."""
-    m = -D[P]
-    rows: List[List] = [[] for _ in range(nterms)]
-    for s in sections:
-        q = curve.laurent_at(s, P, nterms=nterms)
-        for k in range(nterms):
-            rows[k].append(q.coeff(m + k))
-    return rows
-
-
 @dataclass(eq=False)
 class EmbeddingReport:
     model: PluriCanonicalModel
@@ -445,18 +431,24 @@ def _sample_pool(curve: HyperellipticCurve, rng: random.Random,
                  n: int) -> List[CurvePoint]:
     """Deterministic mix of special and random points: infinity and the
     branch points show up with fixed probability, the rest are rational-x
-    points whose y lives in Q or in a real quadratic extension."""
+    points whose y lives in Q or in a quadratic extension Q(sqrt d): real
+    where f(x) > 0, imaginary where f(x) < 0."""
     specials = [curve.infinity()] + curve.rational_branch_points()
     pool: List[CurvePoint] = []
+    drawn: Dict[Fraction, CurvePoint] = {}  # x -> the point with sign 1
     while len(pool) < n:
         if rng.random() < 0.15:
             pool.append(specials[rng.randrange(len(specials))])
             continue
         x = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
-        if polyq.eval_at(curve.f, x) == 0:
-            pool.append(curve.branch_point(x))
-            continue
-        pool.append(curve.point(x, sign=rng.choice((1, -1))))
+        P = drawn.get(x)
+        if P is None:
+            P = drawn[x] = (curve.branch_point(x)
+                            if polyq.eval_at(curve.f, x) == 0
+                            else curve.point(x))
+        if P.y != 0 and rng.choice((1, -1)) == -1:
+            P = P.conjugate()
+        pool.append(P)
     return pool
 
 
@@ -470,13 +462,14 @@ def verify_embedding(M: PluriCanonicalModel,
     derivative row are independent, so the map is an immersion there;
     (c) the odd-coordinate value row never vanishes.  A pair with equal
     members runs check (b) in place of (a).  Rows are scaled Laurent
-    coefficients, so points on the cleared divisors are fine.  An integer
+    coefficients, so points on the cleared divisors are fine; they are
+    compared by their integer keys (fieldext.row_key), and at almost every
+    finite point built in integers without a series (jets.SectionJets).
+    A sample point off M.curve is a ValueError.  An integer
     `samples` draws that many point pairs deterministically from `seed`;
     a point list checks all pairs from the list.  Fewer than one sample
     is a ValueError, so a report never passes on no checks."""
     curve = M.curve
-    D_even = M.cleared_divisors["even"]
-    D_odd = M.cleared_divisors["odd"]
     if isinstance(samples, int):
         rng = random.Random(seed)
         pool = _sample_pool(curve, rng, 2 * samples)
@@ -489,41 +482,38 @@ def verify_embedding(M: PluriCanonicalModel,
     if not pts:
         raise ValueError("samples must be at least 1")
 
-    points: List[CurvePoint] = []
-    seen = set()
+    index: Dict[CurvePoint, int] = {}  # the distinct points, in order
     for P in pts:
-        if P not in seen:
-            seen.add(P)
-            points.append(P)
+        index.setdefault(P, len(index))
 
-    # per point: value row, derivative row, odd value row, and the value
-    # row normalised once for all the pairs the point is in
-    jets: Dict[CurvePoint, Tuple[List, List, List, Optional[List]]] = {}
-
-    def jet(P: CurvePoint) -> Tuple[List, List, List, Optional[List]]:
-        if P not in jets:
-            r0, r1 = _jet_rows(curve, M.even_sections, D_even, P, 2)
-            (ro,) = _jet_rows(curve, M.odd_sections, D_odd, P, 1)
-            jets[P] = (r0, r1, ro, normalised(r0))
-        return jets[P]
-
+    even = SectionJets(curve, M.even_sections, M.cleared_divisors["even"], 2)
+    odd = SectionJets(curve, M.odd_sections, M.cleared_divisors["odd"], 1)
+    N = max(even.degree, odd.degree)
+    lam_f, F = even.lam_f, even.F
+    value_keys = []
     pair_failures: List[Tuple[CurvePoint, CurvePoint]] = []
     tangent_failures: List[CurvePoint] = []
     odd_failures: List[CurvePoint] = []
-    for P in points:
-        r0, r1, ro, _ = jet(P)
-        if not rows_independent(r0, r1):
+    for P in index:
+        frame = None if P.at_infinity else PointFrame(P, N)
+        if P.curve != curve or frame and not frame.on_curve(lam_f, F):
+            raise ValueError(f"sample point {P!r} is not on {curve!r}")
+        k0, k1 = map(row_key, even.rows(P, frame))
+        value_keys.append(k0)
+        if k0 is None or k1 is None or k0 == k1:
             tangent_failures.append(P)
-        if all(c == 0 for c in ro):
+        (us, vs, _), = odd.rows(P, frame)
+        if not (any(us) or vs and any(vs)):
             odd_failures.append(P)
     for P, Q in pairs:
-        if P == Q:
+        i, j = index[P], index[Q]
+        if i == j:
             continue  # covered by the tangent check at P
-        nP, nQ = jet(P)[3], jet(Q)[3]
-        if nP is None or nQ is None or nP == nQ:
+        kP, kQ = value_keys[i], value_keys[j]
+        if kP is None or kQ is None or kP == kQ:
             pair_failures.append((P, Q))
 
-    return EmbeddingReport(M, len(pairs), len(points), pair_failures,
+    return EmbeddingReport(M, len(pairs), len(index), pair_failures,
                            tangent_failures, odd_failures)
 
 

@@ -229,7 +229,17 @@ def _primitive_ints(p) -> List[int]:
     return [c // g for c in ints]
 
 
-def _int_derivative(a: List[int]) -> List[int]:
+def clear_denominators(*polys: Sequence[Fraction]
+                       ) -> Tuple[Fraction, List[List[int]]]:
+    """The positive rational lam that makes the coefficients of polys, all
+    together, coprime integers, and lam times each of polys."""
+    scale = lcm_int(*(c.denominator for p in polys for c in p))
+    ints = [[c.numerator * (scale // c.denominator) for c in p] for p in polys]
+    common = gcd_int(*(c for p in ints for c in p)) or 1
+    return Fraction(scale, common), [[c // common for c in p] for p in ints]
+
+
+def int_derivative(a: List[int]) -> List[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
@@ -280,7 +290,7 @@ def _integer_roots(b: List[int]) -> List[int]:
     uniquely to p^k (Hensel).  An integer root z has |z| <= 1 + max|b_i|,
     so once p^k exceeds twice that bound z is the symmetric lift.
     """
-    db = _int_derivative(b)
+    db = int_derivative(b)
     for prime in _primes():
         bp = [c % prime for c in b]
         found = [z for z in range(prime) if eval_at(bp, z) % prime == 0]
@@ -313,7 +323,7 @@ def rational_roots(p: Poly) -> Tuple[List[Tuple[Fraction, int]], Poly]:
     if not p:
         raise ValueError("zero polynomial")
     rest = _primitive_ints(p)
-    s = _int_div(rest, _int_gcd(rest, _int_derivative(rest)))
+    s = _int_div(rest, _int_gcd(rest, int_derivative(rest)))
     n, lc = len(s) - 1, s[-1]
     b = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
     roots = []

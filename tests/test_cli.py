@@ -265,6 +265,18 @@ def test_verify_without_samples_is_usage_error(capsys, tmp_path, samples):
     assert (code, out, err) == (2, "", "error: samples must be at least 1\n")
 
 
+def test_verify_samples_bound_is_checked_before_reading_model(capsys,
+                                                             tmp_path):
+    missing = str(tmp_path / "missing.json")
+    n = cli.MAX_SAMPLES + 1
+    assert run(capsys, "verify", missing, "--samples", str(n)) == (
+        2, "", f"error: verify stops at {cli.MAX_SAMPLES} samples; "
+               f"got {n}\n")
+    code, _, err = run(capsys, "verify", missing,
+                       "--samples", str(cli.MAX_SAMPLES))
+    assert code == 2 and err.startswith(f"error: cannot read {missing}")
+
+
 def test_verify_rejects_tampered_model(capsys, tmp_path):
     good = tmp_path / "good.json"
     run(capsys, "embed", "--genus", "2", "--theta", '{"subset": [0]}',

@@ -1,6 +1,7 @@
-"""The exact rank-2 row test, and the normalised-row rule it rests on,
-against a sympy oracle on every 2x2 minor; square roots in squarefree
-normal form against sympy's factorint."""
+"""The exact rank-2 row test, the normalised-row rule it rests on and
+verify_embedding's integer row keys, against a sympy oracle on every 2x2
+minor; square roots in squarefree normal form against sympy's
+factorint."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,9 @@ import sympy as sp
 
 from plurisusy import fieldext
 from plurisusy.fieldext import (_MR_BOUND, QuadExt, _square_factors,
-                                make_sqrt, normalised, qext,
-                                rows_independent, sqrt_normal_form)
+                                int_row, make_sqrt, normalised, qext,
+                                row_key, rows_independent,
+                                sqrt_normal_form)
 
 DS = (1, 2, 3, -1, 6)
 
@@ -53,6 +55,10 @@ def _check(row1, row2):
     assert (n1 is None or n2 is None or n1 == n2) != _oracle(row1, row2)
     for n in (n1, n2):
         assert n is None or next(x for x in n if x != 0) == 1
+    # the same rule on integer keys, with the columns scaled alike
+    lam = [Fraction(j + 2, 3) for j in range(len(row1))]
+    k1, k2 = (row_key(int_row(r, lam)) for r in (row1, row2))
+    assert (k1 is None or k2 is None or k1 == k2) != _oracle(row1, row2)
 
 
 def test_random_rows_match_minor_oracle():

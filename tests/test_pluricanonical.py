@@ -542,9 +542,9 @@ def test_verify_embedding_separates_conjugate_points():
 
 def test_verify_embedding_expands_regular_points_without_valuations(
         monkeypatch):
-    # at a non-branch point where no section has a zero or a pole,
-    # laurent_at reads the Taylor window directly: only infinity, where
-    # every section of these models has its pole, computes a valuation
+    # at a non-branch point off the cleared divisors, verify_embedding
+    # builds its rows in integers: only infinity, where every section of
+    # these models has its pole, computes a valuation
     rng = random.Random(31)
     C3 = HyperellipticCurve(polyq.from_roots(
         [Fraction(r) for r in (-5, -3, -2, 0, 1, 4, 6)]))
@@ -573,6 +573,44 @@ def test_verify_embedding_expands_regular_points_without_valuations(
         assert rep.all_pass and rep.points_checked == 16
         n_sections = len(M.even_sections) + len(M.odd_sections)
         assert reached == [C.infinity()] * n_sections
+
+
+def test_verify_embedding_reads_no_series_at_regular_points(monkeypatch):
+    # a fallback to laurent_at at regular points would keep every verdict
+    # and lose the integer rows' speed, so the calls are counted: none at
+    # regular points, one per section at infinity
+    C3 = standard_curve(3)
+    M = build_model(_supercurves(3)[0], 4)
+    calls = []
+    real = HyperellipticCurve.laurent_at
+
+    def spy(self, fn, P, nterms=1):
+        calls.append(P)
+        return real(self, fn, P, nterms)
+
+    monkeypatch.setattr(HyperellipticCurve, "laurent_at", spy)
+    regular = [C3.point(Fraction(k, 3), sign=(-1) ** k)
+               for k in range(-20, 40, 5) if k % 3]
+    assert verify_embedding(M, samples=regular).all_pass
+    assert calls == []
+    rep = verify_embedding(M, samples=regular + [C3.infinity()])
+    assert rep.all_pass and rep.points_checked == len(regular) + 1
+    assert calls == [C3.infinity()] * (len(M.even_sections)
+                                       + len(M.odd_sections))
+
+
+def test_verify_embedding_rejects_points_off_the_curve():
+    M = build_model(XW0, 5)
+    P = standard_curve(3).point(Fraction(7))
+    with pytest.raises(ValueError, match=rf"sample point \({P.x}, "):
+        verify_embedding(M, samples=[C2.infinity(), P])
+    with pytest.raises(ValueError, match="Inf is not on"):
+        verify_embedding(M, samples=[standard_curve(3).infinity()])
+    # a point built without the curve's check, with y^2 != f(x)
+    Q = C2.point(Fraction(5))
+    bad = type(Q)(C2, Q.x, Q.y * 2)
+    with pytest.raises(ValueError, match="is not on HyperellipticCurve"):
+        verify_embedding(M, samples=[Q, bad])
 
 
 @pytest.mark.parametrize("samples", [0, -3, []])

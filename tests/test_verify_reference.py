@@ -1,0 +1,195 @@
+"""verify_embedding against the Laurent-row reference.
+
+The reference is the row test verify_embedding used to run: the Laurent
+rows of `jets.jet_rows` at every sample point, compared through
+`fieldext.normalised` and `rows_independent`.  The integer rows and keys
+of verify_embedding must give the same report, failures included, on
+random models with sections dropped, at points with y in Q and in
+Q(sqrt d) for d > 0 and d < 0, at infinity, at branch points, and at a
+finite non-branch point in the support of a cleared divisor.
+"""
+
+import random
+from fractions import Fraction
+
+from plurisusy import polyq
+from plurisusy.curve import Divisor, HyperellipticCurve
+from plurisusy.fieldext import QuadExt, normalised, rows_independent
+from plurisusy.jets import jet_rows
+from plurisusy.pluricanonical import (EmbeddingReport, PluriCanonicalModel,
+                                      build_model, verify_embedding)
+from plurisusy.riemann_roch import theta_from_subset
+from plurisusy.supercurve import RankPair, make_split_supercurve
+
+
+def reference_report(M, pts):
+    curve = M.curve
+    D_even = M.cleared_divisors["even"]
+    D_odd = M.cleared_divisors["odd"]
+    pairs = [(pts[i], pts[j])
+             for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    points = list(dict.fromkeys(pts))
+    jets = {}
+    for P in points:
+        r0, r1 = jet_rows(curve, M.even_sections, D_even, P, 2)
+        (ro,) = jet_rows(curve, M.odd_sections, D_odd, P, 1)
+        jets[P] = (r0, r1, ro, normalised(r0))
+    tangent = [P for P in points if not rows_independent(*jets[P][:2])]
+    odd = [P for P in points if all(c == 0 for c in jets[P][2])]
+    pair = [(P, Q) for P, Q in pairs if P != Q and (
+        jets[P][3] is None or jets[Q][3] is None or jets[P][3] == jets[Q][3])]
+    return EmbeddingReport(M, len(pairs), len(points), pair, tangent, odd)
+
+
+def _split(roots):
+    return HyperellipticCurve(polyq.from_roots([Fraction(r) for r in roots]))
+
+
+def _finite_points(C):
+    """Non-branch points with x = k/2, by the field of y: 'Q', 'real'
+    (y in Q(sqrt d), d > 0) and 'imaginary' (d < 0)."""
+    kinds = {"Q": [], "real": [], "imaginary": []}
+    for k in range(-30, 31):
+        x0 = Fraction(k, 2)
+        if polyq.eval_at(C.f, x0) == 0:
+            continue
+        P = C.point(x0)
+        if not isinstance(P.y, QuadExt):
+            kinds["Q"].append(P)
+        else:
+            kinds["real" if P.y.d > 0 else "imaginary"].append(P)
+    return kinds
+
+
+def _base_models(rng):
+    """(model, extra sample points) for split curves at g = 2..4, with
+    (0, 1, 2, 3, -7) and (0, 1, 2, 3, 4, 5, -6) carrying rational-y
+    points, powers on both sides of the very-ampleness threshold, and
+    y^2 = x^5 + 1 with L ~ Q = (0, 1), whose cleared divisors are
+    multiples of the non-branch point Q."""
+    out = []
+    curves = [_split((0, 1, 2, 3, -7)), _split((0, 1, 2, 3, 4, 5, -6))]
+    for g in (2, 2, 3, 3, 4):
+        curves.append(_split(sorted(rng.sample(range(-6, 7), 2 * g + 1))))
+    for C in curves:
+        for _ in range(3):
+            subset = rng.sample(range(2 * C.genus + 1),
+                                rng.randint(0, C.genus))
+            X = make_split_supercurve(C, theta_from_subset(C, subset))
+            nu = rng.choice((3, 4, 5) if C.genus == 2 else (3, 4))
+            out.append((build_model(X, nu, force=True), []))
+    C = HyperellipticCurve(polyq.poly([1, 0, 0, 0, 0, 1]))
+    Q = C.point(Fraction(0), y=Fraction(1))
+    X = make_split_supercurve(C, Divisor({Q: 2, Q.conjugate(): 1,
+                                          C.infinity(): -2}))
+    for nu in (3, 4, 5, 6):
+        M = build_model(X, nu, force=True)
+        assert M.cleared_divisors["even"][Q] > 0
+        out.append((M, [Q, Q.conjugate()]))
+    return out
+
+
+def _vanishing_at(C, sections, P):
+    """A nonzero combination of the sections that vanishes at the point P,
+    which has a rational y and is a pole of none of them; None if there
+    is only one section and it does not vanish there."""
+    values = [C.evaluate(s, P) for s in sections]
+    for s, v in zip(sections, values):
+        if v == 0:
+            return s
+    if len(sections) < 2:
+        return None
+    return sections[0] * values[1] - sections[1] * values[0]
+
+
+def _variant(M, rng, rational):
+    """M with sections dropped, and sometimes an odd list of one section
+    that vanishes at a rational-y point, returned to be sampled."""
+    even, odd = list(M.even_sections), list(M.odd_sections)
+    extra = []
+    if rng.random() < 0.6:
+        even = rng.sample(even, rng.randint(1, len(even)))
+    if rng.random() < 0.5:
+        odd = rng.sample(odd, rng.randint(1, len(odd)))
+    if rational and rng.random() < 0.3:
+        P = rng.choice(rational)
+        s = None
+        if M.cleared_divisors["odd"][P] == 0:
+            s = _vanishing_at(M.curve, odd, P)
+        if s is not None:
+            odd, extra = [s], [P]
+    return PluriCanonicalModel(M.curve, M.nu,
+                               RankPair(len(even) - 1, len(odd)),
+                               tuple(even), tuple(odd),
+                               M.cleared_divisors), extra
+
+
+def _sample(C, rng, kinds, extra):
+    pts = [C.infinity()] + extra
+    branch = C.rational_branch_points()
+    pts += rng.sample(branch, min(2, len(branch)))
+    for kind in ("Q", "real", "imaginary"):
+        if kinds[kind]:
+            pts += rng.sample(kinds[kind], min(2, len(kinds[kind])))
+    P = rng.choice(pts[1:])
+    pts.append(P.conjugate())
+    pts.append(P)  # a repeated point is one point and no pair check
+    rng.shuffle(pts)
+    return pts
+
+
+def test_integer_keys_match_laurent_rows():
+    rng = random.Random(1801)
+    seen = {"pair": 0, "tangent": 0, "odd": 0, "pass": 0}
+    fields = set()
+    fallback_off_branch = 0
+    n_models = 0
+    for M, extra in _base_models(rng):
+        C = M.curve
+        kinds = _finite_points(C)
+        for _ in range(9):
+            V, vextra = _variant(M, rng, kinds["Q"])
+            pts = _sample(C, rng, kinds, extra + vextra)
+            got = verify_embedding(V, samples=pts)
+            want = reference_report(V, pts)
+            assert got.to_json() == want.to_json(), (V.even_sections,
+                                                     V.odd_sections, pts)
+            n_models += 1
+            seen["pair"] += bool(got.pair_failures)
+            seen["tangent"] += bool(got.tangent_failures)
+            seen["odd"] += bool(got.odd_failures)
+            seen["pass"] += got.all_pass
+            fields |= {k for k in kinds if set(kinds[k]) & set(pts)}
+            fallback_off_branch += any(
+                not P.at_infinity and P.y != 0
+                and V.cleared_divisors["even"][P] for P in pts)
+    assert n_models >= 200
+    assert min(seen.values()) >= 10, seen
+    assert fields == {"Q", "real", "imaginary"}
+    assert fallback_off_branch >= 20
+
+
+def test_pencils_with_shared_fibres_and_scaled_columns():
+    # two-section models on y^2 = x(x - 1)(x - 2)(x - 3)(x + 7): x^2 takes
+    # one value at the branch point (r, 0) and at (-r, y), so a pair of a
+    # Laurent row and an integer row fails; columns with content other
+    # than 1 need the same lam_j on both kinds of rows; and [1, y] has the
+    # derivative row (0, f'/2y), which only the f' Bt term of row 1 gives
+    C = _split((0, 1, 2, 3, -7))
+    M = build_model(make_split_supercurve(C, theta_from_subset(C, [0])), 5)
+    one, x, y = C.one_fn(), C.x_fn(), C.y_fn()
+    pts = [C.infinity(), C.branch_point(1), C.branch_point(2),
+           C.point(-1), C.point(-1, sign=-1), C.point(-2),
+           C.point(Fraction(1, 2)), C.point(Fraction(-5, 3), sign=-1)]
+    pencils = ([one * 3, x * x * Fraction(1, 2)],
+               [one, y], [x * 2, y * Fraction(3, 5)],
+               [one * Fraction(2, 7), (x * x + y) * 3, x * 5])
+    failed_pairs = set()
+    for even in pencils:
+        V = PluriCanonicalModel(C, M.nu, RankPair(len(even) - 1, 1),
+                                tuple(even), M.odd_sections[:1],
+                                M.cleared_divisors)
+        got = verify_embedding(V, samples=pts)
+        assert got.to_json() == reference_report(V, pts).to_json(), even
+        failed_pairs |= {(P.y == 0, Q.y == 0) for P, Q in got.pair_failures}
+    assert (True, False) in failed_pairs or (False, True) in failed_pairs
