@@ -26,14 +26,14 @@ from .supercurve import (dual_supercurve, is_autodual, make_split_supercurve,
                          moduli_dimension)
 
 # The largest genus of each subcommand that builds a curve, checked
-# before the stock curve is built: one run at the bound takes at most
-# about 3.5 s (measured in the README).  theta-census lists all 4^g
-# classes, so each genus past its bound would cost four times the one
-# before.
+# before the stock curve is built, and for verify before the model's
+# sections are read: one run at the bound takes at most about 3.5 s
+# (measured in the README).  theta-census lists all 4^g classes, so each
+# genus past its bound would cost four times the one before.
 CENSUS_MAX_GENUS = 8
 MAX_GENUS = {"theta-census": CENSUS_MAX_GENUS, "rank": 160, "dual": 160,
              "moduli-dim": 160, "thresholds": 50, "embed": 40,
-             "superpoint-rank": 40}
+             "superpoint-rank": 40, "verify": 8}
 # The largest degree (nu + 1)(g - 1) of the larger summand for the
 # subcommands whose run time grows with it, checked with the genus and
 # held to the same 3.5 s.
@@ -172,11 +172,18 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _bounded_model(args, obj):
+    """The model of obj, its genus checked from the "curve" entry before
+    the sections, which take longest to read, are parsed."""
+    _check_bounds(args, curve_from_json(obj["curve"]).genus)
+    return model_from_json(obj)
+
+
 def cmd_verify(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise UsageError(f"verify stops at {MAX_SAMPLES} samples; "
                          f"got {args.samples}")
-    model = _load_json(args.model, model_from_json)
+    model = _load_json(args.model, lambda obj: _bounded_model(args, obj))
     report = verify_embedding(model, samples=args.samples, seed=args.seed)
     _emit(args, report.to_json(), str(report))
     return 0 if report.all_pass else 1

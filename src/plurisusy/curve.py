@@ -54,7 +54,7 @@ class HyperellipticCurve:
         self.genus = (d - 1) // 2
         self._rr_cache: Dict = {}
         self._roots: Optional[Tuple[List[Tuple[Fraction, int]], Poly]] = None
-        self._branch: Dict[Fraction, CurvePoint] = {}
+        self._branch: Optional[Dict[Fraction, CurvePoint]] = None
         self._local: Dict[CurvePoint, _Local] = {}
         # points are never mutated, so every caller shares this one
         self._infinity = CurvePoint(self, None, None, at_infinity=True)
@@ -120,11 +120,12 @@ class HyperellipticCurve:
 
     # -- local expansions ----------------------------------------------------
     #
-    # Each curve caches its local data: the factorisation of f, and per
-    # point x(t), y(t), the powers x^i(t) and the inverses 1/d(t) of the
-    # denominators seen there.  A series is kept at the largest cut asked
-    # for so far and regrown to at least twice that cut when a caller needs
-    # more; a smaller cut gets an exact truncation, equal to a fresh solve.
+    # Each curve caches its local data: the factorisation of f, the branch
+    # points, and per point x(t), y(t), the powers x^i(t) and the inverses
+    # 1/d(t) of the denominators seen there.  A series is kept at the
+    # largest cut asked for so far and regrown to at least twice that cut
+    # when a caller needs more; a smaller cut gets an exact truncation,
+    # equal to a fresh solve.
     # Internal callers read the cache and call the public x_series_at_branch,
     # y_series_at and y_series_at_infinity only to grow it.
 
@@ -132,14 +133,14 @@ class HyperellipticCurve:
         """Rational roots of f with multiplicities, and the cofactor."""
         if self._roots is None:
             self._roots = polyq.rational_roots(self.f)
-            self._branch = {r: CurvePoint(self, r, Fraction(0))
-                            for r, _m in self._roots[0]}
         return self._roots
 
     def _branch_points(self) -> Dict[Fraction, "CurvePoint"]:
         """The rational branch points, keyed by x-coordinate and in
-        increasing order."""
-        self._f_roots()
+        increasing order; built on the first call."""
+        if self._branch is None:
+            self._branch = {r: CurvePoint(self, r, Fraction(0))
+                            for r, _m in self._f_roots()[0]}
         return self._branch
 
     def _local_at(self, P: "CurvePoint") -> "_Local":

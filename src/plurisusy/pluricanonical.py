@@ -265,7 +265,7 @@ def minimal_nu(g: int, quantifier: str = "all-thetas",
             even, odd = parity_representatives(curve)
             pairs = [(curve, {"even": even, "odd": odd}[theta])]
         else:
-            pairs = [(theta.cls.curve, theta)]
+            pairs = [(theta.curve, theta)]
     else:
         raise ValueError(f"unknown quantifier {quantifier!r}")
     models = [make_split_supercurve(c, th) for c, th in pairs]

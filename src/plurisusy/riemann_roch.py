@@ -271,7 +271,8 @@ class DivisorClass:
     def __eq__(self, other):
         if not isinstance(other, DivisorClass):
             return NotImplemented
-        return class_eq(self.curve, self.rep, other.rep)
+        return (self.curve == other.curve
+                and class_eq(self.curve, self.rep, other.rep))
 
     def __hash__(self):
         raise TypeError("DivisorClass equality is linear equivalence; not hashable")
@@ -286,18 +287,28 @@ def canonical_class(curve: HyperellipticCurve) -> DivisorClass:
 
 @dataclass(frozen=True)
 class ThetaCharacteristic:
-    """A square root of the canonical class, represented by the divisor
-    sum of branch points over a subset S plus (g - 1 - |S|) * infinity.
-    `subset` holds indices into the sorted list of finite branch roots."""
+    """A square root of the canonical class, carried by its curve and the
+    subset S of the sorted finite branch roots: the class of the sum of
+    the branch points over S plus (g - 1 - |S|) * infinity.  `roots` are
+    the x-coordinates of those branch points.  The divisor and its class
+    are built on each access, so a census makes neither.  On one curve
+    distinct subsets of size at most g are distinct classes, so equality
+    of these fields is equality of classes, and thetas hash."""
 
+    curve: HyperellipticCurve
     subset: Tuple[int, ...]
     roots: Tuple[Fraction, ...]
-    cls: DivisorClass
     h0: int
 
     @property
     def divisor(self) -> Divisor:
-        return self.cls.rep
+        C = self.curve
+        return Divisor({**{C.branch_point(r): 1 for r in self.roots},
+                        C.infinity(): C.genus - 1 - len(self.roots)})
+
+    @property
+    def cls(self) -> DivisorClass:
+        return DivisorClass(self.curve, self.divisor)
 
     @property
     def parity(self) -> str:
@@ -316,23 +327,14 @@ def branch_roots(curve: HyperellipticCurve) -> List[Fraction]:
     return [r for r, _ in roots]
 
 
-def _theta(curve: HyperellipticCurve, points: List[CurvePoint], inf: CurvePoint,
-           subset: Tuple[int, ...], h: int) -> ThetaCharacteristic:
-    """The class of the points[i], i in subset, plus (g - 1 - |subset|) inf."""
-    D = Divisor({**{points[i]: 1 for i in subset},
-                 inf: curve.genus - 1 - len(subset)})
-    return ThetaCharacteristic(subset, tuple(points[i].x for i in subset),
-                               DivisorClass(curve, D), h)
-
-
 def _census(curve: HyperellipticCurve) -> Iterator[ThetaCharacteristic]:
     """The theta characteristics in census order (see theta_characteristics)."""
-    points = [curve.branch_point(r) for r in branch_roots(curve)]
-    inf, g = curve.infinity(), curve.genus
+    rs, g = branch_roots(curve), curve.genus
     for size in range(g + 1):
         h = _h0_reduced(g, size, g - 1 - size)
-        for S in combinations(range(len(points)), size):
-            yield _theta(curve, points, inf, S, h)
+        for S, roots in zip(combinations(range(len(rs)), size),
+                            combinations(rs, size)):
+            yield ThetaCharacteristic(curve, S, roots, h)
 
 
 def theta_from_subset(curve: HyperellipticCurve, subset) -> ThetaCharacteristic:
@@ -343,8 +345,8 @@ def theta_from_subset(curve: HyperellipticCurve, subset) -> ThetaCharacteristic:
         raise ValueError(f"invalid branch-root subset {subset}")
     if e > g:
         raise ValueError("representatives use at most g branch points")
-    return _theta(curve, curve.rational_branch_points(), curve.infinity(),
-                  subset, _h0_reduced(g, e, g - 1 - e))
+    return ThetaCharacteristic(curve, subset, tuple(rs[i] for i in subset),
+                               _h0_reduced(g, e, g - 1 - e))
 
 
 def theta_characteristics(curve: HyperellipticCurve) -> List[ThetaCharacteristic]:

@@ -155,7 +155,7 @@ def moduli_dimension(g: int) -> RankPair:
     curve = standard_curve(g)
     K = canonical_class(curve).rep
     even_theta, _odd = parity_representatives(curve)
-    L = even_theta.cls.rep
+    L = even_theta.divisor
     even = h0(curve, K + K)
     odd = h0(curve, K + L)
     return RankPair(even, odd)
@@ -178,7 +178,7 @@ def deformation_injectivity_dims(g: int) -> DeformationReport:
     curve = standard_curve(g)
     K = canonical_class(curve).rep
     even_theta, _odd = parity_representatives(curve)
-    L = even_theta.cls.rep
+    L = even_theta.divisor
     # h^1(-K) = h^0(2K); h^1(-L) = h^0(K+L); h^1(-K+L) = h^0(2K-L)
     s = RankPair(h0(curve, K + K), h0(curve, K + L))
     t = RankPair(h0(curve, K + K), h0(curve, K + K - L))

@@ -277,6 +277,32 @@ def test_verify_samples_bound_is_checked_before_reading_model(capsys,
     assert code == 2 and err.startswith(f"error: cannot read {missing}")
 
 
+class SectionsRead(Exception):
+    pass
+
+
+def test_verify_genus_bound_is_checked_before_parsing_sections(
+        capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise SectionsRead("the model was read past its curve")
+
+    monkeypatch.setattr(serialize, "parse_function", refuse)
+    monkeypatch.setattr(cli, "verify_embedding", refuse)
+    g = cli.MAX_GENUS["verify"]
+    for genus in (g, g + 1):
+        C = standard_curve(genus)
+        model = build_model(make_split_supercurve(
+            C, theta_from_subset(C, range(genus))), 3)
+        path = tmp_path / f"model{genus}.json"
+        path.write_text(serialize.dumps(serialize.model_to_json(model)))
+        if genus == g:  # the bound itself goes on to the sections
+            with pytest.raises(SectionsRead):
+                cli.main(["verify", str(path), "--samples", "1"])
+        else:
+            assert run(capsys, "verify", str(path)) == (
+                2, "", f"error: verify stops at genus {g}; got genus {g + 1}\n")
+
+
 def test_verify_rejects_tampered_model(capsys, tmp_path):
     good = tmp_path / "good.json"
     run(capsys, "embed", "--genus", "2", "--theta", '{"subset": [0]}',
@@ -410,7 +436,8 @@ def test_every_genus_option_has_a_bound():
                if isinstance(a, argparse._SubParsersAction))
     with_genus = {name for name, p in sub.choices.items()
                   if any("--genus" in a.option_strings for a in p._actions)}
-    assert with_genus == set(cli.MAX_GENUS)
+    # verify reads its genus from the model file
+    assert with_genus | {"verify"} == set(cli.MAX_GENUS)
 
 
 @pytest.mark.parametrize("command, extra", [

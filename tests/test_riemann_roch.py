@@ -7,7 +7,8 @@ from itertools import combinations
 import pytest
 
 from plurisusy import polyq, riemann_roch
-from plurisusy.curve import Divisor, HyperellipticCurve, standard_curve
+from plurisusy.curve import (CurvePoint, Divisor, HyperellipticCurve,
+                             standard_curve)
 from plurisusy.riemann_roch import (DivisorClass, _semi_reduced, branch_roots,
                                     canonical_class, canonical_divisor,
                                     class_eq, h0, h1, is_principal,
@@ -384,6 +385,17 @@ def test_divisor_class_arithmetic():
         hash(a)
 
 
+def test_classes_on_different_curves_are_unequal():
+    C = HyperellipticCurve(polyq.from_roots(
+        [Fraction(r) for r in (0, 1, 2, 3, 5)]))
+    assert canonical_class(C2) != canonical_class(C)
+    assert theta_from_subset(C2, (0,)).cls != theta_from_subset(C, (0,)).cls
+    # another curve object with the same f is the same curve
+    assert canonical_class(standard_curve(2)) == canonical_class(C2)
+    assert (theta_from_subset(standard_curve(2), (0,)).cls
+            == theta_from_subset(C2, (0,)).cls)
+
+
 def test_canonical_class_squares():
     K = canonical_class(C2)
     assert K.degree() == 2
@@ -476,13 +488,33 @@ def test_census_reduces_no_divisor(monkeypatch):
     C = standard_curve(3)
 
     def refuse(*args):
-        raise AssertionError("the census reduced or added divisors")
+        raise AssertionError("the census built, reduced or added divisors "
+                             "or points")
 
     monkeypatch.setattr(riemann_roch, "_reduce", refuse)
     monkeypatch.setattr(Divisor, "__add__", refuse)
+    monkeypatch.setattr(Divisor, "__init__", refuse)
+    monkeypatch.setattr(CurvePoint, "__init__", refuse)
     census = theta_characteristics(C)
     assert len(census) == 64
     assert sum(t.is_odd for t in census) == 28
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_census_thetas_are_values(g):
+    C = standard_curve(g)
+    census = set(theta_characteristics(C))
+    assert len(census) == 4 ** g
+    for k in range(g + 1):
+        for S in combinations(range(2 * g + 1), k):
+            assert theta_from_subset(C, S) in census
+    # equal on another curve object with the same f, unequal when f differs
+    same = standard_curve(g)
+    other = HyperellipticCurve(polyq.from_roots(
+        [Fraction(r) for r in [*range(2 * g), 2 * g + 1]]))
+    for t in census:
+        assert theta_from_subset(same, t.subset) == t
+        assert theta_from_subset(other, t.subset) != t
 
 
 def test_theta_from_subset_validation():
