@@ -12,18 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .curve import HyperellipticCurve, standard_curve
-from .pluricanonical import (NotVeryAmpleError, SuperPointFamily,
-                             build_model, pluri_canonical_rank,
-                             pushforward_over_superpoint, random_deformation,
-                             threshold_table, verify_embedding)
-from .riemann_roch import parity_representatives, theta_characteristics
-from .serialize import (curve_from_json, dumps, model_from_json,
-                        model_to_json, supercurve_to_json, theta_from_json)
-from .supercurve import (dual_supercurve, is_autodual, make_split_supercurve,
-                         moduli_dimension)
+if TYPE_CHECKING:
+    from .curve import HyperellipticCurve
+
+# Each command imports what it runs when it runs (__init__.py says why).
 
 # The largest genus of each subcommand that builds a curve, checked
 # before the stock curve is built, and for verify before the model's
@@ -73,7 +67,12 @@ def _write(path: Optional[str], text: str) -> None:
 def _emit(args, payload, text: str) -> None:
     """Write a command's result: payload as JSON under --format json,
     else text, to --out or stdout."""
-    _write(args.out, dumps(payload) if args.format == "json" else text + "\n")
+    if args.format == "json":
+        from .reader import dumps
+        text = dumps(payload)
+    else:
+        text += "\n"
+    _write(args.out, text)
 
 
 def _check_bounds(args, genus: int) -> None:
@@ -90,7 +89,9 @@ def _check_bounds(args, genus: int) -> None:
 
 
 def _get_curve(args) -> HyperellipticCurve:
+    from .curve import standard_curve
     if getattr(args, "curve", None) is not None:
+        from .serialize import curve_from_json
         curve = _load_json(args.curve, curve_from_json)
         _check_bounds(args, curve.genus)
         return curve
@@ -101,6 +102,7 @@ def _get_curve(args) -> HyperellipticCurve:
 
 
 def _get_theta(curve: HyperellipticCurve, choice: Optional[str]):
+    from .riemann_roch import parity_representatives
     even, odd = parity_representatives(curve)
     if choice is None or choice == "even":
         return even
@@ -113,6 +115,7 @@ def _get_theta(curve: HyperellipticCurve, choice: Optional[str]):
                          f"object: {exc}") from exc
     if not isinstance(obj, dict) or "subset" not in obj:
         raise UsageError('--theta JSON must look like {"subset": [0, 1]}')
+    from .serialize import theta_from_json
     try:
         return theta_from_json(curve, obj)
     except ValueError as exc:
@@ -120,12 +123,14 @@ def _get_theta(curve: HyperellipticCurve, choice: Optional[str]):
 
 
 def _get_supercurve(args):
+    from .supercurve import make_split_supercurve
     curve = _get_curve(args)
     theta = _get_theta(curve, getattr(args, "theta", None))
     return make_split_supercurve(curve, theta)
 
 
 def cmd_rank(args) -> int:
+    from .pluricanonical import pluri_canonical_rank
     X = _get_supercurve(args)
     report = pluri_canonical_rank(X, args.nu)
     _emit(args, report.to_json(), str(report))
@@ -133,6 +138,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
+    from .pluricanonical import threshold_table
     _check_bounds(args, args.genus)
     cells = threshold_table(args.genus, args.nu)
     _emit(args, [c.to_json() for c in cells], "\n".join(map(str, cells)))
@@ -140,6 +146,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_theta_census(args) -> int:
+    from .riemann_roch import theta_characteristics
     curve = _get_curve(args)
     census = theta_characteristics(curve)
     n_odd = sum(1 for t in census if t.is_odd)
@@ -156,6 +163,8 @@ def cmd_theta_census(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .pluricanonical import NotVeryAmpleError, build_model
+    from .serialize import dumps, model_to_json
     X = _get_supercurve(args)
     try:
         model = build_model(X, args.nu)
@@ -175,11 +184,13 @@ def cmd_embed(args) -> int:
 def _bounded_model(args, obj):
     """The model of obj, its genus checked from the "curve" entry before
     the sections, which take longest to read, are parsed."""
+    from .serialize import curve_from_json, model_from_json
     _check_bounds(args, curve_from_json(obj["curve"]).genus)
     return model_from_json(obj)
 
 
 def cmd_verify(args) -> int:
+    from .pluricanonical import verify_embedding
     if args.samples > MAX_SAMPLES:
         raise UsageError(f"verify stops at {MAX_SAMPLES} samples; "
                          f"got {args.samples}")
@@ -190,6 +201,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dual(args) -> int:
+    from .serialize import supercurve_to_json
+    from .supercurve import dual_supercurve, is_autodual
     X = _get_supercurve(args)
     payload = {
         "dual": supercurve_to_json(dual_supercurve(X)),
@@ -202,6 +215,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_moduli_dim(args) -> int:
+    from .supercurve import moduli_dimension
     _check_bounds(args, args.genus)
     dim = moduli_dimension(args.genus)
     _emit(args, {"even": dim.even, "odd": dim.odd, "dimension": str(dim)},
@@ -210,6 +224,8 @@ def cmd_moduli_dim(args) -> int:
 
 
 def cmd_superpoint(args) -> int:
+    from .pluricanonical import (SuperPointFamily, random_deformation,
+                                 pushforward_over_superpoint)
     X = _get_supercurve(args)
     h = random_deformation(X.curve, seed=args.seed)
     family = SuperPointFamily(X, h)
@@ -222,7 +238,6 @@ _ODD_NAMES = ("theta", "eta", "xi", "zeta", "chi")
 
 
 def cmd_check_sc(args) -> int:
-    # imported here, as the package's __init__ explains
     from .graded_algebra import GrassmannAlgebra, check_superconformal
 
     used = [n for n in _ODD_NAMES

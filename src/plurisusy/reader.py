@@ -1,4 +1,5 @@
-"""The package's one expression reader, built on `ast` and exact arithmetic.
+"""The package's one expression reader, built on `ast` and exact
+arithmetic, and its one JSON writer, `dumps`.
 
 evaluate(text, names, ring) reads text in this grammar: integer and
 decimal literals (a decimal is the exact rational of its digits, 0.1 is
@@ -13,13 +14,42 @@ ring, an object with the methods
 
 while a name evaluates to its value in names.  Anything else, a syntax
 error, and nesting too deep for the parser raise ValueError.
+
+An exponent, times every exponent its base is raised to, stops at
+MAX_EXPONENT, and so does the exponent of a decimal, times the same; a
+larger one raises ValueError.  The cost of a power grows with its
+exponent, faster than linearly, and `(z**300)**300` is z**90000.  The
+package writes no exponent above 80 (`x^80` in an `embed` model at the
+largest degree the CLI allows) and no decimal exponent.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 from fractions import Fraction
 from typing import Mapping
+
+MAX_EXPONENT = 100
+
+
+def _check_exponent(n: int, what: str) -> None:
+    if abs(n) > MAX_EXPONENT:
+        raise ValueError(f"{what} stop at {MAX_EXPONENT}; got {n}")
+
+
+def decimal(text: str, scale: int = 1) -> Fraction:
+    """The exact rational of text, as `Fraction` reads it, once the
+    exponent of a decimal, times scale, is checked against MAX_EXPONENT."""
+    _, e, exp = text.strip().lower().rpartition("e")
+    digits = exp.lstrip("+-").replace("_", "").lstrip("0") or "0"
+    if e and digits.isdecimal():
+        if len(digits) > 20:  # over the bound, and int() of it may be slow
+            raise ValueError(f"decimal exponents stop at {MAX_EXPONENT}; "
+                             f"got one of {len(digits)} digits")
+        sign = -1 if exp.startswith("-") else 1
+        _check_exponent(sign * int(digits) * scale, "decimal exponents")
+    return Fraction(text)
 
 
 def _exponent(node: ast.expr) -> int:
@@ -33,24 +63,28 @@ def _exponent(node: ast.expr) -> int:
     return sign * node.value
 
 
-def _eval(names: Mapping, ring, src: str, node: ast.expr):
+def _eval(names: Mapping, ring, src: str, node: ast.expr, scale: int):
+    """The value of node, which is raised to the power scale in all."""
     if isinstance(node, ast.Name) and node.id in names:
         return names[node.id]
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return ring.const(Fraction(node.value))
+    if isinstance(node, ast.Constant) and type(node.value) is float:
         # a decimal is read exactly from its digits: 0.1 is 1/10
-        return ring.const(Fraction(node.value if type(node.value) is int
-                                   else ast.get_source_segment(src, node)))
+        return ring.const(decimal(ast.get_source_segment(src, node), scale))
     if isinstance(node, ast.UnaryOp) and isinstance(node.op,
                                                     (ast.UAdd, ast.USub)):
-        a = _eval(names, ring, src, node.operand)
+        a = _eval(names, ring, src, node.operand, scale)
         return a if isinstance(node.op, ast.UAdd) else ring.neg(a)
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        a = _eval(names, ring, src, node.left)
-        return ring.pow(a, _exponent(node.right))
+        n = _exponent(node.right)
+        _check_exponent(n * scale, "exponents (nested ones multiplied)")
+        a = _eval(names, ring, src, node.left, max(abs(n), 1) * scale)
+        return ring.pow(a, n)
     if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-        a = _eval(names, ring, src, node.left)
-        b = _eval(names, ring, src, node.right)
+        a = _eval(names, ring, src, node.left, scale)
+        b = _eval(names, ring, src, node.right, scale)
         if isinstance(node.op, ast.Mult):
             return ring.mul(a, b)
         if isinstance(node.op, ast.Div):
@@ -65,8 +99,14 @@ def evaluate(text: str, names: Mapping, ring):
     """The value of text in ring, in the grammar of the module docstring."""
     src = text.replace("^", "**")
     try:
-        return _eval(names, ring, src, ast.parse(src, mode="eval").body)
+        return _eval(names, ring, src, ast.parse(src, mode="eval").body, 1)
     except SyntaxError as exc:
         raise ValueError(exc.msg) from exc
     except RecursionError as exc:
         raise ValueError("nested too deeply") from exc
+
+
+def dumps(obj) -> str:
+    """The JSON text of obj as the package writes it: keys sorted, an
+    indent of 2 and a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -13,30 +13,34 @@ binary + - * /, parentheses, and ** or ^ raised to an integer literal.
 The string is evaluated in Q(x)[y] without applying y^2 = f and must come
 out of y-degree at most 1.  A negative power needs a nonzero y-free base
 and a divisor must be nonzero and y-free, so y/y and x*y/y, which earlier
-versions cancelled, are rejected.  Anything else raises ValueError.
+versions cancelled, are rejected.  Exponents, and the exponent of a
+decimal, here and in a rational string, stop at `reader.MAX_EXPONENT`.
+Anything else raises ValueError.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from . import polyq
+from . import polyq, reader
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
 from .fieldext import make_sqrt, rational_sqrt
-from .pluricanonical import PluriCanonicalModel
-from .reader import evaluate
 from .riemann_roch import ThetaCharacteristic, theta_from_subset
 from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
+
+if TYPE_CHECKING:
+    from .pluricanonical import PluriCanonicalModel
+
+dumps = reader.dumps  # kept there so the CLI writes JSON without serialize
 
 
 def _frac(s) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
         raise ValueError(f"exact rational expected, got {s!r}")
-    try:
-        return Fraction(s)
+    try:  # a string's decimal exponent stops at reader.MAX_EXPONENT
+        return reader.decimal(s) if isinstance(s, str) else Fraction(s)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {s!r}") from exc
 
@@ -202,7 +206,7 @@ def parse_function(curve: HyperellipticCurve, s: str) -> FunctionFieldElement:
     zero = curve.function(polyq.ZERO)
     names = {"x": [curve.x_fn()], "y": [zero, curve.one_fn()]}
     try:
-        cs = evaluate(s, names, _YRing(curve))
+        cs = reader.evaluate(s, names, _YRing(curve))
     except ValueError as exc:
         raise ValueError(f"function string {s!r}: {exc}") from exc
     if len(cs) > 2:
@@ -227,6 +231,7 @@ def model_to_json(M: PluriCanonicalModel) -> Dict:
 
 
 def model_from_json(obj: Dict) -> PluriCanonicalModel:
+    from .pluricanonical import PluriCanonicalModel
     curve = curve_from_json(obj["curve"])
     ambient = RankPair(_int(obj["ambient"]["even"], "ambient.even"),
                        _int(obj["ambient"]["odd"], "ambient.odd"))
@@ -238,7 +243,3 @@ def model_from_json(obj: Dict) -> PluriCanonicalModel:
     }
     return PluriCanonicalModel(curve, _int(obj["nu"], "nu"), ambient, even,
                                odd, cleared)
-
-
-def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

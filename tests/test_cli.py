@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from plurisusy import cli, pluricanonical, serialize, supercurve
+from plurisusy import (cli, curve, pluricanonical, reader, serialize,
+                       supercurve)
 from plurisusy.curve import Divisor, standard_curve
 from plurisusy.pluricanonical import build_model
 from plurisusy.riemann_roch import theta_from_subset
@@ -287,7 +289,7 @@ def test_verify_genus_bound_is_checked_before_parsing_sections(
         raise SectionsRead("the model was read past its curve")
 
     monkeypatch.setattr(serialize, "parse_function", refuse)
-    monkeypatch.setattr(cli, "verify_embedding", refuse)
+    monkeypatch.setattr(pluricanonical, "verify_embedding", refuse)
     g = cli.MAX_GENUS["verify"]
     for genus in (g, g + 1):
         C = standard_curve(genus)
@@ -418,7 +420,7 @@ def test_theta_census_checks_genus_bound_before_building_curve(capsys,
     def refuse(g):
         raise AssertionError(f"standard_curve({g}) was built")
 
-    monkeypatch.setattr(cli, "standard_curve", refuse)
+    monkeypatch.setattr(curve, "standard_curve", refuse)
     g = cli.CENSUS_MAX_GENUS + 1
     code, out, err = run(capsys, "theta-census", "--genus", str(g))
     assert (code, out, err) == (
@@ -449,7 +451,7 @@ def test_genus_bound_is_checked_before_building_curve(capsys, monkeypatch,
     def refuse(g):
         raise StockCurveBuilt(g)
 
-    for module in (cli, supercurve, pluricanonical):
+    for module in (curve, supercurve, pluricanonical):
         monkeypatch.setattr(module, "standard_curve", refuse)
     g = cli.MAX_GENUS[command]
     code, out, err = run(capsys, command, "--genus", str(g + 1), *extra)
@@ -487,7 +489,7 @@ def test_degree_bound_is_checked_before_building_curve(capsys, monkeypatch,
     def refuse(g):
         raise StockCurveBuilt(g)
 
-    for module in (cli, supercurve, pluricanonical):
+    for module in (curve, supercurve, pluricanonical):
         monkeypatch.setattr(module, "standard_curve", refuse)
     g = cli.MAX_GENUS[command] if genus == "max" else genus
     bound = cli.MAX_DEGREE[command]
@@ -619,3 +621,82 @@ def test_readme_library_example_prints_its_comments(capsys):
     expected = [line.split("# ")[-1] for line in code.splitlines()
                 if line.startswith("print(")]
     assert capsys.readouterr().out.splitlines() == expected
+
+
+# ---------------------------------------------------------------------------
+# the size of the numbers a reader accepts
+# ---------------------------------------------------------------------------
+
+_B = reader.MAX_EXPONENT
+_POW = f"exponents (nested ones multiplied) stop at {_B}"
+_DEC = f"decimal exponents stop at {_B}"
+
+
+@pytest.mark.parametrize("zp, message", [
+    (f"z**{_B + 1}", f"{_POW}; got {_B + 1}"),
+    (f"z^-{_B + 1}", f"{_POW}; got -{_B + 1}"),
+    ("z**100000000", f"{_POW}; got 100000000"),
+    ("(z**11)**10", f"{_POW}; got 110"),
+    ("((1 + z**5)**5)**5", f"{_POW}; got 125"),
+    ("(z**2000)**0", f"{_POW}; got 2000"),
+    (f"1e{_B + 1}*z", f"{_DEC}; got {_B + 1}"),
+    (f"1.5E-{_B + 1}*z", f"{_DEC}; got -{_B + 1}"),
+    ("1e9999999*z", f"{_DEC}; got 9999999"),
+    ("1e99999999*z", f"{_DEC}; got 99999999"),
+    pytest.param("1e" + "9" * 5000 + "*z", f"{_DEC}; got one of 5000 digits",
+                 id="5000-digit-exponent"),
+    ("(1e60*z)**2", f"{_DEC}; got 120"),
+])
+def test_check_superconformal_bounds_exponents(capsys, zp, message):
+    assert run(capsys, "check-superconformal", zp, "theta") == (
+        2, "", f"error: expression {zp!r}: {message}\n")
+
+
+@pytest.mark.parametrize("zp", [f"z**{_B}", "(z**10)**10", f"z**-{_B}",
+                                f"1e{_B}*z", f"1e-{_B}*z", "(1e50*z)**2"])
+def test_check_superconformal_accepts_exponents_at_the_bound(capsys, zp):
+    code, out, err = run(capsys, "check-superconformal", zp, "theta")
+    assert (code, err) == (1, "")
+    assert out.startswith("superconformal: no\nresidual: ")
+
+
+def test_function_strings_bound_exponents():
+    assert serialize.parse_function(C2, f"x**{_B}") == C2.function(
+        (0,) * _B + (1,))
+    assert serialize.parse_function(C2, f"1e{_B}") == 10 ** _B
+    for s, message in [(f"x**{_B + 1}", f"{_POW}; got {_B + 1}"),
+                       ("x**20000", f"{_POW}; got 20000"),
+                       ("y**100000000", f"{_POW}; got 100000000"),
+                       ("(y**2)**51", f"{_POW}; got 102"),
+                       ("1e9999999*x", f"{_DEC}; got 9999999")]:
+        with pytest.raises(ValueError) as exc:
+            serialize.parse_function(C2, s)
+        assert str(exc.value) == f"function string {s!r}: {message}"
+
+
+def test_rational_strings_bound_decimal_exponents(capsys, tmp_path):
+    coeffs = serialize.curve_to_json(C2)["f_coeffs"]
+    assert serialize.curve_from_json(
+        {"f_coeffs": [f"1e{_B}", *coeffs[1:]]}).f[0] == 10 ** _B
+    for c, message in [(f"1e{_B + 1}", f"{_DEC}; got {_B + 1}"),
+                       (f"24E-{_B + 1}", f"{_DEC}; got -{_B + 1}"),
+                       ("1e9999999", f"{_DEC}; got 9999999"),
+                       ("1e" + "0" * 5000 + "9" * 30,
+                        f"{_DEC}; got one of 30 digits")]:
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"f_coeffs": [c, *coeffs[1:]]}))
+        assert run(capsys, "theta-census", "--curve", str(path)) == (
+            2, "", f"error: malformed {path}: ValueError: {message}\n")
+
+
+def test_models_the_cli_writes_stay_within_the_exponent_bound(capsys,
+                                                                tmp_path):
+    # the largest degree embed allows, at the genus where its sections
+    # reach the highest power of x
+    nu = cli.MAX_DEGREE["embed"] - 1
+    path = tmp_path / "model.json"
+    assert run(capsys, "embed", "--genus", "2", "--nu", str(nu),
+               "--out", str(path))[0] == 0
+    powers = re.findall(r"\^(-?\d+)", path.read_text())
+    assert max(abs(int(p)) for p in powers) == 80 < _B
+    assert not re.search(r"\d[eE]", path.read_text())  # no decimal exponent
