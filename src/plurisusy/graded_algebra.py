@@ -41,7 +41,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from . import polyq
 from .polyq import Poly
-from .reader import evaluate
+from .reader import check_degree, degrees, evaluate
 
 Subset = Tuple[int, ...]
 
@@ -487,25 +487,42 @@ def _scalar_inverse(a: GrassmannElement, what: str) -> RationalFunction:
 
 class _Reader:
     """One Grassmann algebra as the ring of `reader.evaluate`: a divisor,
-    and the base of a negative power, must be a nonzero element of Q(z)."""
+    and the base of a negative power, must be a nonzero element of Q(z).
+    No result may pass `reader.MAX_DEGREE` in z (see `reader.degrees`)."""
 
     neg = staticmethod(operator.neg)
-    add = staticmethod(operator.add)
-    mul = staticmethod(operator.mul)
 
     def __init__(self, alg: "GrassmannAlgebra"):
         self.alg = alg
 
+    @staticmethod
+    def _degrees(a: GrassmannElement) -> Tuple[int, int]:
+        return degrees((c.num, c.den) for c in a.terms.values())
+
     def const(self, c: Fraction) -> GrassmannElement:
         return self.alg.scalar(c)
 
-    @staticmethod
-    def div(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-        return a * _scalar_inverse(b, "division by")
+    def add(self, a: GrassmannElement, b: GrassmannElement
+            ) -> GrassmannElement:
+        check_degree(*degrees((c.num, c.den) for e in (a, b)
+                              for c in e.terms.values()), EVEN)
+        return a + b
+
+    def mul(self, a: GrassmannElement, b: GrassmannElement
+            ) -> GrassmannElement:
+        (na, da), (nb, db) = self._degrees(a), self._degrees(b)
+        check_degree(na + nb, da + db, EVEN)
+        return a * b
+
+    def div(self, a: GrassmannElement, b: GrassmannElement
+            ) -> GrassmannElement:
+        return self.mul(a, self.alg.scalar(_scalar_inverse(b, "division by")))
 
     def pow(self, a: GrassmannElement, n: int) -> GrassmannElement:
         if n < 0:
             a = self.alg.scalar(_scalar_inverse(a, "negative power of"))
+        na, da = self._degrees(a)
+        check_degree(abs(n) * na, abs(n) * da, EVEN)
         return a ** abs(n)
 
 

@@ -86,6 +86,13 @@ def pluri_canonical_rank(X: SplitSupercurve, nu: int) -> RankReport:
     slot and (2nu-1)g - 2nu + 1 in the L^(nu+1) slot; the second entry
     disagrees with the computed value for every nu >= 2.
     """
+    return _certified_rank(X, nu)[0]
+
+
+def _certified_rank(X: SplitSupercurve, nu: int
+                    ) -> Tuple[RankReport, FreenessCertificate]:
+    """pluri_canonical_rank with the certificate it rests on, whose
+    h1_E and h1_EL belong to the powers nu and nu + 1."""
     if nu < 1:
         raise ValueError("nu must be at least 1")
     g = X.genus
@@ -95,9 +102,9 @@ def pluri_canonical_rank(X: SplitSupercurve, nu: int) -> RankReport:
     alt = {nu: (nu - 1) * g - nu + 1, nu + 1: (2 * nu - 1) * g - 2 * nu + 1}
     formula = RankPair(alt[k_even], alt[k_odd])
     if cert.passed:
-        return RankReport(nu, cert.rank, True, formula)
+        return RankReport(nu, cert.rank, True, formula), cert
     return RankReport(nu, RankPair(cert.h0_E, cert.h0_EL), False, formula,
-                      note="hypotheses fail; point-base value")
+                      note="hypotheses fail; point-base value"), cert
 
 
 @dataclass(frozen=True)
@@ -590,27 +597,43 @@ def _residue_matrix(curve: HyperellipticCurve, D: Divisor,
     H^1(D) is dual to L(K - D) through <c, b> = Res_inf(c b dx/y), where
     K = (2g - 2) inf is the divisor of dx/y itself; K - D is therefore
     used as it is, not reduced.  Row k, column j is Res_inf(h a_k b_j
-    dx/y) for the bases a_k of L(D) and b_j of L(K - D); with x = t^-2 at
-    infinity that is -2 [t^2](h a_k b_j / y).  The matrix is () when
-    either space is zero, in particular whenever h1(D) = 0."""
+    dx/y) for the bases a_k of L(D) and b_j of L(K - D).  The matrix is
+    () when either space is zero.
+
+    Each entry is a polynomial division.  With h a_k b_j = (A + B y)/den,
+    formed by polynomial products and never normalised, the form is
+    A dx/(den y) + B dx/den.  The first term is anti-invariant under the
+    hyperelliptic involution, which fixes infinity, so its residue there
+    is 0.  The second is pulled back from P^1, where infinity is
+    ramified of index 2, so the entry is twice the residue at infinity
+    of B dx/den on P^1: -2 c / lc(den), with c the coefficient of
+    x^(deg den - 1) in B mod den."""
     a = rr_space(curve, D)
     b = rr_space(curve, canonical_divisor(curve) - D)
     if not a or not b:
         return ()
-    inf = curve.infinity()
-    y = curve.y_fn()
-    b_over_y = [bj / y for bj in b]
+    mul, add, f = polyq.mul, polyq.add, curve.f
     rows = []
     for ak in a:
-        ha = h * ak
-        row = []
-        for by in b_over_y:
-            F = ha * by
-            v = 3 if F.is_zero() else curve.valuation(F, inf)
-            row.append(Fraction(0) if v > 2 else
-                       -2 * curve.laurent_at(F, inf, nterms=3 - v).coeff(2))
-        rows.append(tuple(row))
+        hA = add(mul(h.A, ak.A), mul(mul(h.B, ak.B), f))
+        hB = add(mul(h.A, ak.B), mul(h.B, ak.A))
+        hden = mul(h.den, ak.den)
+        rows.append(tuple(
+            _infinity_residue(add(mul(hA, bj.B), mul(hB, bj.A)),
+                              mul(hden, bj.den))
+            for bj in b))
     return tuple(rows)
+
+
+def _infinity_residue(B: polyq.Poly, den: polyq.Poly) -> Fraction:
+    """Res_inf(B dx/den) on the curve: -2 c / lc(den), where c is the
+    coefficient of x^(deg den - 1) in B mod den."""
+    d = polyq.deg(den)
+    if d == 0:
+        return Fraction(0)
+    rem = polyq.divmod_(B, den)[1]
+    c = rem[d - 1] if len(rem) == d else Fraction(0)
+    return -2 * c / polyq.lead(den)
 
 
 def _rank(matrix: Matrix) -> int:
@@ -661,22 +684,24 @@ def pushforward_over_superpoint(F: SuperPointFamily,
     A section is a chart pair (f0 + eta f1, g0 + eta g1) matching as
     g = (1 + eta h) f on the overlap, so f0 = g0 is a global section of
     the summand and the eta-component exists iff the Cech class of h f0
-    in H^1 of the summand vanishes.  By Serre duality that class is zero
-    iff its residue pairing with every b in L(K - D) is zero, so each
-    summand's obstruction rank is the rank of its residue matrix,
-    computed exactly from Laurent coefficients at infinity: nothing is
-    truncated, so any overlap-regular cochain is decided, whatever its
-    pole orders.  The module is free exactly when no basis section
-    obstructs.  For nu >= 3 both h1 vanish, the matrices are empty, and
-    the rank pair equals pluri_canonical_rank of the fiber."""
-    if nu < 1:
-        raise ValueError("nu must be at least 1")
+    in H^1 of the summand vanishes.  Each summand is first decided by
+    its closed-form h1, read from the certificate of
+    pluri_canonical_rank: with h1 = 0 nothing obstructs, its matrix is
+    () and no section space is built.  That is every summand for
+    nu >= 3, by degree, so there the rank pair is that of the fiber.
+    Otherwise (nu <= 2) by Serre duality the class is zero iff its
+    residue pairing with every b in L(K - D) is zero, so the summand's
+    obstruction rank is the rank of its residue matrix, computed exactly
+    by polynomial division: nothing is truncated, so any overlap-regular
+    cochain is decided, whatever its pole orders.  The module is free
+    exactly when no basis section obstructs."""
     X = F.fiber
-    k_even, k_odd = summand_powers(nu)
-    m_even = _residue_matrix(X.curve, _power_divisor(X, k_even), F.deformation)
-    m_odd = _residue_matrix(X.curve, _power_divisor(X, k_odd), F.deformation)
+    rr, cert = _certified_rank(X, nu)
+    h1 = {nu: cert.h1_E, nu + 1: cert.h1_EL}
+    m_even, m_odd = (
+        _residue_matrix(X.curve, _power_divisor(X, k), F.deformation)
+        if h1[k] else () for k in summand_powers(nu))
     drop_even, drop_odd = _rank(m_even), _rank(m_odd)
-    rr = pluri_canonical_rank(X, nu)
     return SuperPointReport(nu, drop_even == 0 and drop_odd == 0, rr.rank,
                             drop_even, drop_odd, rr.hypotheses_hold,
                             m_even, m_odd)

@@ -21,6 +21,14 @@ larger one raises ValueError.  The cost of a power grows with its
 exponent, faster than linearly, and `(z**300)**300` is z**90000.  The
 package writes no exponent above 80 (`x^80` in an `embed` model at the
 largest degree the CLI allows) and no decimal exponent.
+
+A bounded power still leaves a sum or product of them unbounded:
+(1+z)**100/(2+z)**100 + (3+z)**100/(5+z)**100 has degree 200 over its
+common denominator, and the arithmetic behind it grows faster than its
+degree.  So a ring checks, before each operation, the degree its result
+can reach, read from the operands' degrees with `degrees`, against
+MAX_DEGREE (by `check_degree`), as large as MAX_EXPONENT so that x**100
+and 1/z**100 still read.
 """
 
 from __future__ import annotations
@@ -28,9 +36,31 @@ from __future__ import annotations
 import ast
 import json
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping, Tuple
 
 MAX_EXPONENT = 100
+MAX_DEGREE = 100
+
+
+def degrees(pairs: Iterable[Tuple[tuple, tuple]]) -> Tuple[int, int]:
+    """(n, d) for an element whose coefficients are the fractions
+    num/den in pairs, polynomials as ascending coefficient tuples: over
+    the product of the distinct denominators, of degree d, no numerator
+    has degree above n.  A product of two elements is then within
+    (n1 + n2, d1 + d2), a sum within the degrees of all their pairs
+    together, a quotient by p/q within (n + deg q, d + deg p) and a k-th
+    power within (k n, k d)."""
+    pairs = [(num, den) for num, den in pairs if num]
+    d = sum(len(den) - 1 for den in {den for _, den in pairs})
+    return max((len(num) - len(den) + d for num, den in pairs),
+               default=0), d
+
+
+def check_degree(n: int, d: int, var: str) -> None:
+    """Raise ValueError when n or d passes MAX_DEGREE."""
+    if max(n, d) > MAX_DEGREE:
+        raise ValueError(f"degrees in {var} stop at {MAX_DEGREE}; "
+                         f"got {max(n, d)}")
 
 
 def _check_exponent(n: int, what: str) -> None:

@@ -21,7 +21,7 @@ Anything else raises ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from . import polyq, reader
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
@@ -142,6 +142,11 @@ def function_to_string(fn: FunctionFieldElement) -> str:
 
 _YPoly = List[FunctionFieldElement]
 
+# The package writes y-degree at most 1.  With y^2 = f not applied, a
+# string whose y-degree passes 1 comes back only by cancelling, and the
+# cost of a product grows with the square of the y-degree.
+MAX_Y_DEGREE = 2
+
 
 def _trim(cs: _YPoly) -> _YPoly:
     while cs and cs[-1].is_zero():
@@ -160,12 +165,23 @@ def _ymul(a: _YPoly, b: _YPoly) -> _YPoly:
 
 class _YRing:
     """Q(x)[y] as the ring of `reader.evaluate`: a divisor, and the base
-    of a negative power, must be nonzero and y-free."""
-
-    mul = staticmethod(_ymul)
+    of a negative power, must be nonzero and y-free.  No result may pass
+    y-degree MAX_Y_DEGREE or `reader.MAX_DEGREE` in x (see
+    `reader.degrees`)."""
 
     def __init__(self, curve: HyperellipticCurve):
         self.curve = curve
+
+    @staticmethod
+    def _degrees(a: _YPoly) -> Tuple[int, int]:
+        return reader.degrees((c.A, c.den) for c in a)
+
+    @staticmethod
+    def _check(y_degree: int, n: int, d: int) -> None:
+        if y_degree > MAX_Y_DEGREE:
+            raise ValueError(f"y-degrees stop at {MAX_Y_DEGREE}; "
+                             f"got {y_degree}")
+        reader.check_degree(n, d, "x")
 
     def const(self, c: Fraction) -> _YPoly:
         return [self.curve.function((c,))] if c else []
@@ -174,24 +190,31 @@ class _YRing:
     def neg(a: _YPoly) -> _YPoly:
         return [-c for c in a]
 
-    @staticmethod
-    def add(a: _YPoly, b: _YPoly) -> _YPoly:
+    def add(self, a: _YPoly, b: _YPoly) -> _YPoly:
+        self._check(max(len(a), len(b)) - 1, *self._degrees(a + b))
         return _trim([p + q for p, q in zip(a, b)] + a[len(b):] + b[len(a):])
 
-    @staticmethod
-    def div(a: _YPoly, b: _YPoly) -> _YPoly:
+    def mul(self, a: _YPoly, b: _YPoly) -> _YPoly:
+        (na, da), (nb, db) = self._degrees(a), self._degrees(b)
+        self._check(len(a) + len(b) - 2, na + nb, da + db)
+        return _ymul(a, b)
+
+    def div(self, a: _YPoly, b: _YPoly) -> _YPoly:
         if len(b) != 1:
             raise ValueError("division by an expression in y" if b else
                              "division by zero")
-        inv = b[0] ** -1
-        return [c * inv for c in a]
+        return self.mul(a, [b[0] ** -1])
 
     def pow(self, a: _YPoly, n: int) -> _YPoly:
-        if len(a) == 1:  # a nonzero y-free base takes any power
-            return [a[0] ** n]
-        if n < 0:
+        if n < 0 and len(a) != 1:
             raise ValueError("division by zero" if not a else
                              "negative power of an expression in y")
+        if n < 0:
+            a, n = [a[0] ** -1], -n
+        na, da = self._degrees(a)
+        self._check(n * (len(a) - 1), n * na, n * da)
+        if len(a) == 1:
+            return [a[0] ** n]
         out = [self.curve.one_fn()]
         for _ in range(n):
             out = _ymul(out, a)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -178,6 +179,15 @@ def test_superpoint_rank(capsys):
     code, out, _ = run(capsys, "superpoint-rank", "--genus", "2",
                        "--nu", "3", "--seed", "4")
     assert (code, out) == (0, "free, rank 3|2\n")
+
+
+def test_superpoint_rank_at_the_genus_bound(capsys):
+    # both summands have h1 > 0 at nu = 1, so both residue matrices are
+    # built: 19 x 19 and 40 x 1
+    assert cli.MAX_GENUS["superpoint-rank"] == 40
+    assert run(capsys, "superpoint-rank", "--genus", "40", "--nu", "1",
+               "--theta", "odd", "--seed", "1") == (
+        0, "free, rank 19|40\n", "")
 
 
 def test_check_superconformal(capsys):
@@ -590,6 +600,8 @@ def test_bad_number_in_model_file_is_usage_error(capsys, tmp_path, keys,
     ("(x + 1", "'(x + 1': '(' was never closed"),
     ("1/0", "'1/0': division by zero"),
     ("y**2", "'y**2': y-degree 2 is above 1"),
+    ("y**3", "'y**3': y-degrees stop at 2; got 3"),
+    ("x**60*x**41", "'x**60*x**41': degrees in x stop at 100; got 101"),
 ])
 def test_bad_section_string_in_model_file_is_usage_error(capsys, tmp_path,
                                                          section, message):
@@ -700,3 +712,44 @@ def test_models_the_cli_writes_stay_within_the_exponent_bound(capsys,
     powers = re.findall(r"\^(-?\d+)", path.read_text())
     assert max(abs(int(p)) for p in powers) == 80 < _B
     assert not re.search(r"\d[eE]", path.read_text())  # no decimal exponent
+
+
+_DEG = f"degrees in z stop at {reader.MAX_DEGREE}"
+
+
+@pytest.mark.parametrize("zp, message", [
+    ("(1+z)**100/(2+z)**100 + (3+z)**100/(5+z)**100", f"{_DEG}; got 200"),
+    ("z**60*z**41", f"{_DEG}; got 101"),
+    ("z**-60/z**41", f"{_DEG}; got 101"),
+    ("(1+z)**-51 + 1/(2+z)**50", f"{_DEG}; got 101"),
+    ("(z**2 + theta*eta)**30*z**41", f"{_DEG}; got 101"),
+])
+def test_check_superconformal_bounds_degrees(capsys, zp, message):
+    start = time.perf_counter()
+    assert run(capsys, "check-superconformal", zp, "theta") == (
+        2, "", f"error: expression {zp!r}: {message}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("zp", ["z**60*z**40", "z**-60/z**40",
+                                "(1+z)**-50 + 1/(2+z)**50",
+                                "(z**2 + theta*eta)**30*z**40"])
+def test_check_superconformal_accepts_degrees_at_the_bound(capsys, zp):
+    code, out, err = run(capsys, "check-superconformal", zp, "theta")
+    assert (code, err) == (1, "")
+    assert out.startswith("superconformal: no\nresidual: ")
+
+
+def test_function_strings_bound_degrees(capsys, tmp_path):
+    assert serialize.parse_function(C2, "x**60*x**40/(x + 2)**100") == (
+        C2.x_fn() ** 100 / (C2.x_fn() + 2) ** 100)
+    X = make_split_supercurve(C2, theta_from_subset(C2, (0,)))
+    obj = serialize.model_to_json(build_model(X, 5))
+    obj["odd_sections"][0] = "(x+y)**100"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    assert run(capsys, "verify", str(path), "--samples", "4") == (
+        2, "", f"error: malformed {path}: ValueError: function string "
+               f"'(x+y)**100': y-degrees stop at 2; got 100\n")
+    assert time.perf_counter() - start < 1.0

@@ -8,6 +8,9 @@ at most N at W and at infinity.  The drop is the rank of what is left.
 Any splitting of h a_k = f0 + f1 over the charts has f0 in L(D + m inf)
 and f1 in L(D + m W), m the deepest pole of h, so N >= m is exact; the
 oracle takes N = deg D + 2g + 2 + m and checks the answer again at 2N.
+
+The residue matrix itself is checked entry for entry against Laurent
+series at infinity (reference_residue_matrix), which it no longer uses.
 """
 
 import random
@@ -15,14 +18,16 @@ from fractions import Fraction
 
 import pytest
 
-from plurisusy import polyq
-from plurisusy.curve import Divisor, HyperellipticCurve, standard_curve
+from plurisusy import pluricanonical, polyq
+from plurisusy.curve import (Divisor, FunctionFieldElement,
+                             HyperellipticCurve, standard_curve)
 from plurisusy.linalg import ColumnSpace, kernel_basis
-from plurisusy.pluricanonical import (SuperPointFamily,
+from plurisusy.pluricanonical import (SuperPointFamily, _residue_matrix,
+                                      pluri_canonical_rank,
                                       pushforward_over_superpoint,
                                       random_deformation, summand_powers)
 from plurisusy.riemann_roch import (canonical_divisor, clearing_frame, h0,
-                                    parity_representatives, rr_space,
+                                    h1, parity_representatives, rr_space,
                                     semi_reduce)
 from plurisusy.supercurve import make_split_supercurve
 
@@ -145,3 +150,111 @@ def test_residue_matrix_certifies_the_drops():
                 assert ncols - len(kernel_basis(M, ncols)) == drop
                 if nu >= 3:
                     assert M == ()
+
+
+def reference_residue_matrix(curve, D, h):
+    """The residue matrix from Laurent series: with x = t^-2 at infinity,
+    Res_inf(h a_k b_j dx/y) = -2 [t^2](h a_k b_j / y)."""
+    a = rr_space(curve, D)
+    b = rr_space(curve, canonical_divisor(curve) - D)
+    if not a or not b:
+        return ()
+    inf = curve.infinity()
+    y = curve.y_fn()
+    rows = []
+    for ak in a:
+        ha = h * ak
+        row = []
+        for bj in b:
+            F = ha * (bj / y)
+            v = 3 if F.is_zero() else curve.valuation(F, inf)
+            row.append(Fraction(0) if v > 2 else
+                       -2 * curve.laurent_at(F, inf, nterms=3 - v).coeff(2))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _residue_cases():
+    """360 (curve, D, h, nu): the stock curves of genus 2 to 5 and a
+    monic and a non-monic (leading coefficient 3) split genus-3 curve,
+    both parity representatives, the cochain 1 and four random ones,
+    nu = 1, 2, 3 and both summands."""
+    rng, split = random.Random(5), random.Random(61)
+    curves = [standard_curve(g) for g in (2, 3, 4, 5)]
+    for lead in (1, 3):
+        roots = split.sample(range(-6, 7), 7)
+        curves.append(HyperellipticCurve(polyq.scale(
+            polyq.from_roots([Fraction(r) for r in roots]), lead)))
+    for C in curves:
+        for theta in parity_representatives(C):
+            X = make_split_supercurve(C, theta)
+            cochains = [C.one_fn()] + [random_deformation(C, rng=rng)
+                                       for _ in range(4)]
+            for h in cochains:
+                for nu in (1, 2, 3):
+                    for k in summand_powers(nu):
+                        yield C, semi_reduce(C, k * X.L.rep), h, nu
+
+
+def test_residue_matrix_matches_laurent_oracle():
+    cases = list(_residue_cases())
+    assert len(cases) == 360
+    nonzero = 0
+    for C, D, h, nu in cases:
+        got = _residue_matrix(C, D, h)
+        assert got == reference_residue_matrix(C, D, h), (C, D, h, nu)
+        assert all(type(c) is Fraction for row in got for c in row)
+        nonzero += any(c for row in got for c in row)
+    assert nonzero >= 50, "too few nonzero residue matrices compared"
+
+
+def test_residue_matrix_takes_no_series_or_products(monkeypatch):
+    cases = [case for case in _residue_cases() if case[3] < 3][::5]
+    # the oracle fills the rr_space cache, so only the entries are left
+    want = [reference_residue_matrix(C, D, h) for C, D, h, _ in cases]
+    assert any(any(c for row in M for c in row) for M in want)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("series or a normalised product was taken")
+
+    monkeypatch.setattr(HyperellipticCurve, "laurent_at", refuse)
+    monkeypatch.setattr(HyperellipticCurve, "valuation", refuse)
+    monkeypatch.setattr(FunctionFieldElement, "__mul__", refuse)
+    assert [_residue_matrix(C, D, h) for C, D, h, _ in cases] == want
+
+
+def test_bases_are_built_only_where_h1_is_positive(monkeypatch):
+    families = []
+    for g in (2, 3, 4):
+        C = standard_curve(g)
+        for theta in parity_representatives(C):
+            X = make_split_supercurve(C, theta)
+            families.append(SuperPointFamily(X, random_deformation(C,
+                                                                   seed=g)))
+
+    def refuse(curve, D):
+        raise AssertionError(f"rr_space called at nu >= 3 for {D}")
+
+    monkeypatch.setattr(pluricanonical, "rr_space", refuse)
+    for F in families:
+        for nu in (3, 4, 5):
+            rep = pushforward_over_superpoint(F, nu)
+            assert rep.free and (rep.drop_even, rep.drop_odd) == (0, 0)
+            assert rep.residues_even == rep.residues_odd == ()
+            assert rep.rank == pluri_canonical_rank(F.fiber, nu).rank
+
+    seen = []
+    monkeypatch.setattr(pluricanonical, "rr_space",
+                        lambda curve, D: seen.append(D) or rr_space(curve, D))
+    for F in families:
+        curve = F.fiber.curve
+        K = canonical_divisor(curve)
+        for nu in (1, 2):
+            seen.clear()
+            pushforward_over_superpoint(F, nu)
+            want = []
+            for k in summand_powers(nu):
+                D = semi_reduce(curve, k * F.fiber.L.rep)
+                if h1(curve, D):
+                    want += [D, K - D]
+            assert seen == want, (F, nu)
