@@ -518,6 +518,15 @@ class FunctionFieldElement:
         self.B = B
         self.den = den
 
+    @classmethod
+    def _normal(cls, curve: HyperellipticCurve, A: Poly, B: Poly,
+                den: Poly) -> "FunctionFieldElement":
+        """The element of fields that are in normal form already (trimmed,
+        den monic and coprime to gcd(A, B)), built without a gcd."""
+        fn = object.__new__(cls)
+        fn.curve, fn.A, fn.B, fn.den = curve, A, B, den
+        return fn
+
     def is_zero(self) -> bool:
         return not self.A and not self.B
 

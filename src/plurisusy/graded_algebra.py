@@ -773,6 +773,14 @@ def bracket(X: VectorFieldSC, Y: VectorFieldSC) -> VectorFieldSC:
     return X.bracket(Y)
 
 
+# Each term of the residual D z' - theta' D theta' holds z' once and
+# theta' twice, and its arithmetic in Q(z) grows faster than the degrees
+# it reaches.  So check_superconformal bounds deg z' + 2 deg theta', with
+# deg the numerator plus the denominator degree of reader.degrees: the
+# slowest check measured at the bound takes 1.3 s (see the README).
+MAX_CHECK_DEGREE = 150
+
+
 @dataclass
 class SuperconformalReport:
     ok: bool
@@ -796,13 +804,19 @@ def check_superconformal(zp: GrassmannElement, tp: GrassmannElement,
                          z=EVEN, theta: str = "theta") -> SuperconformalReport:
     """Decide whether (z', theta') = (zp, tp) satisfies D z' = theta' D theta'.
 
-    zp must be even and tp odd; the report carries the exact residual
+    zp must be even and tp odd, and deg zp + 2 deg tp at most
+    MAX_CHECK_DEGREE, or ValueError; the report carries the exact residual
     D z' - theta' D theta' and whether the body of dz'/dz is invertible
     (the change is a coordinate change to first order)."""
     if not zp.has_parity(0):
         raise ValueError("z' must be an even element")
     if not tp.has_parity(1):
         raise ValueError("theta' must be an odd element")
+    size = sum(_Reader._degrees(zp)) + 2 * sum(_Reader._degrees(tp))
+    if size > MAX_CHECK_DEGREE:
+        raise ValueError(f"check-superconformal stops at deg z' + "
+                         f"2 deg theta' = {MAX_CHECK_DEGREE} (degrees in "
+                         f"{z}, numerator plus denominator); got {size}")
     alg = GrassmannAlgebra(zp.gens)
     D = superconformal_derivation(alg, z, theta)
     residual = D.apply(zp) - tp * D.apply(tp)

@@ -3,8 +3,9 @@
 A row lists the functions' Laurent coefficients at one power of the local
 parameter, in the trivialization of a D-twisted bundle.  `jet_rows` reads
 them from `HyperellipticCurve.laurent_at` at any point.  `SectionJets`
-gives the same rows up to what a rank test ignores, and at almost every
-finite point builds them in integers, without a series.
+gives the same rows up to what a rank test ignores, without a series: in
+integers at almost every finite point, and as polynomial coefficients at
+infinity and the branch points.
 """
 
 from __future__ import annotations
@@ -47,9 +48,12 @@ class SectionJets:
     At_j, Bt_j.  At a finite non-branch point P = (x0, y0) off D where no
     denominator vanishes, row 0 is At(x0) + Bt(x0) y0, and row 1 times
     2 f(x0) is 2 f At'(x0) + (2 f Bt'(x0) + f'(x0) Bt(x0)) y0, as
-    y' = f'/(2y): integer pairs once scaled as PointFrame says.  At every
-    other point the rows are the Laurent rows of jet_rows, with column j
-    times the same lam_j."""
+    y' = f'/(2y): integer pairs once scaled as PointFrame says.  At
+    infinity and at a branch point, where At and Bt y never cancel, each
+    row is one coefficient of At or of Bt (_infinity_rows, _branch_rows)
+    when every section lies in L(D) there.  At every other point, and
+    for sections with a pole past D, the rows are the Laurent rows of
+    jet_rows, with column j times the same lam_j."""
 
     def __init__(self, curve: HyperellipticCurve,
                  sections: Sequence[FunctionFieldElement], D: Divisor,
@@ -84,17 +88,27 @@ class SectionJets:
         self.dF = polyq.int_derivative(self.F)
         self.dens = polyq.clear_denominators(
             *(d for d in dens if len(d) > 1))[1]
+        self.phi_degree = sum(len(d) - 1 for d in self.dens)
         self.degree = max(len(p) - 1 for p in self.A + self.B + self.dens
                           + [self.F])
 
     def rows(self, P: CurvePoint,
              frame: Optional["PointFrame"]) -> List[IntRow]:
         """Rows 0 .. nterms - 1 at P; frame is P's, None at infinity."""
-        if frame is None or P.y == 0 or self.D[P]:
-            return self._laurent_rows(P)
+        if P.at_infinity:
+            rows = self._infinity_rows()
+        elif P.y == 0:
+            rows = self._branch_rows(P)
+        elif self.D[P] or not all(map(frame.ev, self.dens)):
+            rows = None
+        else:
+            return self._integer_jets(frame)
+        return self._laurent_rows(P) if rows is None else rows
+
+    def _integer_jets(self, frame: "PointFrame") -> List[IntRow]:
+        """The integer rows at a finite non-branch point off D where no
+        denominator vanishes (see the class docstring)."""
         ev = frame.ev
-        if not all(map(ev, self.dens)):
-            return self._laurent_rows(P)
         cn, cd, d = frame.cn, frame.cd, frame.d
         vA, vB = list(map(ev, self.A)), list(map(ev, self.B))
         rows = [([u * cd for u in vA], [v * cn for v in vB])]
@@ -107,6 +121,53 @@ class SectionJets:
             return [([u + v for u, v in zip(us, vs)], None, 1)
                     for us, vs in rows]
         return [(us, vs, d) for us, vs in rows]
+
+    def _infinity_rows(self) -> Optional[List[IntRow]]:
+        """The rows at infinity, or None when a section has a pole there
+        past D.  Times phi, whose expansion in t has even orders only,
+        the rows sit at orders -m, -m + 1 of At + Bt y, with
+        m = D[inf] + 2 deg phi; there x^i has order -2i, and x^k y order
+        -(2k + 2g + 1) with leading coefficient sqrt(lc f), a factor of
+        the whole row.  As no section has a pole past order m, the odd
+        row is the coefficients of x^k in Bt and the even row those of
+        x^i in At."""
+        g1 = 2 * self.curve.genus + 1
+        m = self.D[self.curve.infinity()] + 2 * self.phi_degree
+        if (any(a and 2 * len(a) - 2 > m for a in self.A)
+                or any(b and 2 * len(b) - 2 + g1 > m for b in self.B)):
+            return None
+        rows = []
+        for pole in range(m, m - self.nterms, -1):
+            i, polys = ((pole - g1) // 2, self.B) if pole % 2 else (
+                pole // 2, self.A)
+            rows.append(([p[i] if 0 <= i < len(p) else 0 for p in polys],
+                         None, 1))
+        return rows
+
+    def _branch_rows(self, P: CurvePoint) -> Optional[List[IntRow]]:
+        """The rows at the branch point P over r, or None when a section
+        has a pole there past D.  Times phi, which is even in t = y and
+        of order 2 delta, delta = mult_r(phi), the rows sit at orders
+        o = 2 delta - D[P] and o + 1 of At + Bt y.  As x - r = t^2 u(t^2),
+        the Taylor coefficient of (x - r)^i in At has order 2i, and in Bt
+        order 2i + 1, each up to the factor u(0)^i of the whole row; all
+        below order o vanish exactly when every section lies in L(D) at
+        P.  So each row is one Taylor coefficient of At or of Bt at r."""
+        r = P.x
+        o = 2 * sum(polyq.mult_at(d, r) for d in self.dens) - self.D[P]
+        top = o + self.nterms
+        tA = [polyq.taylor(p, r, (top + 1) // 2) for p in self.A]
+        tB = [polyq.taylor(p, r, top // 2) for p in self.B]
+        nA, nB = max(0, (o + 1) // 2), max(0, o // 2)
+        if any(any(t[:nA]) for t in tA) or any(any(t[:nB]) for t in tB):
+            return None
+        rows = []
+        for k in range(o, top):
+            i = k // 2
+            row = [t[i] if 0 <= i < len(t) else 0
+                   for t in (tB if k % 2 else tA)]
+            rows.append((polyq.clear_denominators(row)[1][0], None, 1))
+        return rows
 
     def _laurent_rows(self, P: CurvePoint) -> List[IntRow]:
         rows = jet_rows(self.curve, self.sections, self.D, P, self.nterms)

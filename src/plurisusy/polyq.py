@@ -166,17 +166,30 @@ def shift(p: Poly, x0) -> Poly:
     return taylor(p, x0, len(p))
 
 
-def mult_at(p: Poly, x0) -> int:
-    """Multiplicity of the root x0 in p (0 if not a root); p must be nonzero."""
+def deflate(p: Poly, x0, most: Optional[int] = None) -> Tuple[int, Poly]:
+    """(m, p / (x - x0)^m) for the nonzero p, with m the multiplicity of
+    the root x0 in p, or `most` when that is smaller.  Each factor costs
+    one pass of synthetic division, which gives the quotient and, last,
+    the remainder p(x0); the first nonzero remainder ends the loop."""
     if not p:
         raise ValueError("zero polynomial has roots everywhere")
     x0 = Fraction(x0)
     m = 0
-    cur = p
-    while eval_at(cur, x0) == 0:
-        cur = exact_div(cur, (-x0, Fraction(1)))
-        m += 1
-    return m
+    while most is None or m < most:
+        acc = Fraction(0)
+        quot = [acc] * (len(p) - 1)
+        for i in range(len(p) - 1, 0, -1):
+            acc = acc * x0 + p[i]
+            quot[i - 1] = acc
+        if acc * x0 + p[0]:
+            break
+        p, m = tuple(quot), m + 1
+    return m, p
+
+
+def mult_at(p: Poly, x0) -> int:
+    """Multiplicity of the root x0 in p (0 if not a root); p must be nonzero."""
+    return deflate(p, x0)[0]
 
 
 def from_roots(roots: Sequence) -> Poly:

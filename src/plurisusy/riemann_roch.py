@@ -3,15 +3,19 @@
 L(D) is computed exactly: after clearing affine denominators the candidate
 functions are x^i and x^j y with pole orders at infinity controlled by their
 degrees (pole orders of the two kinds never collide, since one is even and
-the other odd), and the affine vanishing conditions become rational linear
-constraints on Taylor coefficients in canonical local parameters.
+the other odd).  When D is carried by branch points and infinity, as every
+divisor of a theta characteristic's powers is, the vanishing conditions
+are divisibility of the two polynomials, and the basis is written down by
+polynomial division (Mumford, Tata Lectures on Theta II, ch. IIIa).  At
+any other point they become rational linear constraints on Taylor
+coefficients in canonical local parameters, solved as a kernel.
 
 Dimensions and linear equivalence need no basis: every divisor is
 equivalent to E + n * infinity with E reduced in Cantor's sense, found by
 integer bookkeeping when the semi-reduced part has degree at most g and by
 Cantor reduction of its Mumford pair otherwise, and h^0(E + n * infinity)
 has a closed form.  Explicit bases and principality witnesses still come
-from L(D).
+from L(D): in closed form on the branch locus, from the kernel elsewhere.
 
 The canonical class is (2g-2) * infinity, so h^1(D) = h^0(K - D) by duality
 and theta characteristics are square roots of K in the divisor class group.
@@ -49,12 +53,17 @@ def _require_stable(D: Divisor) -> None:
 
 
 def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement]:
-    """Basis of L(D) = { h : div(h) + D >= 0 }, cached per divisor."""
+    """Basis of L(D) = { h : div(h) + D >= 0 }, cached per divisor: the
+    reduced echelon basis of the kernel in clearing_frame's candidates,
+    written down when D has no finite point off the branch locus."""
     key = D.key()
     if key in curve._rr_cache:
         return curve._rr_cache[key]
     _require_stable(D)
-    result = _rr_space_uncached(curve, D)
+    if all(P.at_infinity or P.is_branch() for P in D.data):
+        result = _rr_space_branch(curve, D)
+    else:
+        result = _rr_space_uncached(curve, D)
     curve._rr_cache[key] = result
     return result
 
@@ -80,6 +89,67 @@ def clearing_frame(curve: HyperellipticCurve, D: Divisor
     n_x = max(0, bound // 2 + 1)
     n_y = max(0, (bound - 2 * curve.genus - 1) // 2 + 1)
     return exps, d, n_x, n_y
+
+
+def _rr_space_branch(curve: HyperellipticCurve, D: Divisor
+                     ) -> List[FunctionFieldElement]:
+    """L(D) for D carried by branch points and infinity, in closed form:
+    the basis _rr_space_uncached gives, without a series or a kernel.
+
+    In the frame of clearing_frame a function is (A + B y)/d.  At a
+    branch point P over r, x - r has order 2 and y order 1, so A and B y
+    never cancel, and ord_P(A + B y) >= need = 2 exps[r] - D[P] says
+    (x - r)^ceil(need/2) | A and (x - r)^floor(need/2) | B.  With U_A,
+    U_B the products of these factors, the kernel is U_A | A, U_B | B,
+    and its reduced echelon basis, which kernel_basis returns whatever
+    the rows, is x^c - (x^c mod U_A) for deg U_A <= c < n_x, then
+    (x^c - (x^c mod U_B)) y for deg U_B <= c < n_y.  Each is brought to
+    normal form by dividing out the factors x - r it shares with d."""
+    if D.degree() < 0:
+        return []
+    exps, d, n_x, n_y = clearing_frame(curve, D)
+    roots_A: List[Fraction] = []
+    roots_B: List[Fraction] = []
+    for P, n in D.items():
+        if not P.at_infinity:
+            need = 2 * exps[P.x] - n
+            roots_A += [P.x] * max(0, (need + 1) // 2)
+            roots_B += [P.x] * max(0, need // 2)
+    dens: Dict[Tuple[int, ...], polyq.Poly] = {}
+
+    def normal(p: polyq.Poly, odd: bool) -> FunctionFieldElement:
+        left = []  # the power of each x - r that stays in d
+        for r, e in exps.items():
+            k, p = polyq.deflate(p, r, e)
+            left.append(e - k)
+        key = tuple(left)
+        if key not in dens:
+            dens[key] = polyq.from_roots(
+                [r for r, e in zip(exps, left) for _ in range(e)])
+        A, B = (polyq.ZERO, p) if odd else (p, polyq.ZERO)
+        return FunctionFieldElement._normal(curve, A, B, dens[key])
+
+    return ([normal(A, False)
+             for A in _multiples(polyq.from_roots(roots_A), n_x)]
+            + [normal(B, True)
+               for B in _multiples(polyq.from_roots(roots_B), n_y)])
+
+
+def _multiples(U: polyq.Poly, n: int) -> Iterator[polyq.Poly]:
+    """x^c - (x^c mod U) for deg U <= c < n, U monic: the reduced echelon
+    basis of its multiples of degree below n.  The remainders follow
+    one another as x^(c+1) mod U = x (x^c mod U) - top U, with top the
+    coefficient of x^(deg U - 1) in x^c mod U."""
+    a = polyq.deg(U)
+    rem = [-u for u in U[:-1]]  # x^a mod U
+    zero = Fraction(0)
+    for c in range(a, n):
+        yield tuple(-r for r in rem) + (zero,) * (c - a) + (Fraction(1),)
+        if a:
+            top = rem[-1]
+            rem = [zero] + rem[:-1]
+            if top:
+                rem = [r - top * u for r, u in zip(rem, U)]
 
 
 def _rr_space_uncached(curve, D):

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from plurisusy import (cli, curve, pluricanonical, reader, serialize,
-                       supercurve)
+from plurisusy import (cli, curve, graded_algebra, pluricanonical, reader,
+                       serialize, supercurve)
 from plurisusy.curve import Divisor, standard_curve
 from plurisusy.pluricanonical import build_model
 from plurisusy.riemann_roch import theta_from_subset
@@ -516,11 +516,23 @@ def test_degree_bound_is_checked_before_building_curve(capsys, monkeypatch,
 def test_degree_bound_applies_to_curve_files(capsys, tmp_path):
     path = tmp_path / "curve.json"
     path.write_text(json.dumps(serialize.curve_to_json(standard_curve(3))))
-    nu = cli.MAX_DEGREE["superpoint-rank"] // 2
-    code, out, err = run(capsys, "superpoint-rank", "--curve", str(path),
+    nu = cli.MAX_DEGREE["embed"] // 2
+    code, out, err = run(capsys, "embed", "--curve", str(path),
                          "--nu", str(nu))
     assert (code, out) == (2, "")
     assert err.endswith(f"got {2 * (nu + 1)} at nu {nu}, genus 3\n")
+
+
+def test_superpoint_rank_has_no_degree_bound(capsys):
+    # (nu + 1)(g - 1) = 195 at g = 40, nu = 4; from nu = 3 on the answer
+    # is the closed-form h1 = 0 and the rank pair of Riemann-Roch
+    assert "superpoint-rank" not in cli.MAX_DEGREE
+    g, nu = 40, 4
+    even, odd = (k * (g - 1) - g + 1 for k in (nu, nu + 1))
+    start = time.perf_counter()
+    assert run(capsys, "superpoint-rank", "--genus", str(g), "--nu", str(nu),
+               "--seed", "2") == (0, f"free, rank {even}|{odd}\n", "")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bad_theta_is_usage_error(capsys):
@@ -738,6 +750,41 @@ def test_check_superconformal_accepts_degrees_at_the_bound(capsys, zp):
     code, out, err = run(capsys, "check-superconformal", zp, "theta")
     assert (code, err) == (1, "")
     assert out.startswith("superconformal: no\nresidual: ")
+
+
+_CHECK = (f"check-superconformal stops at deg z' + 2 deg theta' = "
+          f"{graded_algebra.MAX_CHECK_DEGREE} (degrees in z, numerator "
+          f"plus denominator)")
+
+
+@pytest.mark.parametrize("zp, tp, size", [
+    ("(1+z)**100/(2+z)**100", "theta*(3+z)**100/(5+z)**100", 600),
+    ("(1+z)**50/(2+z)**50 + (3+z)**50/(5+z)**50", "theta", 200),
+    ("z", "theta*(1+z)**38/(2+z)**38", 153),
+])
+def test_check_superconformal_bounds_both_inputs(capsys, zp, tp, size):
+    # each input reads within reader.MAX_DEGREE; the check itself would
+    # take 20 s or more on the first and 4.75 s on the second
+    start = time.perf_counter()
+    assert run(capsys, "check-superconformal", zp, tp) == (
+        2, "", f"error: {_CHECK}; got {size}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("zp, tp, want", [
+    ("4*z + 3 + 2*theta*eta", "2*theta + eta", (0, "superconformal: yes\n")),
+    ("2*z", "theta", (1, "superconformal: no\nresidual: (1)*theta\n")),
+    ("(1+z)**-50 + 1/(2+z)**50", "theta", None),
+    ("(1+z)**25/(2+z)**25", "theta*(3+z)**25/(5+z)**25", None),
+])
+def test_check_superconformal_accepts_inputs_within_the_bound(capsys, zp,
+                                                              tp, want):
+    code, out, err = run(capsys, "check-superconformal", zp, tp)
+    if want is None:  # at the bound, 150
+        assert (code, err) == (1, "")
+        assert out.startswith("superconformal: no\nresidual: ")
+    else:
+        assert (code, out, err) == (*want, "")
 
 
 def test_function_strings_bound_degrees(capsys, tmp_path):

@@ -543,8 +543,9 @@ def test_verify_embedding_separates_conjugate_points():
 def test_verify_embedding_expands_regular_points_without_valuations(
         monkeypatch):
     # at a non-branch point off the cleared divisors, verify_embedding
-    # builds its rows in integers: only infinity, where every section of
-    # these models has its pole, computes a valuation
+    # builds its rows in integers, and at infinity, where every section
+    # of these models has its pole, it reads them off coefficients: no
+    # point computes a valuation
     rng = random.Random(31)
     C3 = HyperellipticCurve(polyq.from_roots(
         [Fraction(r) for r in (-5, -3, -2, 0, 1, 4, 6)]))
@@ -571,14 +572,50 @@ def test_verify_embedding_expands_regular_points_without_valuations(
         reached.clear()
         rep = verify_embedding(M, samples=pts)
         assert rep.all_pass and rep.points_checked == 16
-        n_sections = len(M.even_sections) + len(M.odd_sections)
-        assert reached == [C.infinity()] * n_sections
+        assert reached == []
+
+
+def test_theta_models_are_built_and_verified_without_series(monkeypatch):
+    # bases on the branch locus and rows at infinity and the branch points
+    # are read off polynomials: no expansion anywhere, nor a kernel
+    rng = random.Random(2204)
+    cases = []
+    for g in range(2, 6):
+        for lc in (1, Fraction(-3, 2)):
+            C = HyperellipticCurve(polyq.scale(polyq.from_roots(
+                [Fraction(r) for r in rng.sample(range(-7, 8), 2 * g + 1)]),
+                lc))
+            points = [C.infinity()] + C.rational_branch_points()
+            while len(points) < 2 * g + 8:
+                x0 = Fraction(rng.randint(-30, 30), rng.randint(1, 5))
+                if polyq.eval_at(C.f, x0) and C.point(x0) not in points:
+                    points.append(C.point(x0, sign=rng.choice((1, -1))))
+            subsets = [tuple(rng.sample(range(2 * g + 1), k))
+                       for k in range(g + 1)]
+            cases.append((C, subsets, points))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series or kernel was built")
+
+    for name in ("_powers_at", "laurent_at", "x_series_at_branch",
+                 "y_series_at", "y_series_at_infinity", "_poly_series_at"):
+        monkeypatch.setattr(HyperellipticCurve, name, refuse)
+    monkeypatch.setattr(riemann_roch, "kernel_basis", refuse)
+    for C, subsets, points in cases:
+        for subset in subsets:
+            X = make_split_supercurve(C, theta_from_subset(C, subset))
+            for nu in (3, 4):
+                rep = verify_embedding(build_model(X, nu, force=True),
+                                       samples=points)
+                assert rep.points_checked == len(points)
+                if very_ample_check(X, nu).passed:
+                    assert rep.all_pass, (C, subset, nu)
 
 
 def test_verify_embedding_reads_no_series_at_regular_points(monkeypatch):
-    # a fallback to laurent_at at regular points would keep every verdict
-    # and lose the integer rows' speed, so the calls are counted: none at
-    # regular points, one per section at infinity
+    # a fallback to laurent_at would keep every verdict and lose the
+    # integer rows' speed, so the calls are counted: none at regular
+    # points, and none at infinity, whose rows are coefficients
     C3 = standard_curve(3)
     M = build_model(_supercurves(3)[0], 4)
     calls = []
@@ -595,8 +632,7 @@ def test_verify_embedding_reads_no_series_at_regular_points(monkeypatch):
     assert calls == []
     rep = verify_embedding(M, samples=regular + [C3.infinity()])
     assert rep.all_pass and rep.points_checked == len(regular) + 1
-    assert calls == [C3.infinity()] * (len(M.even_sections)
-                                       + len(M.odd_sections))
+    assert calls == []
 
 
 def test_verify_embedding_rejects_points_off_the_curve():

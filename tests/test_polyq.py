@@ -160,3 +160,36 @@ def test_taylor_edges():
     assert polyq.taylor(p, -1, 2) == polyq.ZERO  # t^2 mod t^2
     assert polyq.taylor(p, 0, 0) == polyq.ZERO
     assert polyq.taylor(p, Fraction(1, 2), 1) == (Fraction(9, 4),)
+
+
+def _mult_by_division(p, x0):
+    """The earlier mult_at: evaluate, then divide by x - x0, until p(x0)
+    is not 0."""
+    m = 0
+    while polyq.eval_at(p, x0) == 0:
+        p = polyq.exact_div(p, (-Fraction(x0), Fraction(1)))
+        m += 1
+    return m
+
+
+def test_mult_at_matches_repeated_division():
+    rng = random.Random(29)
+    for _ in range(400):
+        roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 5)):
+                 rng.randint(0, 4) for _ in range(rng.randint(1, 4))}
+        cofactor = polyq.poly(Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                              for _ in range(rng.randint(1, 5)))
+        p = polyq.mul(polyq.from_roots([r for r, m in roots.items()
+                                        for _ in range(m)]),
+                      cofactor or polyq.ONE)
+        for x0 in list(roots) + [Fraction(rng.randint(-9, 9), 3)]:
+            m = _mult_by_division(p, x0)
+            assert polyq.mult_at(p, x0) == m, (p, x0)
+            assert m >= roots.get(x0, 0)
+            for most in range(m + 2):
+                k, q = polyq.deflate(p, x0, most)
+                assert k == min(m, most)
+                assert polyq.mul(q, polyq.from_roots([x0] * k)) == p
+                assert all(type(c) is Fraction for c in q)
+    with pytest.raises(ValueError):
+        polyq.mult_at(polyq.ZERO, 1)

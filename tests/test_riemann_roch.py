@@ -31,6 +31,58 @@ CR3 = HyperellipticCurve(polyq.from_roots(
 # ---------------------------------------------------------------------------
 
 
+def _branch_divisors(rng, n):
+    """(curve, D) with D on branch points and infinity: split curves at
+    g = 2..5 with integer and half-integer roots, monic or not, with
+    multiplicities -3..5 at branch points."""
+    for _ in range(n):
+        g = rng.randint(2, 5)
+        roots = set()
+        while len(roots) < 2 * g + 1:
+            roots.add(Fraction(rng.randint(-8, 8), rng.choice((1, 1, 2))))
+        lc = rng.choice((1, 3, Fraction(-2, 5)))
+        C = HyperellipticCurve(polyq.scale(polyq.from_roots(roots), lc))
+        branch = C.rational_branch_points()
+        data = {P: rng.randint(-3, 5)
+                for P in rng.sample(branch, rng.randint(0, len(branch)))}
+        data[C.infinity()] = rng.randint(-3, 4 * g)
+        yield C, Divisor(data)
+
+
+def test_branch_space_matches_the_kernel_oracle():
+    # the closed form and the series kernel give the same reduced echelon
+    # basis, field for field
+    rng = random.Random(2201)
+    kinds = {"nonempty": 0, "negative": 0, "non-monic": 0, "cancelled": 0}
+    for C, D in _branch_divisors(rng, 300):
+        got = riemann_roch._rr_space_branch(C, D)
+        want = riemann_roch._rr_space_uncached(C, D)
+        assert [(b.A, b.B, b.den) for b in got] == [
+            (b.A, b.B, b.den) for b in want], (C, D)
+        kinds["nonempty"] += bool(got)
+        kinds["negative"] += any(n < 0 for n in D.data.values()) and bool(got)
+        kinds["non-monic"] += polyq.lead(C.f) != 1 and bool(got)
+        _, d, _, _ = riemann_roch.clearing_frame(C, D)
+        kinds["cancelled"] += any(b.den != d for b in got)
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_branch_space_builds_no_series_or_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("series or kernel on the branch locus")
+
+    cases = list(_branch_divisors(random.Random(2202), 40))
+    for name in ("_powers_at", "_y_at", "x_series_at_branch",
+                 "laurent_at"):
+        monkeypatch.setattr(HyperellipticCurve, name, refuse)
+    monkeypatch.setattr(riemann_roch, "kernel_basis", refuse)
+    monkeypatch.setattr(polyq, "gcd", refuse)
+    monkeypatch.setattr(riemann_roch, "_rr_space_uncached", refuse)
+    for C, D in cases:
+        for b in rr_space(C, D):
+            assert all(C.valuation(b, P) + D[P] >= 0 for P in D.support())
+
+
 def test_space_of_double_infinity():
     basis = rr_space(C2, Divisor({C2.infinity(): 2}))
     assert [repr(b) for b in basis] == ["1", "x"]

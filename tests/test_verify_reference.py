@@ -6,13 +6,19 @@ rows of `jets.jet_rows` at every sample point, compared through
 of verify_embedding must give the same report, failures included, on
 random models with sections dropped, at points with y in Q and in
 Q(sqrt d) for d > 0 and d < 0, at infinity, at branch points, and at a
-finite non-branch point in the support of a cleared divisor.
+finite non-branch point in the support of a cleared divisor.  At infinity
+and the branch points the rows are coefficients of polynomials; they are
+checked at every branch point of monic and non-monic curves at
+g = 2..6, and so is the fallback to Laurent rows for sections with a
+pole past the cleared divisor.
 """
 
 import random
 from fractions import Fraction
 
-from plurisusy import polyq
+import pytest
+
+from plurisusy import jets, polyq
 from plurisusy.curve import Divisor, HyperellipticCurve
 from plurisusy.fieldext import QuadExt, normalised, rows_independent
 from plurisusy.jets import jet_rows
@@ -193,3 +199,78 @@ def test_pencils_with_shared_fibres_and_scaled_columns():
         assert got.to_json() == reference_report(V, pts).to_json(), even
         failed_pairs |= {(P.y == 0, Q.y == 0) for P, Q in got.pair_failures}
     assert (True, False) in failed_pairs or (False, True) in failed_pairs
+
+
+def _theta_models(rng):
+    """Models of theta characteristics at g = 2..6 on split curves, one
+    monic and one not per genus, on both sides of the very-ampleness
+    threshold."""
+    for g in range(2, 7):
+        for lc in (1, rng.choice((3, Fraction(-2, 5), Fraction(7, 2)))):
+            roots = [Fraction(r) for r in rng.sample(range(-7, 8), 2 * g + 1)]
+            C = HyperellipticCurve(polyq.scale(polyq.from_roots(roots), lc))
+            for _ in range(2):
+                subset = rng.sample(range(2 * g + 1), rng.randint(0, g))
+                X = make_split_supercurve(C, theta_from_subset(C, subset))
+                nu = rng.choice((3, 4, 5) if g == 2 else (3, 4))
+                yield build_model(X, nu, force=True)
+
+
+def test_rows_at_infinity_and_every_branch_point():
+    rng = random.Random(2203)
+    failed_at = {"inf": 0, "branch": 0}
+    n_models = 0
+    for M in _theta_models(rng):
+        C = M.curve
+        kinds = _finite_points(C)
+        special = [C.infinity()] + C.rational_branch_points()
+        for _ in range(3):
+            V, _ = _variant(M, rng, [])
+            pts = special + rng.sample(kinds["Q"] + kinds["real"]
+                                       + kinds["imaginary"], 3)
+            got = verify_embedding(V, samples=pts)
+            want = reference_report(V, pts)
+            assert got.to_json() == want.to_json(), (V.even_sections,
+                                                     V.odd_sections, pts)
+            n_models += 1
+            bad = set(got.tangent_failures) | set(got.odd_failures) | {
+                P for pair in got.pair_failures for P in pair}
+            failed_at["inf"] += C.infinity() in bad
+            failed_at["branch"] += any(P.y == 0 for P in bad
+                                       if not P.at_infinity)
+    assert n_models == 60
+    assert min(failed_at.values()) >= 10, failed_at
+
+
+def test_sections_past_the_cleared_divisor_fall_back_to_laurent_rows(
+        monkeypatch):
+    # a section with a pole past D at infinity, or at a branch point, has
+    # no coefficient rows there; verify_embedding reads its Laurent rows,
+    # whose window, sized by the valuation, ends below the rows D asks
+    # for, so both it and the reference raise
+    C = _split((0, 1, 2, 3, -7))
+    M = build_model(make_split_supercurve(C, theta_from_subset(C, [0])), 5)
+    D = M.cleared_divisors["even"]
+    W = C.branch_point(1)
+    assert D[W] == 0
+    fallbacks = []
+    real = jets.SectionJets._laurent_rows
+
+    def spy(self, P):
+        fallbacks.append(P)
+        return real(self, P)
+
+    monkeypatch.setattr(jets.SectionJets, "_laurent_rows", spy)
+    pole_at_inf = C.x_fn() ** (D[C.infinity()] // 2 + 1)
+    pole_at_W = (C.x_fn() - 1).inverse() * C.y_fn()
+    pts = [C.infinity(), W, C.branch_point(2), C.point(-1), C.point(5)]
+    for extra, P in ((pole_at_inf, C.infinity()), (pole_at_W, W)):
+        even = M.even_sections[:3] + (extra,)
+        V = PluriCanonicalModel(C, M.nu, RankPair(len(even) - 1, 1), even,
+                                M.odd_sections[:1], M.cleared_divisors)
+        fallbacks.clear()
+        with pytest.raises(ValueError, match="beyond truncation window"):
+            verify_embedding(V, samples=pts)
+        assert fallbacks == [P]
+        with pytest.raises(ValueError, match="beyond truncation window"):
+            reference_report(V, pts)
