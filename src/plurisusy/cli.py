@@ -35,8 +35,8 @@ MAX_GENUS = {"theta-census": CENSUS_MAX_GENUS, "rank": 160, "dual": 160,
 # off the closed-form h1.
 MAX_DEGREE = {"embed": 160}
 # The largest --samples of verify, checked before the model is read and
-# held to the same 3.5 s on the stock models up to genus 20.
-MAX_SAMPLES = 50_000
+# held to the same 3.5 s on the models embed writes at its degree bound.
+MAX_SAMPLES = 500
 
 
 class UsageError(Exception):
@@ -77,17 +77,19 @@ def _emit(args, payload, text: str) -> None:
     _write(args.out, text)
 
 
-def _check_bounds(args, genus: int) -> None:
+def _check_bounds(args, genus: int, nu: Optional[int] = None) -> None:
     bound = MAX_GENUS[args.command]
     if genus > bound:
         what = ("theta-census enumerates 4^g classes and"
                 if args.command == "theta-census" else args.command)
         raise UsageError(f"{what} stops at genus {bound}; got genus {genus}")
-    bound = MAX_DEGREE.get(args.command)
-    if bound is not None and (args.nu + 1) * (genus - 1) > bound:
+    # verify, which has no --nu, passes the nu of its model: embed's bound
+    bound = MAX_DEGREE.get(args.command if nu is None else "embed")
+    nu = getattr(args, "nu", nu)
+    if bound is not None and (nu + 1) * (genus - 1) > bound:
         raise UsageError(
             f"{args.command} stops at degree (nu + 1)(g - 1) = {bound}; got "
-            f"{(args.nu + 1) * (genus - 1)} at nu {args.nu}, genus {genus}")
+            f"{(nu + 1) * (genus - 1)} at nu {nu}, genus {genus}")
 
 
 def _get_curve(args) -> HyperellipticCurve:
@@ -184,10 +186,12 @@ def cmd_embed(args) -> int:
 
 
 def _bounded_model(args, obj):
-    """The model of obj, its genus checked from the "curve" entry before
-    the sections, which take longest to read, are parsed."""
-    from .serialize import curve_from_json, model_from_json
-    _check_bounds(args, curve_from_json(obj["curve"]).genus)
+    """The model of obj, its genus and degree checked from the "curve"
+    and "nu" entries before the sections, which take longest to read,
+    are parsed."""
+    from .serialize import _int, curve_from_json, model_from_json
+    _check_bounds(args, curve_from_json(obj["curve"]).genus,
+                  _int(obj["nu"], "nu"))
     return model_from_json(obj)
 
 

@@ -51,18 +51,18 @@ class SectionJets:
     y' = f'/(2y): integer pairs once scaled as PointFrame says.  At
     infinity and at a branch point, where At and Bt y never cancel, each
     row is one coefficient of At or of Bt (_infinity_rows, _branch_rows)
-    when every section lies in L(D) there.  At every other point, and
-    for sections with a pole past D, the rows are the Laurent rows of
-    jet_rows, with column j times the same lam_j."""
+    when every section lies in L(D) there, and a ValueError naming the
+    section otherwise.  At every other point the rows are the Laurent
+    rows of jet_rows, with column j times the same lam_j."""
 
     def __init__(self, curve: HyperellipticCurve,
                  sections: Sequence[FunctionFieldElement], D: Divisor,
-                 nterms: int):
+                 nterms: int, summand: str):
         for j, s in enumerate(sections):
             if s.is_zero():
                 raise ValueError(f"model section {j} is zero")
         self.curve, self.sections, self.D = curve, sections, D
-        self.nterms = nterms
+        self.nterms, self.summand = nterms, summand
         dens = list(dict.fromkeys(s.den for s in sections))
         cofactors = {}  # phi / den for phi the product of the distinct dens
         for d in dens:
@@ -96,14 +96,17 @@ class SectionJets:
              frame: Optional["PointFrame"]) -> List[IntRow]:
         """Rows 0 .. nterms - 1 at P; frame is P's, None at infinity."""
         if P.at_infinity:
-            rows = self._infinity_rows()
-        elif P.y == 0:
-            rows = self._branch_rows(P)
-        elif self.D[P] or not all(map(frame.ev, self.dens)):
-            rows = None
-        else:
-            return self._integer_jets(frame)
-        return self._laurent_rows(P) if rows is None else rows
+            return self._infinity_rows()
+        if P.y == 0:
+            return self._branch_rows(P)
+        if self.D[P] or not all(map(frame.ev, self.dens)):
+            return [int_row(r, self.lam) for r in jet_rows(
+                self.curve, self.sections, self.D, P, self.nterms)]
+        return self._integer_jets(frame)
+
+    def _pole_past_D(self, j: int, P: CurvePoint) -> ValueError:
+        return ValueError(f"{self.summand} section {j} has a pole past its "
+                          f"cleared divisor at {P!r}")
 
     def _integer_jets(self, frame: "PointFrame") -> List[IntRow]:
         """The integer rows at a finite non-branch point off D where no
@@ -122,9 +125,9 @@ class SectionJets:
                     for us, vs in rows]
         return [(us, vs, d) for us, vs in rows]
 
-    def _infinity_rows(self) -> Optional[List[IntRow]]:
-        """The rows at infinity, or None when a section has a pole there
-        past D.  Times phi, whose expansion in t has even orders only,
+    def _infinity_rows(self) -> List[IntRow]:
+        """The rows at infinity, where no section may have a pole past D.
+        Times phi, whose expansion in t has even orders only,
         the rows sit at orders -m, -m + 1 of At + Bt y, with
         m = D[inf] + 2 deg phi; there x^i has order -2i, and x^k y order
         -(2k + 2g + 1) with leading coefficient sqrt(lc f), a factor of
@@ -133,9 +136,9 @@ class SectionJets:
         x^i in At."""
         g1 = 2 * self.curve.genus + 1
         m = self.D[self.curve.infinity()] + 2 * self.phi_degree
-        if (any(a and 2 * len(a) - 2 > m for a in self.A)
-                or any(b and 2 * len(b) - 2 + g1 > m for b in self.B)):
-            return None
+        for j, (a, b) in enumerate(zip(self.A, self.B)):
+            if a and 2 * len(a) - 2 > m or b and 2 * len(b) - 2 + g1 > m:
+                raise self._pole_past_D(j, self.curve.infinity())
         rows = []
         for pole in range(m, m - self.nterms, -1):
             i, polys = ((pole - g1) // 2, self.B) if pole % 2 else (
@@ -144,9 +147,9 @@ class SectionJets:
                          None, 1))
         return rows
 
-    def _branch_rows(self, P: CurvePoint) -> Optional[List[IntRow]]:
-        """The rows at the branch point P over r, or None when a section
-        has a pole there past D.  Times phi, which is even in t = y and
+    def _branch_rows(self, P: CurvePoint) -> List[IntRow]:
+        """The rows at the branch point P over r, where no section may
+        have a pole past D.  Times phi, which is even in t = y and
         of order 2 delta, delta = mult_r(phi), the rows sit at orders
         o = 2 delta - D[P] and o + 1 of At + Bt y.  As x - r = t^2 u(t^2),
         the Taylor coefficient of (x - r)^i in At has order 2i, and in Bt
@@ -159,8 +162,9 @@ class SectionJets:
         tA = [polyq.taylor(p, r, (top + 1) // 2) for p in self.A]
         tB = [polyq.taylor(p, r, top // 2) for p in self.B]
         nA, nB = max(0, (o + 1) // 2), max(0, o // 2)
-        if any(any(t[:nA]) for t in tA) or any(any(t[:nB]) for t in tB):
-            return None
+        for j, (a, b) in enumerate(zip(tA, tB)):
+            if any(a[:nA]) or any(b[:nB]):
+                raise self._pole_past_D(j, P)
         rows = []
         for k in range(o, top):
             i = k // 2
@@ -168,10 +172,6 @@ class SectionJets:
                    for t in (tB if k % 2 else tA)]
             rows.append((polyq.clear_denominators(row)[1][0], None, 1))
         return rows
-
-    def _laurent_rows(self, P: CurvePoint) -> List[IntRow]:
-        rows = jet_rows(self.curve, self.sections, self.D, P, self.nterms)
-        return [int_row(r, self.lam) for r in rows]
 
 
 class PointFrame:

@@ -493,8 +493,9 @@ def verify_embedding(M: PluriCanonicalModel,
     for P in pts:
         index.setdefault(P, len(index))
 
-    even = SectionJets(curve, M.even_sections, M.cleared_divisors["even"], 2)
-    odd = SectionJets(curve, M.odd_sections, M.cleared_divisors["odd"], 1)
+    D = M.cleared_divisors
+    even = SectionJets(curve, M.even_sections, D["even"], 2, "even")
+    odd = SectionJets(curve, M.odd_sections, D["odd"], 1, "odd")
     N = max(even.degree, odd.degree)
     lam_f, F = even.lam_f, even.F
     value_keys = []

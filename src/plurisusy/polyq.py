@@ -112,12 +112,6 @@ def gcd(p: Poly, q: Poly) -> Poly:
     return monic(poly(_int_gcd(_primitive_ints(p), _primitive_ints(q))))
 
 
-def lcm(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ZERO
-    return monic(exact_div(mul(p, q), gcd(p, q)))
-
-
 def derivative(p: Poly) -> Poly:
     return poly(i * c for i, c in enumerate(p) if i > 0)
 
@@ -288,11 +282,12 @@ def _int_gcd(a: List[int], b: List[int]) -> List[int]:
 
 
 def _primes() -> Iterator[int]:
-    n = 2
+    yield from (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    n = 49
     while True:
-        if all(n % q for q in range(2, isqrt(n) + 1)):
+        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
             yield n
-        n += 1
+        n += 2
 
 
 def _integer_roots(b: List[int]) -> List[int]:
@@ -300,16 +295,23 @@ def _integer_roots(b: List[int]) -> List[int]:
 
     Modulo the first prime p at which every root of b is simple, each
     integer root reduces to one of those roots, and each of them lifts
-    uniquely to p^k (Hensel).  An integer root z has |z| <= 1 + max|b_i|,
-    so once p^k exceeds twice that bound z is the symmetric lift.
+    uniquely to p^k (Hensel).  An integer root z is bounded by Cauchy's
+    1 + max|b_i| and by Fujiwara's 2 max|b_i|^(1/(n-i)) (Tohoku Math. J.
+    10, 1916; here each term is rounded up to a power of 2), so once p^k
+    exceeds twice the smaller bound z is the symmetric lift.
     """
     db = int_derivative(b)
     for prime in _primes():
-        bp = [c % prime for c in b]
-        found = [z for z in range(prime) if eval_at(bp, z) % prime == 0]
-        if all(eval_at(db, z) % prime for z in found):
+        bp, found = [c % prime for c in b], []
+        for z in filter(lambda z: eval_at(bp, z) % prime == 0, range(prime)):
+            if eval_at(db, z) % prime == 0:
+                break  # a multiple root: try the next prime
+            found.append(z)
+        else:
             break
-    bound = 2 * (1 + max(map(abs, b[:-1]), default=0))
+    bound = 2 * min(1 + max(map(abs, b[:-1]), default=0),
+                    2 << max((-(-abs(c).bit_length() // (len(b) - 1 - i))
+                              for i, c in enumerate(b[:-1])), default=0))
     roots = []
     for z in found:
         m = prime
@@ -331,19 +333,24 @@ def rational_roots(p: Poly) -> Tuple[List[Tuple[Fraction, int]], Poly]:
 
     The roots are those of the squarefree part of p, written as a
     primitive integer polynomial s of degree n.  Each is z / s_n for an
-    integer root z of the monic b(z) = s_n^(n-1) s(z / s_n).
+    integer root z of the monic b(z) = s_n^(n-1) s(z / s_n).  When
+    gcd(p, p') is constant every root is simple, so each linear factor
+    is divided out once, and none when there are n roots.
     """
     if not p:
         raise ValueError("zero polynomial")
     rest = _primitive_ints(p)
-    s = _int_div(rest, _int_gcd(rest, int_derivative(rest)))
+    d = _int_gcd(rest, int_derivative(rest))
+    s = rest if len(d) == 1 else _int_div(rest, d)
     n, lc = len(s) - 1, s[-1]
     b = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
-    roots = []
-    for z in sorted(_integer_roots(b)):
-        r = Fraction(z, lc)
-        m = 0
-        while (q := _int_div(rest, [-r.numerator, r.denominator])) is not None:
+    roots = [(Fraction(z, lc), 1) for z in sorted(_integer_roots(b))]
+    if len(d) == 1 and len(roots) == n:
+        return roots, ONE
+    for i, (r, _) in enumerate(roots):
+        m, linear = 0, [-r.numerator, r.denominator]
+        while ((m == 0 or len(d) > 1)
+               and (q := _int_div(rest, linear)) is not None):
             rest, m = q, m + 1
-        roots.append((r, m))
+        roots[i] = (r, m)
     return roots, (poly(rest) if len(rest) > 1 else ONE)

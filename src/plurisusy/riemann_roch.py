@@ -23,7 +23,7 @@ and theta characteristics are square roots of K in the divisor class group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -355,20 +355,25 @@ def canonical_class(curve: HyperellipticCurve) -> DivisorClass:
     return DivisorClass(curve, canonical_divisor(curve))
 
 
-@dataclass(frozen=True)
-class ThetaCharacteristic:
+class ThetaCharacteristic(namedtuple("ThetaFields", "curve subset roots h0")):
     """A square root of the canonical class, carried by its curve and the
     subset S of the sorted finite branch roots: the class of the sum of
     the branch points over S plus (g - 1 - |S|) * infinity.  `roots` are
     the x-coordinates of those branch points.  The divisor and its class
     are built on each access, so a census makes neither.  On one curve
     distinct subsets of size at most g are distinct classes, so equality
-    of these fields is equality of classes, and thetas hash."""
+    of the tuple (curve, subset, roots, h0) is equality of classes; a
+    theta hashes, and equals no other kind of tuple."""
 
-    curve: HyperellipticCurve
-    subset: Tuple[int, ...]
-    roots: Tuple[Fraction, ...]
-    h0: int
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @property
     def divisor(self) -> Divisor:

@@ -315,6 +315,29 @@ def test_verify_genus_bound_is_checked_before_parsing_sections(
                 2, "", f"error: verify stops at genus {g}; got genus {g + 1}\n")
 
 
+def test_verify_degree_bound_is_checked_before_parsing_sections(
+        capsys, tmp_path, monkeypatch):
+    # a model edited past embed's degree bound exits 2 before its sections
+    # are read; at the bound it goes on to them
+    def refuse(*args, **kwargs):
+        raise SectionsRead("the model was read past its nu")
+
+    C = standard_curve(3)
+    obj = serialize.model_to_json(build_model(make_split_supercurve(
+        C, theta_from_subset(C, [0, 1, 2])), 3))
+    monkeypatch.setattr(serialize, "parse_function", refuse)
+    bound = cli.MAX_DEGREE["embed"]
+    nu = bound // 2 - 1  # the largest nu with (nu + 1)(g - 1) <= bound
+    path = tmp_path / "model.json"
+    path.write_text(serialize.dumps({**obj, "nu": nu + 1}))
+    assert run(capsys, "verify", str(path)) == (
+        2, "", f"error: verify stops at degree (nu + 1)(g - 1) = {bound}; "
+               f"got {2 * (nu + 2)} at nu {nu + 1}, genus 3\n")
+    path.write_text(serialize.dumps({**obj, "nu": nu}))
+    with pytest.raises(SectionsRead):
+        cli.main(["verify", str(path), "--samples", "1"])
+
+
 def test_verify_rejects_tampered_model(capsys, tmp_path):
     good = tmp_path / "good.json"
     run(capsys, "embed", "--genus", "2", "--theta", '{"subset": [0]}',

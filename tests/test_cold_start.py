@@ -28,8 +28,18 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     report["code"] = plurisusy.cli.main(sys.argv[1:])
 report["loaded"] = loaded()
+report["dataclasses"] = "dataclasses" in sys.modules
 print(json.dumps(report))
 """
+
+
+def _child(code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
 
 CURVE = {"curve", "fieldext", "linalg", "polyq", "riemann_roch", "series"}
 SC = ["check-superconformal", "4*z + -3 + 2*theta*eta", "2*theta + eta"]
@@ -44,11 +54,16 @@ SC = ["check-superconformal", "4*z + -3 + 2*theta*eta", "2*theta + eta"]
     (["dual", "--genus", "2"], CURVE | {"reader", "serialize", "supercurve"}),
 ])
 def test_subcommand_loads_only_what_it_runs(argv, loaded):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    report = json.loads(res.stdout)
+    report = json.loads(_child(CHILD, *argv))
     assert report["after_import"] == []
     assert report["code"] == 0
     assert set(report["loaded"]) == loaded | {"cli"}
+
+
+def test_theta_census_loads_no_dataclasses():
+    # thetas are tuples; a bare interpreter loads no dataclasses, so a
+    # census that needed them would show here
+    assert _child("import sys; print('dataclasses' in sys.modules)") == (
+        "False\n")
+    report = json.loads(_child(CHILD, "theta-census", "--genus", "3"))
+    assert report["code"] == 0 and not report["dataclasses"]

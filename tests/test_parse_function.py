@@ -46,7 +46,7 @@ def sympy_parse_function(curve, s):
     pb, qb = sp.fraction(sp.cancel(b))
     qa_p = _poly_from_sympy(qa, x)
     qb_p = _poly_from_sympy(qb, x)
-    den = polyq.lcm(qa_p, qb_p)
+    den = polyq.monic(_poly_from_sympy(sp.lcm(qa, qb), x))
     A = polyq.mul(_poly_from_sympy(pa, x), polyq.exact_div(den, qa_p))
     B = polyq.mul(_poly_from_sympy(pb, x), polyq.exact_div(den, qb_p))
     return curve.function(A, B, den)

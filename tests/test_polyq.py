@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
+from math import isqrt
 
 import pytest
 import sympy as sp
@@ -92,6 +94,157 @@ def test_split_curves_of_the_census_shape():
         roots = sorted(rng.sample(range(-6, 7), rng.choice([5, 7, 9, 11])))
         got = _check(polyq.from_roots([Fraction(r) for r in roots]))
         assert got == ([(Fraction(r), 1) for r in roots], polyq.ONE)
+
+
+# The earlier rational_roots, kept as a second oracle: every prime is
+# scanned in full, roots lift past twice the Cauchy bound, and each root's
+# multiplicity is counted by trial division, squarefree input or not.
+
+def _reference_primes():
+    n = 2
+    while True:
+        if all(n % q for q in range(2, isqrt(n) + 1)):
+            yield n
+        n += 1
+
+
+def _reference_integer_roots(b):
+    db = polyq.int_derivative(b)
+    for prime in _reference_primes():
+        bp = [c % prime for c in b]
+        found = [z for z in range(prime) if polyq.eval_at(bp, z) % prime == 0]
+        if all(polyq.eval_at(db, z) % prime for z in found):
+            break
+    bound = 2 * (1 + max(map(abs, b[:-1]), default=0))
+    roots = []
+    for z in found:
+        m = prime
+        while m <= bound:
+            m *= m
+            step = polyq.eval_at(b, z) * pow(polyq.eval_at(db, z), -1, m)
+            z = (z - step) % m
+        if z > m // 2:
+            z -= m
+        if polyq.eval_at(b, z) == 0:
+            roots.append(z)
+    return roots
+
+
+def _reference_rational_roots(p):
+    rest = polyq._primitive_ints(p)
+    s = polyq._int_div(rest, polyq._int_gcd(rest, polyq.int_derivative(rest)))
+    n, lc = len(s) - 1, s[-1]
+    b = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+    roots = []
+    for z in sorted(_reference_integer_roots(b)):
+        r = Fraction(z, lc)
+        m = 0
+        while (q := polyq._int_div(rest, [-r.numerator, r.denominator])
+               ) is not None:
+            rest, m = q, m + 1
+        roots.append((r, m))
+    return roots, (polyq.poly(rest) if len(rest) > 1 else polyq.ONE)
+
+
+def _check_both(p):
+    got = _check(p)
+    assert got == _reference_rational_roots(p), p
+    return got
+
+
+def _first_good_prime(roots):
+    """The first prime at which the distinct integer roots stay distinct."""
+    return next(q for q in _reference_primes()
+                if len({r % q for r in roots}) == len(roots))
+
+
+def test_roots_near_the_lifting_bound():
+    # |root| close to the Cauchy and Fujiwara bounds, across the powers
+    # of two where the rounded Fujiwara bound steps
+    rng = random.Random(41)
+    big = [2 ** k + d for k in range(8, 70, 3) for d in (-1, 0, 1)]
+    for R in [*range(1, 130), *big]:
+        for n in (2, 3, 5):  # x^n - R^n: the bound is within 4 |R|
+            p = polyq.poly([-(R ** n)] + [0] * (n - 1) + [1])
+            assert Fraction(R) in [r for r, _ in _check_both(p)[0]]
+        if R in big or R % 7 == 0:
+            for roots in ([R], [-R], [R, -R], [R, R - 1, 0],
+                          [R, -1, 1], [-R, 2, 3, -5]):
+                got = _check_both(polyq.from_roots(roots))
+                assert [r for r, _ in got[0]] == sorted(set(roots))
+    for _ in range(100):
+        R = rng.randint(2, 10 ** rng.randint(1, 25))
+        roots = {rng.choice([R, -R]), *(rng.randint(-9, 9)
+                                       for _ in range(rng.randint(0, 4)))}
+        lc = rng.choice([1, 1, 3, 10 ** 12 + 39])
+        _check_both(polyq.scale(polyq.from_roots(sorted(roots)), lc))
+
+
+@pytest.mark.parametrize("roots", [
+    [0, 30030],                       # 2 * 3 * 5 * 7 * 11 * 13
+    [-30030, 0, 30030, 1],
+    [0, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 7],
+    [0, 614889782588491410, -1],     # the primes up to 47: first good is 53
+])
+def test_first_good_prime_above_13(roots):
+    assert _first_good_prime(roots) > 13
+    for lc in (1, -5, 10 ** 30):
+        got = _check_both(polyq.scale(polyq.from_roots(roots), lc))
+        assert got == ([(Fraction(r), 1) for r in sorted(roots)], polyq.ONE)
+    p = polyq.mul(polyq.from_roots(roots), polyq.poly([2, 0, 1]))
+    assert _check_both(p)[1] == polyq.poly([2, 0, 1])
+
+
+def test_primes_continue_past_the_memoised_ones():
+    got = list(islice(polyq._primes(), 60))
+    assert got == list(islice(_reference_primes(), 60))
+
+
+def test_repeated_rational_and_quadratic_factors():
+    rng = random.Random(43)
+    quadratics = [polyq.poly(c) for c in ([1, 0, 1], [2, 0, 1], [1, 1, 1],
+                                         [-3, 0, 7], [5, Fraction(1, 2), 3])]
+    for _ in range(150):
+        p = (Fraction(rng.choice([1, -2, Fraction(5, 3)])),)
+        for _ in range(rng.randint(1, 3)):
+            q = rng.choice(quadratics)
+            p = polyq.mul(p, _pow(q, rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 3)):
+            r = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            p = polyq.mul(p, _pow(_linear(r), rng.randint(1, 4)))
+        _check_both(p)
+    # no rational root, yet not squarefree
+    p = polyq.mul(_pow(quadratics[0], 2), _pow(quadratics[3], 3))
+    assert _check_both(p) == ([], polyq.poly(polyq._primitive_ints(p)))
+
+
+def test_non_monic_with_large_leading_coefficients():
+    rng = random.Random(47)
+    for _ in range(150):
+        lc = rng.choice([10 ** 30, -(10 ** 30), 10 ** 30 - 1,
+                         rng.randint(2, 10 ** 30)])
+        roots = [Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                          rng.randint(1, 10 ** 4))
+                 for _ in range(rng.randint(1, 5))]
+        p = polyq.scale(polyq.from_roots(roots), lc)
+        if rng.random() < 0.5:
+            p = polyq.mul(p, rng.choice([polyq.poly([3, 0, 1]), _linear(
+                roots[0]), polyq.poly([Fraction(1, 10 ** 30), 1, 1])]))
+        _check_both(p)
+
+
+def test_split_squarefree_input_needs_no_trial_division(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_int_div called on split squarefree input")
+
+    monkeypatch.setattr(polyq, "_int_div", refuse)
+    rng = random.Random(53)
+    for _ in range(60):
+        roots = sorted({Fraction(rng.randint(-30, 30), rng.randint(1, 6))
+                        for _ in range(rng.randint(1, 9))})
+        lc = rng.choice([1, -1, 7, Fraction(2, 3), 10 ** 30])
+        got = polyq.rational_roots(polyq.scale(polyq.from_roots(roots), lc))
+        assert got == ([(r, 1) for r in roots], polyq.ONE)
 
 
 def test_zero_polynomial_is_rejected():

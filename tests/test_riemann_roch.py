@@ -569,6 +569,35 @@ def test_census_thetas_are_values(g):
         assert theta_from_subset(other, t.subset) != t
 
 
+def test_thetas_are_immutable_tuple_values():
+    rng = random.Random(61)
+    for g in range(2, 7):
+        roots = rng.sample([Fraction(k, 2) for k in range(-20, 21)],
+                           2 * g + 1)
+        lc = rng.choice([1, 3, Fraction(-1, 2)])
+        C = HyperellipticCurve(polyq.scale(polyq.from_roots(roots), lc))
+        moved = HyperellipticCurve(polyq.scale(C.f, 2))  # same roots
+        census = theta_characteristics(C)
+        for t in census:
+            u = theta_from_subset(C, t.subset)
+            assert (t.curve, t.subset, t.roots, t.h0) == (
+                u.curve, u.subset, u.roots, u.h0)
+            assert t == u and not t != u and hash(t) == hash(u)
+            assert hash(t) == hash((t.curve, t.subset, t.roots, t.h0))
+            v = theta_from_subset(moved, t.subset)
+            assert t != v and not t == v
+            fields = tuple(t)
+            assert t != fields and fields != t
+            assert not t == fields and not fields == t
+        t = census[-1]
+        for name in ("curve", "subset", "roots", "h0", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, None)
+        assert repr(t) == (f"ThetaCharacteristic(curve={C!r}, "
+                           f"subset={t.subset!r}, roots={t.roots!r}, "
+                           f"h0={t.h0!r})")
+
+
 def test_theta_from_subset_validation():
     with pytest.raises(ValueError):
         theta_from_subset(C2, (0, 0))

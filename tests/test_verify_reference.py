@@ -9,11 +9,12 @@ Q(sqrt d) for d > 0 and d < 0, at infinity, at branch points, and at a
 finite non-branch point in the support of a cleared divisor.  At infinity
 and the branch points the rows are coefficients of polynomials; they are
 checked at every branch point of monic and non-monic curves at
-g = 2..6, and so is the fallback to Laurent rows for sections with a
-pole past the cleared divisor.
+g = 2..6, and so is the error for sections with a pole past the
+cleared divisor there.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -242,25 +243,25 @@ def test_rows_at_infinity_and_every_branch_point():
     assert min(failed_at.values()) >= 10, failed_at
 
 
-def test_sections_past_the_cleared_divisor_fall_back_to_laurent_rows(
+def test_sections_past_the_cleared_divisor_are_named_in_the_error(
         monkeypatch):
     # a section with a pole past D at infinity, or at a branch point, has
-    # no coefficient rows there; verify_embedding reads its Laurent rows,
-    # whose window, sized by the valuation, ends below the rows D asks
-    # for, so both it and the reference raise
+    # no coefficient rows there; verify_embedding names the summand, the
+    # section and the point without reading Laurent rows, and the
+    # reference raises since its Laurent window, sized by the valuation,
+    # ends below the rows D asks for
     C = _split((0, 1, 2, 3, -7))
     M = build_model(make_split_supercurve(C, theta_from_subset(C, [0])), 5)
     D = M.cleared_divisors["even"]
     W = C.branch_point(1)
     assert D[W] == 0
     fallbacks = []
-    real = jets.SectionJets._laurent_rows
 
-    def spy(self, P):
+    def spy(curve, sections, D, P, nterms):
         fallbacks.append(P)
-        return real(self, P)
+        return jet_rows(curve, sections, D, P, nterms)
 
-    monkeypatch.setattr(jets.SectionJets, "_laurent_rows", spy)
+    monkeypatch.setattr(jets, "jet_rows", spy)
     pole_at_inf = C.x_fn() ** (D[C.infinity()] // 2 + 1)
     pole_at_W = (C.x_fn() - 1).inverse() * C.y_fn()
     pts = [C.infinity(), W, C.branch_point(2), C.point(-1), C.point(5)]
@@ -269,8 +270,10 @@ def test_sections_past_the_cleared_divisor_fall_back_to_laurent_rows(
         V = PluriCanonicalModel(C, M.nu, RankPair(len(even) - 1, 1), even,
                                 M.odd_sections[:1], M.cleared_divisors)
         fallbacks.clear()
-        with pytest.raises(ValueError, match="beyond truncation window"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"even section 3 has a pole past its cleared divisor at "
+                f"{P!r}")):
             verify_embedding(V, samples=pts)
-        assert fallbacks == [P]
+        assert fallbacks == []
         with pytest.raises(ValueError, match="beyond truncation window"):
             reference_report(V, pts)
