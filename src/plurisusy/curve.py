@@ -17,12 +17,14 @@ x has a double pole and y a pole of order 2g+1 at infinity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from . import polyq
 from .polyq import Poly
 from .fieldext import QuadExt, make_sqrt
-from .series import TSeries
+
+if TYPE_CHECKING:  # imported by the routines that build a series
+    from .series import TSeries
 
 Scalar = Union[Fraction, QuadExt]
 
@@ -158,6 +160,7 @@ class HyperellipticCurve:
         return loc.x.truncate(cut)
 
     def _solve_branch(self, r: Fraction, cut: int) -> TSeries:
+        from .series import TSeries
         fshift = polyq.shift(self.f, r)  # f(r+s), constant term 0
         u = fshift[1:]  # f(r+s) = s * u(s), u(0) != 0
         t2 = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), Fraction(1)], cut)
@@ -173,6 +176,7 @@ class HyperellipticCurve:
 
     def y_series_at(self, P: "CurvePoint", cut: int) -> TSeries:
         """Series of y in the local parameter at a finite point."""
+        from .series import TSeries
         if P.at_infinity:
             raise ValueError("y_series_at needs a finite point")
         loc = self._local_at(P)
@@ -189,6 +193,7 @@ class HyperellipticCurve:
         """Series of y at infinity: y = t^-(2g+1) sqrt(G(t^2)) where
         G(s) = f(1/s) * s^(2g+1) has nonzero constant term lead(f).  The
         window reaches at least t^(-2g), just past the leading term."""
+        from .series import TSeries
         m = 2 * self.genus + 1
         cut = max(cut, 1 - m)
         loc = self._local_at(self.infinity())
@@ -216,6 +221,7 @@ class HyperellipticCurve:
     def _powers_at(self, P: "CurvePoint", n: int, cut: int) -> List[TSeries]:
         """x^0(t), ..., x^n(t) (at least) at a finite point P, built as
         x^(i+1) = x^i * x and exact below cut or beyond."""
+        from .series import TSeries
         loc = self._local_at(P)
         powers = loc.powers
         if not powers or powers[0].cut < cut:
@@ -242,6 +248,7 @@ class HyperellipticCurve:
 
     def _poly_series_at(self, p: Poly, P: "CurvePoint", cut: int) -> TSeries:
         """Laurent series of the polynomial function p(x) at P."""
+        from .series import TSeries
         if P.at_infinity:
             if not p:
                 return TSeries.zero(cut)
@@ -408,6 +415,7 @@ class HyperellipticCurve:
 
 def _compose_poly(p: Iterable, s: TSeries, cut: int) -> TSeries:
     """p(s(t)) for a polynomial p and a series s with s.val >= 0."""
+    from .series import TSeries
     if not s.is_empty() and s.val < 0:
         raise ValueError("cannot compose a polynomial with a pole")
     coeffs = list(p)

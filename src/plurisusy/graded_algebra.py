@@ -34,7 +34,6 @@ Q(z).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Mapping, Optional, Sequence, Tuple
@@ -42,6 +41,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from . import polyq
 from .polyq import Poly
 from .reader import check_degree, degrees, evaluate
+from .records import Record
 
 Subset = Tuple[int, ...]
 
@@ -781,11 +781,14 @@ def bracket(X: VectorFieldSC, Y: VectorFieldSC) -> VectorFieldSC:
 MAX_CHECK_DEGREE = 150
 
 
-@dataclass
-class SuperconformalReport:
-    ok: bool
-    residual: GrassmannElement
-    jacobian_body_invertible: bool
+class SuperconformalReport(Record):
+    __slots__ = ("ok", "residual", "jacobian_body_invertible")
+
+    def __init__(self, ok: bool, residual: GrassmannElement,
+                 jacobian_body_invertible: bool):
+        self.ok = ok
+        self.residual = residual
+        self.jacobian_body_invertible = jacobian_body_invertible
 
     def __str__(self):
         if self.ok:

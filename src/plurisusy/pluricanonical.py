@@ -10,7 +10,6 @@ section module of a first-order deformation over a 0|1-dimensional base.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -18,8 +17,8 @@ from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve, standard_curve)
 from .fieldext import row_key
-from .jets import PointFrame, SectionJets
 from .linalg import ColumnSpace
+from .records import Record, frozen
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, _reduce,
                            canonical_divisor, class_eq, h0,
                            parity_representatives, rr_space, semi_reduce)
@@ -37,16 +36,12 @@ def summand_powers(nu: int) -> Tuple[int, int]:
     return (nu, nu + 1) if nu % 2 == 0 else (nu + 1, nu)
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(frozen("RankReport", "nu rank hypotheses_hold formula note",
+                        defaults=("",))):
     """Rank pair of the direct image, with the hypothesis flag and the
     closed-form pair printed alongside it."""
 
-    nu: int
-    rank: RankPair
-    hypotheses_hold: bool
-    formula: RankPair
-    note: str = ""
+    __slots__ = ()
 
     @property
     def formula_differs(self) -> bool:
@@ -107,16 +102,11 @@ def _certified_rank(X: SplitSupercurve, nu: int
                       note="hypotheses fail; point-base value"), cert
 
 
-@dataclass(frozen=True)
-class FreenessCertificate:
+class FreenessCertificate(frozen("FreenessCertificate",
+                                 "h0_E h0_EL h1_E h1_EL rank passed")):
     """The four cohomology numbers behind a local-freeness decision."""
 
-    h0_E: int
-    h0_EL: int
-    h1_E: int
-    h1_EL: int
-    rank: RankPair
-    passed: bool
+    __slots__ = ()
 
 
 def criterion_local_freeness(X: SplitSupercurve, E_class: DivisorClass,
@@ -143,14 +133,9 @@ def criterion_local_freeness(X: SplitSupercurve, E_class: DivisorClass,
     return FreenessCertificate(h0_E, h0_EL, h1_E, h1_EL, rank, passed)
 
 
-@dataclass(frozen=True)
-class VeryAmpleReport:
-    nu: int
-    passed: bool
-    condition1_ok: bool
-    condition2_ok: bool
-    witness: Optional[Tuple[CurvePoint, CurvePoint]]
-    note: str = ""
+class VeryAmpleReport(frozen("VeryAmpleReport", "nu passed condition1_ok "
+                             "condition2_ok witness note", defaults=("",))):
+    __slots__ = ()
 
     def witness_str(self) -> str:
         return witness_str(self.witness)
@@ -282,13 +267,9 @@ def minimal_nu(g: int, quantifier: str = "all-thetas",
     raise RuntimeError("no nu up to 7 passes; unreachable for genus >= 2")
 
 
-@dataclass(frozen=True)
-class ThresholdCell:
-    g: int
-    nu: int
-    even_pass: bool
-    odd_pass: bool
-    witness: Optional[Tuple[CurvePoint, CurvePoint]]
+class ThresholdCell(frozen("ThresholdCell",
+                           "g nu even_pass odd_pass witness")):
+    __slots__ = ()
 
     @property
     def all_pass(self) -> bool:
@@ -348,24 +329,24 @@ def threshold_table(g_max: int = 6, nu_max: int = 6) -> List[ThresholdCell]:
     return cells
 
 
-@dataclass(frozen=True, eq=False)
-class PluriCanonicalModel:
+class PluriCanonicalModel(frozen("PluriCanonicalModel", "curve nu ambient "
+                                 "even_sections odd_sections cleared_divisors")):
     """Projective model of a split supercurve: a point (z, theta) maps to
     [s_0(z) : ... : s_p(z) | theta t_1(z) : ... : theta t_q(z)] where the
     s_i span the even summand's sections and the t_j the odd summand's,
-    each trivialized by clearing the recorded divisor."""
+    each trivialized by clearing the recorded divisor.  Two models are
+    equal only when they are the same object."""
 
-    curve: HyperellipticCurve
-    nu: int
-    ambient: RankPair
-    even_sections: Tuple[FunctionFieldElement, ...]
-    odd_sections: Tuple[FunctionFieldElement, ...]
-    cleared_divisors: Dict[str, Divisor]
+    __slots__ = ()
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        if (len(self.even_sections) != self.ambient.even + 1
-                or len(self.odd_sections) != self.ambient.odd):
+    def __new__(cls, curve, nu, ambient, even_sections, odd_sections,
+                cleared_divisors):
+        if (len(even_sections) != ambient.even + 1
+                or len(odd_sections) != ambient.odd):
             raise ValueError("section counts do not match the ambient space")
+        return super().__new__(cls, curve, nu, ambient, even_sections,
+                               odd_sections, cleared_divisors)
 
 
 class NotVeryAmpleError(ValueError):
@@ -399,14 +380,25 @@ def build_model(X: SplitSupercurve, nu: int,
                                odd_sections, {"even": D_even, "odd": D_odd})
 
 
-@dataclass(eq=False)
-class EmbeddingReport:
-    model: PluriCanonicalModel
-    pairs_checked: int
-    points_checked: int
-    pair_failures: List[Tuple[CurvePoint, CurvePoint]]
-    tangent_failures: List[CurvePoint]
-    odd_failures: List[CurvePoint]
+class EmbeddingReport(Record):
+    """What verify_embedding checked and where it failed.  Two reports
+    are equal only when they are the same object."""
+
+    __slots__ = ("model", "pairs_checked", "points_checked", "pair_failures",
+                 "tangent_failures", "odd_failures")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, model: PluriCanonicalModel, pairs_checked: int,
+                 points_checked: int,
+                 pair_failures: List[Tuple[CurvePoint, CurvePoint]],
+                 tangent_failures: List[CurvePoint],
+                 odd_failures: List[CurvePoint]):
+        self.model = model
+        self.pairs_checked = pairs_checked
+        self.points_checked = points_checked
+        self.pair_failures = pair_failures
+        self.tangent_failures = tangent_failures
+        self.odd_failures = odd_failures
 
     @property
     def all_pass(self) -> bool:
@@ -476,6 +468,7 @@ def verify_embedding(M: PluriCanonicalModel,
     `samples` draws that many point pairs deterministically from `seed`;
     a point list checks all pairs from the list.  Fewer than one sample
     is a ValueError, so a report never passes on no checks."""
+    from .jets import PointFrame, SectionJets
     curve = M.curve
     if isinstance(samples, int):
         rng = random.Random(seed)
@@ -646,20 +639,14 @@ def _rank(matrix: Matrix) -> int:
     return space.rank
 
 
-@dataclass(frozen=True)
-class SuperPointReport:
+class SuperPointReport(frozen("SuperPointReport", "nu free rank drop_even "
+                              "drop_odd hypotheses_hold residues_even "
+                              "residues_odd")):
     """Rank pair and obstruction ranks over the superpoint.  The residue
     matrix of each summand (rows over L(D), columns over L(K - D)) is
     its certificate: the drop is its rank."""
 
-    nu: int
-    free: bool
-    rank: RankPair
-    drop_even: int
-    drop_odd: int
-    hypotheses_hold: bool
-    residues_even: Matrix
-    residues_odd: Matrix
+    __slots__ = ()
 
     def __str__(self):
         state = "free" if self.free else (
@@ -708,11 +695,8 @@ def pushforward_over_superpoint(F: SuperPointFamily,
                             m_even, m_odd)
 
 
-@dataclass(frozen=True)
-class NonembeddingReport:
-    rank: RankPair
-    h0_L: int
-    obstruction: Optional[str]
+class NonembeddingReport(frozen("NonembeddingReport", "rank h0_L obstruction")):
+    __slots__ = ()
 
 
 def canonical_nonembedding_demo(X: SplitSupercurve) -> NonembeddingReport:

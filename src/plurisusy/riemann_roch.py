@@ -23,7 +23,6 @@ and theta characteristics are square roots of K in the divisor class group.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterator, List, Optional, Tuple, Union
@@ -33,7 +32,7 @@ from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
 from .fieldext import QuadExt
 from .linalg import kernel_basis
-from .series import TSeries
+from .records import frozen
 
 
 def _split_rows(entries: List) -> List[List[Fraction]]:
@@ -235,16 +234,27 @@ def _mumford_pair(curve: HyperellipticCurve, E: Dict[CurvePoint, int]
     order m at each P, so u divides f - v^2.  Points are added one at a
     time: v + u w matches y at P for w = (y - v)/u mod t^m, t = x - x_P.
     A branch point has m = 1, where only y(P) = 0 enters, whatever the
-    local parameter."""
+    local parameter, so w is the constant -v(x_P)/u(x_P)."""
     u, v = polyq.ONE, polyq.ZERO
     for P, m in E.items():
-        ys = curve.y_series_at(P, m)
-        rest = ys - TSeries.from_poly_coeffs(polyq.shift(v, P.x), m)
-        w = rest * TSeries.from_poly_coeffs(polyq.shift(u, P.x), m).inverse()
-        w = polyq.shift(polyq.poly(w.coeff(k) for k in range(m)), -P.x)
+        if P.y == 0:
+            w = polyq.poly([-polyq.eval_at(v, P.x) / polyq.eval_at(u, P.x)])
+        else:
+            w = _mumford_step(curve, P, m, u, v)
         v = polyq.add(v, polyq.mul(u, w))
         u = polyq.mul(u, polyq.from_roots([P.x] * m))
     return u, v
+
+
+def _mumford_step(curve: HyperellipticCurve, P: CurvePoint, m: int,
+                  u: polyq.Poly, v: polyq.Poly) -> polyq.Poly:
+    """w = (y - v)/u mod t^m at a finite non-branch point P, t = x - x_P,
+    from the series of y there."""
+    from .series import TSeries
+    ys = curve.y_series_at(P, m)
+    rest = ys - TSeries.from_poly_coeffs(polyq.shift(v, P.x), m)
+    w = rest * TSeries.from_poly_coeffs(polyq.shift(u, P.x), m).inverse()
+    return polyq.shift(polyq.poly(w.coeff(k) for k in range(m)), -P.x)
 
 
 def _reduce(curve: HyperellipticCurve, D: Divisor
@@ -355,7 +365,7 @@ def canonical_class(curve: HyperellipticCurve) -> DivisorClass:
     return DivisorClass(curve, canonical_divisor(curve))
 
 
-class ThetaCharacteristic(namedtuple("ThetaFields", "curve subset roots h0")):
+class ThetaCharacteristic(frozen("ThetaFields", "curve subset roots h0")):
     """A square root of the canonical class, carried by its curve and the
     subset S of the sorted finite branch roots: the class of the sum of
     the branch points over S plus (g - 1 - |S|) * infinity.  `roots` are
@@ -366,14 +376,6 @@ class ThetaCharacteristic(namedtuple("ThetaFields", "curve subset roots h0")):
     theta hashes, and equals no other kind of tuple."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
 
     @property
     def divisor(self) -> Divisor:

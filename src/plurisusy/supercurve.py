@@ -10,10 +10,10 @@ ones), and the super moduli dimensions are (3g-3 | 2g-2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .curve import Divisor, HyperellipticCurve, standard_curve
+from .records import Record, frozen
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, canonical_class,
                            class_eq, h0, parity_representatives)
 
@@ -21,12 +21,10 @@ if TYPE_CHECKING:  # imported where used, as the package's __init__ explains
     from .graded_algebra import GrassmannElement
 
 
-@dataclass(frozen=True)
-class RankPair:
+class RankPair(frozen("RankPair", "even odd")):
     """Rank of a graded module, rendered 'even|odd'."""
 
-    even: int
-    odd: int
+    __slots__ = ()
 
     def __add__(self, other: "RankPair") -> "RankPair":
         return RankPair(self.even + other.even, self.odd + other.odd)
@@ -92,17 +90,20 @@ def is_autodual(X: SplitSupercurve) -> bool:
     return X.susy
 
 
-@dataclass
-class TransitionReport:
+class TransitionReport(Record):
     """Outcome of the two-chart transition verification: the change
     (z, theta) -> (phi(z), psi(z) theta) is superconformal iff phi' = psi^2,
     and then D picks up the factor psi^(-1) while the Berezinian of the
     super-Jacobian is psi."""
 
-    superconformal: bool
-    d_factor_ok: bool
-    berezinian_ok: bool
-    residual: GrassmannElement
+    __slots__ = ("superconformal", "d_factor_ok", "berezinian_ok", "residual")
+
+    def __init__(self, superconformal: bool, d_factor_ok: bool,
+                 berezinian_ok: bool, residual: GrassmannElement):
+        self.superconformal = superconformal
+        self.d_factor_ok = d_factor_ok
+        self.berezinian_ok = berezinian_ok
+        self.residual = residual
 
     @property
     def ok(self) -> bool:
@@ -161,15 +162,18 @@ def moduli_dimension(g: int) -> RankPair:
     return RankPair(even, odd)
 
 
-@dataclass
-class DeformationReport:
+class DeformationReport(Record):
     """Graded H^1 dimensions of the superconformal deformation sheaf against
     the full tangent sheaf of the split 1|1 manifold, and whether the
     componentwise inequality required for an injection holds."""
 
-    h1_superconformal: RankPair
-    h1_tangent: RankPair
-    injection_possible: bool
+    __slots__ = ("h1_superconformal", "h1_tangent", "injection_possible")
+
+    def __init__(self, h1_superconformal: RankPair, h1_tangent: RankPair,
+                 injection_possible: bool):
+        self.h1_superconformal = h1_superconformal
+        self.h1_tangent = h1_tangent
+        self.injection_possible = injection_possible
 
 
 def deformation_injectivity_dims(g: int) -> DeformationReport:

@@ -4,8 +4,9 @@
 modules it runs when it runs.  Where no bytecode cache is written,
 compiling the package is most of a CLI process's start-up time, so the
 subcommands that need neither `pluricanonical` nor `jets` must not load
-them, and check-superconformal loads only the Grassmann algebra and what
-it reads with.  Each case runs in a fresh child process."""
+them, only `verify` loads `jets`, no subcommand builds a series or loads
+`series`, and check-superconformal loads only the Grassmann algebra and
+what it reads with.  Each case runs in a fresh child process."""
 
 import json
 import os
@@ -32,6 +33,19 @@ report["dataclasses"] = "dataclasses" in sys.modules
 print(json.dumps(report))
 """
 
+# every subcommand of the benchmark's cli round, in its order, run one
+# after another in one process
+ROUND_CHILD = r"""
+import contextlib, io, json, sys
+import plurisusy.cli
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(plurisusy.cli.main(argv))
+print(json.dumps({"codes": codes, "dataclasses": "dataclasses" in sys.modules,
+                  "series": "plurisusy.series" in sys.modules}))
+"""
+
 
 def _child(code, *argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -41,29 +55,76 @@ def _child(code, *argv):
     return res.stdout
 
 
-CURVE = {"curve", "fieldext", "linalg", "polyq", "riemann_roch", "series"}
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A split genus-2 curve file and the file of its nu = 5 model."""
+    d = tmp_path_factory.mktemp("cold")
+    curve, model = d / "curve.json", d / "model.json"
+    # y^2 = x(x + 3)(x - 1)(x - 3)(x - 6)
+    curve.write_text('{"f_coeffs": ["0", "-54", "63", "-3", "-7", "1"]}')
+    _child(CHILD, "embed", "--curve", str(curve), "--theta",
+           '{"subset": [0, 2]}', "--nu", "5", "--out", str(model))
+    return {"CURVE": str(curve), "MODEL": str(model)}
+
+
+CURVE = {"curve", "fieldext", "linalg", "polyq", "records", "riemann_roch"}
+FILE = CURVE | {"reader", "serialize", "supercurve"}  # a --curve file read
 SC = ["check-superconformal", "4*z + -3 + 2*theta*eta", "2*theta + eta"]
+RANK = ["rank", "--curve", "CURVE", "--theta", "odd", "--nu", "3"]
+EMBED = ["embed", "--curve", "CURVE", "--theta", '{"subset": [0, 2]}',
+         "--nu", "5", "--out", "MODEL"]
+VERIFY = ["verify", "MODEL", "--samples", "4", "--seed", "7"]
+SUPERPOINT = ["superpoint-rank", "--curve", "CURVE", "--theta", "odd",
+              "--nu", "4", "--seed", "5"]
+ROUND = [
+    RANK,
+    ["theta-census", "--curve", "CURVE"],
+    ["thresholds", "--genus", "2", "--nu", "5"],
+    EMBED,
+    VERIFY,
+    VERIFY + ["--format", "json"],
+    ["dual", "--curve", "CURVE", "--theta", "even"],
+    ["moduli-dim", "--genus", "2"],
+    SUPERPOINT,
+    SC,
+    ["check-superconformal", "2*z", "theta"],
+]
+
+
+def _argv(argv, files):
+    return [files.get(a, a) for a in argv]
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (SC, {"graded_algebra", "polyq", "reader"}),
-    (SC + ["--format", "json"], {"graded_algebra", "polyq", "reader"}),
+    (SC, {"graded_algebra", "polyq", "reader", "records"}),
+    (SC + ["--format", "json"], {"graded_algebra", "polyq", "reader",
+                                 "records"}),
     (["moduli-dim", "--genus", "3"], CURVE | {"supercurve"}),
     (["theta-census", "--genus", "3"], CURVE),
     (["theta-census", "--genus", "3", "--format", "json"], CURVE | {"reader"}),
     (["dual", "--genus", "2"], CURVE | {"reader", "serialize", "supercurve"}),
+    (RANK, FILE | {"pluricanonical"}),
+    (["thresholds", "--genus", "2", "--nu", "5"],
+     CURVE | {"pluricanonical", "supercurve"}),
+    (EMBED, FILE | {"pluricanonical"}),
+    (VERIFY, FILE | {"jets", "pluricanonical"}),
+    (SUPERPOINT, FILE | {"pluricanonical"}),
+    (["theta-census", "--curve", "CURVE"], FILE),
+    (["dual", "--curve", "CURVE"], FILE),
 ])
-def test_subcommand_loads_only_what_it_runs(argv, loaded):
-    report = json.loads(_child(CHILD, *argv))
+def test_subcommand_loads_only_what_it_runs(argv, loaded, files):
+    report = json.loads(_child(CHILD, *_argv(argv, files)))
     assert report["after_import"] == []
     assert report["code"] == 0
     assert set(report["loaded"]) == loaded | {"cli"}
 
 
-def test_theta_census_loads_no_dataclasses():
-    # thetas are tuples; a bare interpreter loads no dataclasses, so a
-    # census that needed them would show here
+def test_cli_round_loads_no_dataclasses_or_series(files):
+    # a bare interpreter loads no dataclasses, so a subcommand that
+    # needed them would show here
     assert _child("import sys; print('dataclasses' in sys.modules)") == (
         "False\n")
-    report = json.loads(_child(CHILD, "theta-census", "--genus", "3"))
-    assert report["code"] == 0 and not report["dataclasses"]
+    rnd = json.dumps([_argv(argv, files) for argv in ROUND])
+    report = json.loads(_child(ROUND_CHILD, rnd))
+    assert report == {"codes": [0] * 10 + [1], "dataclasses": False,
+                      "series": False}
