@@ -354,59 +354,39 @@ class HyperellipticCurve:
     # -- divisors ------------------------------------------------------------
 
     def divisor_of(self, fn: "FunctionFieldElement") -> "Divisor":
-        """Principal divisor of fn.  Raises UnrepresentableSupportError when
-        a zero or pole has an irrational x-coordinate."""
+        """Principal divisor of fn, every order read from valuation: at
+        infinity, and at each point over a rational root of den or of the
+        norm A^2 - B^2 f, on both sheets off the branch locus.  Raises
+        UnrepresentableSupportError when a zero or pole has an irrational
+        x-coordinate."""
         if fn.is_zero():
             raise ValueError("the zero function has no divisor")
-        data: Dict[CurvePoint, int] = {}
-        inf = self.infinity()
-
-        def bump(pt, n):
-            if n:
-                data[pt] = data.get(pt, 0) + n
-
-        # denominator: div(1/den)
-        roots, cof = polyq.rational_roots(fn.den)
-        if polyq.deg(cof) > 0:
-            raise UnrepresentableSupportError(
-                f"pole support has irrational x-coordinates: {polyq.format_poly(cof)}")
-        for r, m in roots:
-            if polyq.eval_at(self.f, r) == 0:
-                bump(self.branch_point(r), -2 * m)
-            else:
-                bump(self.point(r, sign=1), -m)
-                bump(self.point(r, sign=-1), -m)
-            bump(inf, 2 * m)
-
-        # numerator A + B y
         A, B = fn.A, fn.B
         norm = polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), self.f))
         if not norm:
             raise RuntimeError("nonzero function with zero norm")
-        roots, cof = polyq.rational_roots(norm)
+        poles, cof = polyq.rational_roots(fn.den)
+        if polyq.deg(cof) > 0:
+            raise UnrepresentableSupportError(
+                f"pole support has irrational x-coordinates: {polyq.format_poly(cof)}")
+        zeros, cof = polyq.rational_roots(norm)
         if polyq.deg(cof) > 0:
             raise UnrepresentableSupportError(
                 f"zero support has irrational x-coordinates: {polyq.format_poly(cof)}")
-        for x0, M in roots:
+        data = {self.infinity(): self.valuation(fn, self.infinity())}
+        poles, zeros = dict(poles), dict(zeros)
+        for x0 in {**poles, **zeros}:
             if polyq.eval_at(self.f, x0) == 0:
                 W = self.branch_point(x0)
-                vW = self.valuation(FunctionFieldElement(self, A, B, polyq.ONE), W)
-                if vW != M:
+                # ord_W(norm) = 2 ord_W(A + B y), as the involution fixes W
+                data[W] = self.valuation(fn, W)
+                if data[W] + 2 * poles.get(x0, 0) != zeros.get(x0, 0):
                     raise RuntimeError(
                         "branch valuation disagrees with norm multiplicity")
-                bump(W, vW)
             else:
-                Pp = self.point(x0, sign=1)
-                vp = self._val_num_at(A, B, Pp)
-                bump(Pp, vp)
-                bump(self.point(x0, sign=-1), M - vp)
-        cands = []
-        if A:
-            cands.append(-2 * polyq.deg(A))
-        if B:
-            cands.append(-(2 * self.genus + 1) - 2 * polyq.deg(B))
-        bump(inf, min(cands))
-
+                P = self.point(x0)
+                for Q in (P, P.conjugate()):
+                    data[Q] = self.valuation(fn, Q)
         D = Divisor(data)
         if D.degree() != 0:
             raise RuntimeError("principal divisor must have degree zero")
@@ -621,6 +601,8 @@ class FunctionFieldElement:
         return (self.A, self.B, self.den) == (other.A, other.B, other.den)
 
     def __hash__(self):
+        if not self.B and self.den == polyq.ONE and len(self.A) <= 1:
+            return hash(self.A[0] if self.A else 0)  # equals its rational
         return hash((self.A, self.B, self.den))
 
     def __repr__(self):

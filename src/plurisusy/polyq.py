@@ -161,12 +161,15 @@ def shift(p: Poly, x0) -> Poly:
 
 
 def deflate(p: Poly, x0, most: Optional[int] = None) -> Tuple[int, Poly]:
-    """(m, p / (x - x0)^m) for the nonzero p, with m the multiplicity of
-    the root x0 in p, or `most` when that is smaller.  Each factor costs
-    one pass of synthetic division, which gives the quotient and, last,
-    the remainder p(x0); the first nonzero remainder ends the loop."""
+    """(m, p / (x - x0)^m), with m the multiplicity of the root x0 in p,
+    or `most` when that is smaller; the zero p gives (most, 0).  Each
+    factor costs one pass of synthetic division, which gives the quotient
+    and, last, the remainder p(x0); the first nonzero remainder ends the
+    loop."""
     if not p:
-        raise ValueError("zero polynomial has roots everywhere")
+        if most is None:
+            raise ValueError("zero polynomial has roots everywhere")
+        return most, p
     x0 = Fraction(x0)
     m = 0
     while most is None or m < most:

@@ -3,19 +3,20 @@
 L(D) is computed exactly: after clearing affine denominators the candidate
 functions are x^i and x^j y with pole orders at infinity controlled by their
 degrees (pole orders of the two kinds never collide, since one is even and
-the other odd).  When D is carried by branch points and infinity, as every
-divisor of a theta characteristic's powers is, the vanishing conditions
-are divisibility of the two polynomials, and the basis is written down by
-polynomial division (Mumford, Tata Lectures on Theta II, ch. IIIa).  At
-any other point they become rational linear constraints on Taylor
-coefficients in canonical local parameters, solved as a kernel.
+the other odd).  At a branch point the vanishing conditions are
+divisibility of the two polynomials (Mumford, Tata Lectures on Theta II,
+ch. IIIa); at a point off the branch locus they are rational linear rows
+on Taylor coefficients.  Without such rows, as for every divisor of a
+theta characteristic's powers, the basis is written down by polynomial
+division; otherwise the divisibility conditions join the Taylor rows in
+one kernel.
 
 Dimensions and linear equivalence need no basis: every divisor is
 equivalent to E + n * infinity with E reduced in Cantor's sense, found by
 integer bookkeeping when the semi-reduced part has degree at most g and by
 Cantor reduction of its Mumford pair otherwise, and h^0(E + n * infinity)
 has a closed form.  Explicit bases and principality witnesses still come
-from L(D): in closed form on the branch locus, from the kernel elsewhere.
+from L(D).
 
 The canonical class is (2g-2) * infinity, so h^1(D) = h^0(K - D) by duality
 and theta characteristics are square roots of K in the divisor class group.
@@ -53,17 +54,12 @@ def _require_stable(D: Divisor) -> None:
 
 def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement]:
     """Basis of L(D) = { h : div(h) + D >= 0 }, cached per divisor: the
-    reduced echelon basis of the kernel in clearing_frame's candidates,
-    written down when D has no finite point off the branch locus."""
+    reduced echelon basis of the kernel in clearing_frame's candidates."""
     key = D.key()
     if key in curve._rr_cache:
         return curve._rr_cache[key]
     _require_stable(D)
-    if all(P.at_infinity or P.is_branch() for P in D.data):
-        result = _rr_space_branch(curve, D)
-    else:
-        result = _rr_space_uncached(curve, D)
-    curve._rr_cache[key] = result
+    result = curve._rr_cache[key] = _rr_space(curve, D)
     return result
 
 
@@ -90,48 +86,91 @@ def clearing_frame(curve: HyperellipticCurve, D: Divisor
     return exps, d, n_x, n_y
 
 
-def _rr_space_branch(curve: HyperellipticCurve, D: Divisor
-                     ) -> List[FunctionFieldElement]:
-    """L(D) for D carried by branch points and infinity, in closed form:
-    the basis _rr_space_uncached gives, without a series or a kernel.
+def _rr_space(curve: HyperellipticCurve, D: Divisor
+              ) -> List[FunctionFieldElement]:
+    """L(D) in the frame of clearing_frame, where a function is (A + B y)/d.
 
-    In the frame of clearing_frame a function is (A + B y)/d.  At a
-    branch point P over r, x - r has order 2 and y order 1, so A and B y
-    never cancel, and ord_P(A + B y) >= need = 2 exps[r] - D[P] says
-    (x - r)^ceil(need/2) | A and (x - r)^floor(need/2) | B.  With U_A,
-    U_B the products of these factors, the kernel is U_A | A, U_B | B,
-    and its reduced echelon basis, which kernel_basis returns whatever
-    the rows, is x^c - (x^c mod U_A) for deg U_A <= c < n_x, then
-    (x^c - (x^c mod U_B)) y for deg U_B <= c < n_y.  Each is brought to
+    At a branch point P over r, x - r has order 2 and y order 1, so A and
+    B y never cancel, and ord_P(A + B y) >= need = 2 exps[r] - D[P] says
+    (x - r)^ceil(need/2) | A and (x - r)^floor(need/2) | B; U_A and U_B
+    are the products of these factors.  At a point P off the branch locus
+    the candidates must vanish to order exps[x_P] - D[P], which gives
+    rational rows on their Taylor coefficients; a rational fibre takes both
+    sheets, an inert one either, since _split_rows adds the conjugate
+    conditions.
+
+    Without Taylor rows the kernel is U_A | A, U_B | B, and its reduced
+    echelon basis is written down (Mumford, Tata Lectures on Theta II,
+    ch. IIIa): x^c - (x^c mod U_A) for deg U_A <= c < n_x, then
+    (x^c - (x^c mod U_B)) y for deg U_B <= c < n_y.  Otherwise the rows of
+    A mod U_A and of B mod U_B join the Taylor rows in kernel_basis,
+    whose reduced echelon output does not depend on how the rows are
+    written, so both give the same basis.  Each element is brought to
     normal form by dividing out the factors x - r it shares with d."""
-    if D.degree() < 0:
-        return []
     exps, d, n_x, n_y = clearing_frame(curve, D)
+    if D.degree() < 0 or n_x + n_y == 0:
+        return []
     roots_A: List[Fraction] = []
     roots_B: List[Fraction] = []
-    for P, n in D.items():
-        if not P.at_infinity:
-            need = 2 * exps[P.x] - n
-            roots_A += [P.x] * max(0, (need + 1) // 2)
-            roots_B += [P.x] * max(0, need // 2)
+    rows: List[List[Fraction]] = []
+    for x0, P in {P.x: P for P in D.data if not P.at_infinity}.items():
+        e = exps[x0]
+        if P.is_branch():
+            need = 2 * e - D[P]
+            roots_A += [x0] * max(0, (need + 1) // 2)
+            roots_B += [x0] * max(0, need // 2)
+            continue
+        for Q in (P, P.conjugate()) if P.is_rational() else (P,):
+            if e > D[Q]:
+                rows += _taylor_rows(curve, Q, e - D[Q], n_x, n_y)
+    U_A, U_B = polyq.from_roots(roots_A), polyq.from_roots(roots_B)
+    if rows:
+        rows += [r + [Fraction(0)] * n_y for r in _remainder_rows(U_A, n_x)]
+        rows += [[Fraction(0)] * n_x + r for r in _remainder_rows(U_B, n_y)]
+        pairs = [(polyq.poly(v[:n_x]), polyq.poly(v[n_x:]))
+                 for v in kernel_basis(rows, n_x + n_y)]
+    else:
+        pairs = ([(A, polyq.ZERO) for A in _multiples(U_A, n_x)]
+                 + [(polyq.ZERO, B) for B in _multiples(U_B, n_y)])
     dens: Dict[Tuple[int, ...], polyq.Poly] = {}
 
-    def normal(p: polyq.Poly, odd: bool) -> FunctionFieldElement:
+    def normal(A: polyq.Poly, B: polyq.Poly) -> FunctionFieldElement:
         left = []  # the power of each x - r that stays in d
         for r, e in exps.items():
-            k, p = polyq.deflate(p, r, e)
+            kA, A1 = polyq.deflate(A, r, e)
+            k, B = polyq.deflate(B, r, kA)
+            A = A1 if k == kA else polyq.deflate(A, r, k)[1]
             left.append(e - k)
         key = tuple(left)
         if key not in dens:
             dens[key] = polyq.from_roots(
                 [r for r, e in zip(exps, left) for _ in range(e)])
-        A, B = (polyq.ZERO, p) if odd else (p, polyq.ZERO)
         return FunctionFieldElement._normal(curve, A, B, dens[key])
 
-    return ([normal(A, False)
-             for A in _multiples(polyq.from_roots(roots_A), n_x)]
-            + [normal(B, True)
-               for B in _multiples(polyq.from_roots(roots_B), n_y)])
+    return [normal(A, B) for A, B in pairs]
+
+
+def _taylor_rows(curve: HyperellipticCurve, P: CurvePoint, r: int,
+                 n_x: int, n_y: int) -> List[List[Fraction]]:
+    """Rows saying that a combination of the candidates x^i, i < n_x, and
+    x^j y, j < n_y, vanishes to order r at P, off the branch locus."""
+    powers = curve._powers_at(P, max(n_x, n_y) - 1, r)
+    series = powers[:n_x]
+    if n_y:
+        ys = curve._y_at(P, r)
+        series += [s.truncate(r) * ys for s in powers[:n_y]]
+    return [row for k in range(r)
+            for row in _split_rows([s.coeff(k) for s in series])]
+
+
+def _remainder_rows(U: polyq.Poly, n: int) -> List[List[Fraction]]:
+    """Rows of p -> p mod U, U monic, on the coefficients of p, deg p < n:
+    column c is x^c mod U, which is x^c below deg U and the negated low
+    coefficients of _multiples' x^c - (x^c mod U) from there on."""
+    a = polyq.deg(U)
+    cols = [[Fraction(int(k == c)) for k in range(a)] for c in range(min(a, n))]
+    cols += [[-v for v in p[:a]] for p in _multiples(U, n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _multiples(U: polyq.Poly, n: int) -> Iterator[polyq.Poly]:
@@ -149,50 +188,6 @@ def _multiples(U: polyq.Poly, n: int) -> Iterator[polyq.Poly]:
             rem = [zero] + rem[:-1]
             if top:
                 rem = [r - top * u for r, u in zip(rem, U)]
-
-
-def _rr_space_uncached(curve, D):
-    if D.degree() < 0:
-        return []
-    exps, d, n_x, n_y = clearing_frame(curve, D)
-    ncand = n_x + n_y
-    if ncand == 0:
-        return []
-
-    def candidate_series(P: CurvePoint, cut: int) -> List:
-        """x^i and x^j y at P, each exact below cut."""
-        powers = curve._powers_at(P, max(n_x, n_y) - 1, cut)
-        out = powers[:n_x]
-        if n_y:
-            ys = curve._y_at(P, cut)
-            out += [s.truncate(cut) * ys for s in powers[:n_y]]
-        return out
-
-    # at each point above a fibre the candidates must vanish to order
-    # ord_P(d) - D[P]; an inert fibre needs its + sheet only, since
-    # _split_rows adds the conjugate conditions
-    rows: List[List[Fraction]] = []
-    branch = curve._branch_points()
-    for x0, e in sorted(exps.items()):
-        if x0 in branch:
-            points = [(branch[x0], 2 * e)]
-        else:
-            P = curve.point(x0, sign=1)
-            points = [(P, e), (P.conjugate(), e)] if P.is_rational() else [(P, e)]
-        for P, order in points:
-            r = order - D[P]
-            if r > 0:
-                series = candidate_series(P, r)
-                for k in range(r):
-                    rows.extend(_split_rows([s.coeff(k) for s in series]))
-
-    basis_vecs = kernel_basis(rows, ncand)
-    basis = []
-    for v in basis_vecs:
-        A = polyq.poly(v[:n_x])
-        B = polyq.poly(v[n_x:])
-        basis.append(FunctionFieldElement(curve, A, B, d))
-    return basis
 
 
 def _semi_reduced(D: Divisor) -> Dict[CurvePoint, int]:

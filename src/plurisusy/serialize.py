@@ -28,10 +28,10 @@ from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
 from .fieldext import make_sqrt, rational_sqrt
 from .riemann_roch import ThetaCharacteristic, theta_from_subset
-from .supercurve import RankPair, SplitSupercurve, make_split_supercurve
 
 if TYPE_CHECKING:
     from .pluricanonical import PluriCanonicalModel
+    from .supercurve import SplitSupercurve
 
 dumps = reader.dumps  # kept there so the CLI writes JSON without serialize
 
@@ -115,6 +115,7 @@ def supercurve_to_json(X: SplitSupercurve) -> Dict:
 
 
 def supercurve_from_json(obj: Dict) -> SplitSupercurve:
+    from .supercurve import make_split_supercurve
     curve = curve_from_json(obj["curve"])
     L = obj["L"]
     if isinstance(L, dict) and "subset" in L:
@@ -255,6 +256,7 @@ def model_to_json(M: PluriCanonicalModel) -> Dict:
 
 def model_from_json(obj: Dict) -> PluriCanonicalModel:
     from .pluricanonical import PluriCanonicalModel
+    from .supercurve import RankPair
     curve = curve_from_json(obj["curve"])
     ambient = RankPair(_int(obj["ambient"]["even"], "ambient.even"),
                        _int(obj["ambient"]["odd"], "ambient.odd"))

@@ -68,7 +68,7 @@ def files(tmp_path_factory):
 
 
 CURVE = {"curve", "fieldext", "linalg", "polyq", "records", "riemann_roch"}
-FILE = CURVE | {"reader", "serialize", "supercurve"}  # a --curve file read
+FILE = CURVE | {"reader", "serialize"}  # a --curve file read
 SC = ["check-superconformal", "4*z + -3 + 2*theta*eta", "2*theta + eta"]
 RANK = ["rank", "--curve", "CURVE", "--theta", "odd", "--nu", "3"]
 EMBED = ["embed", "--curve", "CURVE", "--theta", '{"subset": [0, 2]}',
@@ -103,14 +103,14 @@ def _argv(argv, files):
     (["theta-census", "--genus", "3"], CURVE),
     (["theta-census", "--genus", "3", "--format", "json"], CURVE | {"reader"}),
     (["dual", "--genus", "2"], CURVE | {"reader", "serialize", "supercurve"}),
-    (RANK, FILE | {"pluricanonical"}),
+    (RANK, FILE | {"pluricanonical", "supercurve"}),
     (["thresholds", "--genus", "2", "--nu", "5"],
      CURVE | {"pluricanonical", "supercurve"}),
-    (EMBED, FILE | {"pluricanonical"}),
-    (VERIFY, FILE | {"jets", "pluricanonical"}),
-    (SUPERPOINT, FILE | {"pluricanonical"}),
+    (EMBED, FILE | {"pluricanonical", "supercurve"}),
+    (VERIFY, FILE | {"jets", "pluricanonical", "supercurve"}),
+    (SUPERPOINT, FILE | {"pluricanonical", "supercurve"}),
     (["theta-census", "--curve", "CURVE"], FILE),
-    (["dual", "--curve", "CURVE"], FILE),
+    (["dual", "--curve", "CURVE"], FILE | {"supercurve"}),
 ])
 def test_subcommand_loads_only_what_it_runs(argv, loaded, files):
     report = json.loads(_child(CHILD, *_argv(argv, files)))

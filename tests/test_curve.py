@@ -230,6 +230,17 @@ def test_field_axioms_random():
         assert (f * g) * h == f * (g * h)
 
 
+def test_constant_functions_hash_as_their_rationals():
+    half = Fraction(1, 2)
+    for fn, c in ((C2.one_fn(), 1), (C2.zero_fn(), 0),
+                  (C2.function((half,)), half), (C3.function((-3,)), -3),
+                  (C2.function((2,), den=(4,)), half)):
+        assert fn == c and hash(fn) == hash(c)
+        assert len({fn, c}) == 1 and {c: "c"}[fn] == "c"
+    assert len({C2.one_fn(), C2.x_fn(), C2.y_fn(), 1}) == 3
+    assert C2.function((1,), den=(0, 1)) != 1
+
+
 def test_inverse_and_norm():
     rng = random.Random(14)
     one = C2.one_fn()
@@ -294,6 +305,69 @@ def test_divisor_of_product_random():
             continue
         assert Dfg == Df + Dg
         count += 1
+
+
+def _curve_with_a_split_norm(g, rng):
+    """y^2 = f = v^2 + c (x - s_0)...(x - s_2g) with v = (x - s_0) w: y - v
+    and y + v have the rational zeros (s_i, +-v(s_i)), (s_0, 0) is a branch
+    point, and x - a has a rational, an inert or a branch fibre.  Returns
+    the curve and its atoms (function, divisor)."""
+    while True:
+        s = rng.sample(range(-6, 7), 2 * g + 1)
+        w = polyq.poly(Fraction(rng.randint(-3, 3)) for _ in range(g))
+        v = polyq.mul(polyq.from_roots([Fraction(s[0])]), w)
+        f = polyq.add(polyq.mul(v, v), polyq.scale(
+            polyq.from_roots([Fraction(r) for r in s]), rng.choice((1, -2, 3))))
+        if w and polyq.is_squarefree(f):
+            break
+    C = HyperellipticCurve(f)
+    inf = C.infinity()
+    atoms = []
+    for sign in (1, -1):
+        zeros = {C.point(r, y=sign * polyq.eval_at(v, r)): 1 for r in s}
+        atoms.append((C.function(polyq.scale(v, -sign), (1,)),
+                      Divisor({**zeros, inf: -(2 * g + 1)})))
+    for a in [Fraction(r) for r in s] + [Fraction(rng.randint(-9, 9))
+                                         for _ in range(4)]:
+        if polyq.eval_at(f, a) == 0:
+            fibre = {C.branch_point(a): 2}
+        else:
+            P = C.point(a)
+            fibre = {P: 1, P.conjugate(): 1}
+        atoms.append((C.function((-a, 1)), Divisor({**fibre, inf: -2})))
+    return C, atoms
+
+
+def test_divisor_of_products_with_rational_and_quadratic_fibres():
+    # functions c * prod atom^e have the divisor sum e * div(atom), and
+    # div(f g) = div f + div g, with zeros and poles at branch points,
+    # on both sheets of rational fibres and on inert fibres
+    rng = random.Random(25)
+    seen = {"branch": 0, "one sheet": 0, "inert": 0, "mixed": 0}
+    for g in (2, 3):
+        for _ in range(4):
+            C, atoms = _curve_with_a_split_norm(g, rng)
+
+            def rfn():
+                fn = C.function((Fraction(rng.randint(1, 5), rng.randint(1, 5)),))
+                D = Divisor()
+                for at, Dat in rng.sample(atoms, rng.randint(1, 3)):
+                    e = rng.choice((-2, -1, 1, 2))
+                    fn, D = fn * at ** e, D + e * Dat
+                return fn, D
+
+            for _ in range(6):
+                (f1, D1), (f2, D2) = rfn(), rfn()
+                for fn, D in ((f1, D1), (f2, D2), (f1 * f2, D1 + D2)):
+                    assert C.divisor_of(fn) == D, (C, fn)
+                pts = [P for P in (D1 + D2).support() if not P.at_infinity]
+                seen["branch"] += any(P.is_branch() for P in pts)
+                seen["one sheet"] += any(
+                    P.is_rational() and not P.is_branch()
+                    and (D1 + D2)[P.conjugate()] != (D1 + D2)[P] for P in pts)
+                seen["inert"] += any(not P.is_rational() for P in pts)
+                seen["mixed"] += bool((f1 * f2).A and (f1 * f2).B)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_irrational_support_raises():

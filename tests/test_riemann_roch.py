@@ -1,5 +1,6 @@
 """Riemann-Roch spaces, divisor classes, and the theta census."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,8 +8,10 @@ from itertools import combinations
 import pytest
 
 from plurisusy import polyq, riemann_roch
-from plurisusy.curve import (CurvePoint, Divisor, HyperellipticCurve,
-                             standard_curve)
+from plurisusy.curve import (CurvePoint, Divisor, FunctionFieldElement,
+                             HyperellipticCurve, standard_curve)
+from plurisusy.fieldext import QuadExt
+from plurisusy.linalg import kernel_basis
 from plurisusy.riemann_roch import (DivisorClass, _semi_reduced, branch_roots,
                                     canonical_class, canonical_divisor,
                                     class_eq, h0, h1, is_principal,
@@ -29,6 +32,53 @@ CR3 = HyperellipticCurve(polyq.from_roots(
 # ---------------------------------------------------------------------------
 # explicit spaces
 # ---------------------------------------------------------------------------
+
+
+def _kernel_oracle(curve, D):
+    """L(D) as the kernel over Laurent-series rows at every finite point of
+    D, branch points included: the reduced echelon basis in
+    clearing_frame's candidates, by an algorithm that shares nothing with
+    rr_space's divisibility conditions.  At each point the candidates
+    x^i and x^j y must vanish to order ord_P(d) - D[P]; an inert fibre
+    needs its + sheet only, since a row over Q(sqrt(d)) splits into its
+    rational and sqrt parts."""
+    if D.degree() < 0:
+        return []
+    exps, d, n_x, n_y = riemann_roch.clearing_frame(curve, D)
+    if n_x + n_y == 0:
+        return []
+    rows = []
+    branch = curve._branch_points()
+    for x0, e in sorted(exps.items()):
+        if x0 in branch:
+            points = [(branch[x0], 2 * e)]
+        else:
+            P = curve.point(x0, sign=1)
+            points = [(P, e), (P.conjugate(), e)] if P.is_rational() else [(P, e)]
+        for P, order in points:
+            r = order - D[P]
+            if r <= 0:
+                continue
+            powers = curve._powers_at(P, max(n_x, n_y) - 1, r)
+            series = powers[:n_x]
+            if n_y:
+                ys = curve._y_at(P, r)
+                series += [s.truncate(r) * ys for s in powers[:n_y]]
+            for k in range(r):
+                entries = [s.coeff(k) for s in series]
+                if any(isinstance(c, QuadExt) for c in entries):
+                    rows.append([c.u if isinstance(c, QuadExt) else c
+                                 for c in entries])
+                    rows.append([c.v if isinstance(c, QuadExt) else 0
+                                 for c in entries])
+                else:
+                    rows.append(entries)
+    return [FunctionFieldElement(curve, v[:n_x], v[n_x:], d)
+            for v in kernel_basis(rows, n_x + n_y)]
+
+
+def _fields(basis):
+    return [(b.A, b.B, b.den) for b in basis]
 
 
 def _branch_divisors(rng, n):
@@ -55,10 +105,8 @@ def test_branch_space_matches_the_kernel_oracle():
     rng = random.Random(2201)
     kinds = {"nonempty": 0, "negative": 0, "non-monic": 0, "cancelled": 0}
     for C, D in _branch_divisors(rng, 300):
-        got = riemann_roch._rr_space_branch(C, D)
-        want = riemann_roch._rr_space_uncached(C, D)
-        assert [(b.A, b.B, b.den) for b in got] == [
-            (b.A, b.B, b.den) for b in want], (C, D)
+        got = rr_space(C, D)
+        assert _fields(got) == _fields(_kernel_oracle(C, D)), (C, D)
         kinds["nonempty"] += bool(got)
         kinds["negative"] += any(n < 0 for n in D.data.values()) and bool(got)
         kinds["non-monic"] += polyq.lead(C.f) != 1 and bool(got)
@@ -77,10 +125,111 @@ def test_branch_space_builds_no_series_or_kernel(monkeypatch):
         monkeypatch.setattr(HyperellipticCurve, name, refuse)
     monkeypatch.setattr(riemann_roch, "kernel_basis", refuse)
     monkeypatch.setattr(polyq, "gcd", refuse)
-    monkeypatch.setattr(riemann_roch, "_rr_space_uncached", refuse)
     for C, D in cases:
         for b in rr_space(C, D):
             assert all(C.valuation(b, P) + D[P] >= 0 for P in D.support())
+
+
+@functools.lru_cache(maxsize=None)
+def _curves_with_points(g):
+    """Three split curves of genus g with rational non-branch points (see
+    _split_curve_with_points), as (f, rational, quadratic) coordinates."""
+    rng = random.Random(2300 + g)
+    out = []
+    for _ in range(3):
+        C, rational, quadratic = _split_curve_with_points(g, rng)
+        out.append((C.f, [(P.x, P.y) for P in rational],
+                    [P.x for P in quadratic]))
+    return tuple(out)
+
+
+def _off_branch_divisors(rng, n):
+    """(curve, D) with a finite point of D off the branch locus, on split
+    curves at g = 2..5, monic or not: rational points on one sheet or on
+    both, inert fibres (y in Q(sqrt(d))) as conjugate pairs, branch points
+    with multiplicities -3..5, and infinity bringing the degree to
+    -1..2g + 3.  Each divisor comes on a new curve object, so no cached
+    expansion hides what rr_space computes."""
+    for _ in range(n):
+        g = rng.randint(2, 5)
+        f, rational, quadratic = rng.choice(_curves_with_points(g))
+        C = HyperellipticCurve(f)
+        data = {}
+        for i in range(rng.randint(1, 4)):
+            roll = rng.randrange(1 if i == 0 else 0, 4)  # first: off branch
+            if roll == 0:
+                W = rng.choice(C.rational_branch_points())
+                data[W] = rng.choice((-3, -2, -1, 1, 2, 3, 4, 5))
+            elif roll == 1:
+                P = C.point(*rng.choice(rational))
+                P = rng.choice((P, P.conjugate()))
+                data[P] = rng.choice((-2, -1, 1, 2, 3))
+            elif roll == 2:
+                P = C.point(*rng.choice(rational))
+                data[P] = rng.choice((-2, -1, 1, 2, 3))
+                data[P.conjugate()] = rng.randint(-2, 3)
+            else:
+                P = C.point(rng.choice(quadratic))
+                data[P] = data[P.conjugate()] = rng.choice((-2, -1, 1, 2))
+        D = Divisor(data)
+        target = rng.randint(-1, 2 * g + 3)
+        yield C, D + Divisor.of_point(C.infinity(), target - D.degree())
+
+
+def test_off_branch_space_matches_the_kernel_oracle():
+    # Taylor rows off the branch locus and remainder rows on it give the
+    # oracle's reduced echelon basis, field for field
+    rng = random.Random(2203)
+    kinds = {"nonempty": 0, "one sheet": 0, "both sheets": 0, "inert": 0,
+             "branch negative": 0, "branch positive": 0, "non-monic": 0,
+             "taylor-free": 0, **{f"g={g}": 0 for g in range(2, 6)}}
+    for C, D in _off_branch_divisors(rng, 320):
+        got = rr_space(C, D)
+        assert _fields(got) == _fields(_kernel_oracle(C, D)), (C, D)
+        if not got:
+            continue
+        finite = [P for P in D.support() if not P.at_infinity]
+        off = [P for P in finite if not P.is_branch()]
+        kinds["nonempty"] += 1
+        kinds["one sheet"] += any(P.is_rational() and D[P] != D[P.conjugate()]
+                                  for P in off)
+        kinds["both sheets"] += any(P.is_rational() and D[P.conjugate()]
+                                    for P in off)
+        kinds["inert"] += any(not P.is_rational() for P in off)
+        kinds["branch negative"] += any(D[P] < 0 for P in finite
+                                        if P.is_branch())
+        kinds["branch positive"] += any(D[P] > 0 for P in finite
+                                        if P.is_branch())
+        kinds["non-monic"] += polyq.lead(C.f) != 1
+        exps = riemann_roch.clearing_frame(C, D)[0]
+        kinds["taylor-free"] += all(exps[P.x] <= D[P] and
+                                    exps[P.x] <= D[P.conjugate()] for P in off)
+        kinds[f"g={C.genus}"] += 1
+    assert kinds["nonempty"] >= 100, kinds
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_off_branch_space_expands_no_series_at_a_branch_point(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("series at a branch point")
+
+    def off_branch_only(name):
+        real = getattr(HyperellipticCurve, name)
+
+        def spy(self, P, *args):
+            assert not P.is_branch(), (name, P)
+            calls[name] += 1
+            return real(self, P, *args)
+        return spy
+
+    calls = {"_powers_at": 0, "_y_at": 0}
+    cases = list(_off_branch_divisors(random.Random(2204), 60))
+    monkeypatch.setattr(HyperellipticCurve, "x_series_at_branch", refuse)
+    for name in calls:
+        monkeypatch.setattr(HyperellipticCurve, name, off_branch_only(name))
+    for C, D in cases:
+        rr_space(C, D)
+    assert min(calls.values()) > 0, calls
 
 
 def test_space_of_double_infinity():
