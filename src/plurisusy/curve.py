@@ -132,9 +132,10 @@ class HyperellipticCurve:
     # y_series_at and y_series_at_infinity only to grow it.
 
     def _f_roots(self) -> Tuple[List[Tuple[Fraction, int]], Poly]:
-        """Rational roots of f with multiplicities, and the cofactor."""
+        """Rational roots of f with multiplicities, and the cofactor.
+        The constructor has proved f squarefree, so no second gcd runs."""
         if self._roots is None:
-            self._roots = polyq.rational_roots(self.f)
+            self._roots = polyq.rational_roots(self.f, squarefree=True)
         return self._roots
 
     def _branch_points(self) -> Dict[Fraction, "CurvePoint"]:
@@ -325,8 +326,13 @@ class HyperellipticCurve:
         return min(cands) - self._poly_val(den, P)
 
     def _val_num_at(self, A: Poly, B: Poly, P: "CurvePoint") -> int:
-        """Valuation of A + B y at a finite non-branch point, by series
-        expansion bounded by the multiplicity of the norm A^2 - B^2 f."""
+        """Valuation of A + B y at a finite non-branch point P = (x0, y0),
+        with no series.  Off the branch locus x - x0 is a uniformiser, so
+        dividing out (x - x0)^k, the largest power dividing A and B, adds
+        k.  If then A + B y0 = 0 with y0 != 0, B(x0) != 0 (else A(x0) = 0
+        too, against the choice of k), so A - B y takes -2 B(x0) y0 != 0
+        at P and is a unit there: ord_P(A + B y) = ord_P(A^2 - B^2 f),
+        which is M, the multiplicity of x0 in that norm."""
         x0 = P.x
         k = 0
         if A and B:
@@ -343,13 +349,7 @@ class HyperellipticCurve:
         if val0 != 0:
             return k
         norm = polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), self.f))
-        M = polyq.mult_at(norm, x0)
-        cut = M + 1
-        s = self._poly_series_at(A, P, cut) \
-            + self._poly_series_at(B, P, cut) * self._y_at(P, cut)
-        if s.first_nonzero() != M:
-            raise RuntimeError("norm bound violated")
-        return k + M
+        return k + polyq.mult_at(norm, x0)
 
     # -- divisors ------------------------------------------------------------
 

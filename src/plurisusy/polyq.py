@@ -328,7 +328,8 @@ def _integer_roots(b: List[int]) -> List[int]:
     return roots
 
 
-def rational_roots(p: Poly) -> Tuple[List[Tuple[Fraction, int]], Poly]:
+def rational_roots(p: Poly, *, squarefree: bool = False
+                   ) -> Tuple[List[Tuple[Fraction, int]], Poly]:
     """All rational roots of p with multiplicities, in increasing order,
     plus the cofactor: the primitive part, with a positive leading
     coefficient, of p with its rational linear factors divided out (ONE
@@ -339,11 +340,16 @@ def rational_roots(p: Poly) -> Tuple[List[Tuple[Fraction, int]], Poly]:
     integer root z of the monic b(z) = s_n^(n-1) s(z / s_n).  When
     gcd(p, p') is constant every root is simple, so each linear factor
     is divided out once, and none when there are n roots.
+
+    squarefree=True vouches that gcd(p, p') is constant, and the gcd is
+    not computed.  Only a caller that has proved it may pass it: with a
+    repeated root, b would not be squarefree and _integer_roots would
+    never find a prime to work modulo.
     """
     if not p:
         raise ValueError("zero polynomial")
     rest = _primitive_ints(p)
-    d = _int_gcd(rest, int_derivative(rest))
+    d = [1] if squarefree else _int_gcd(rest, int_derivative(rest))
     s = rest if len(d) == 1 else _int_div(rest, d)
     n, lc = len(s) - 1, s[-1]
     b = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]

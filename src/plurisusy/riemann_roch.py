@@ -25,7 +25,7 @@ and theta characteristics are square roots of K in the divisor class group.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from . import polyq
@@ -400,13 +400,15 @@ def branch_roots(curve: HyperellipticCurve) -> List[Fraction]:
 
 
 def _census(curve: HyperellipticCurve) -> Iterator[ThetaCharacteristic]:
-    """The theta characteristics in census order (see theta_characteristics)."""
+    """The theta characteristics in census order (see theta_characteristics).
+    Each entry is made by tuple.__new__ from its four fields, in C, which
+    is what the namedtuple's own __new__ does after binding arguments."""
     rs, g = branch_roots(curve), curve.genus
     for size in range(g + 1):
         h = _h0_reduced(g, size, g - 1 - size)
-        for S, roots in zip(combinations(range(len(rs)), size),
-                            combinations(rs, size)):
-            yield ThetaCharacteristic(curve, S, roots, h)
+        yield from map(tuple.__new__, repeat(ThetaCharacteristic),
+                       zip(repeat(curve), combinations(range(len(rs)), size),
+                           combinations(rs, size), repeat(h)))
 
 
 def theta_from_subset(curve: HyperellipticCurve, subset) -> ThetaCharacteristic:

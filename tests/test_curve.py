@@ -370,6 +370,55 @@ def test_divisor_of_products_with_rational_and_quadratic_fibres():
     assert min(seen.values()) >= 5, seen
 
 
+def _series_valuation(C, fn, P):
+    """Order of fn at a finite non-branch point from the Laurent series of
+    A + B y, expanded one term past the order of the norm A^2 - B^2 f at
+    x0, which bounds it (A - B y has no pole there), minus the order of
+    den."""
+    A, B, x0 = fn.A, fn.B, P.x
+    norm = polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), C.f))
+    cut = polyq.mult_at(norm, x0) + 1
+    s = (C._poly_series_at(A, P, cut)
+         + C._poly_series_at(B, P, cut) * C._y_at(P, cut))
+    return s.first_nonzero() - polyq.mult_at(fn.den, x0)
+
+
+def test_valuation_off_the_branch_locus_matches_the_series_oracle():
+    # k + M from the norm, against the series of A + B y, on cold curves:
+    # at the rational zeros (s_i, +-v(s_i)) of products of y -+ v and
+    # x - a on both sheets, at random non-branch points, and after
+    # multiplying by powers of x - x0
+    rng = random.Random(26)
+    seen = {"zero": 0, "zero on one sheet only": 0, "x - x0 divides": 0,
+            "pole": 0, "unit": 0}
+    for g in (2, 3):
+        for _ in range(12):
+            C, atoms = _curve_with_a_split_norm(g, rng)
+            sheets = [P for D in (atoms[0][1], atoms[1][1])
+                      for P in D.support() if not (P.at_infinity or P.is_branch())]
+            for _ in range(6):
+                fn = C.function((Fraction(rng.randint(1, 5), rng.randint(1, 5)),))
+                for at, _D in rng.sample(atoms, rng.randint(1, 3)):
+                    fn = fn * at ** rng.choice((-1, 1, 2, 3))
+                P = rng.choice(sheets)
+                if rng.random() < 0.3:
+                    fn = fn * C.function((-P.x, 1)) ** rng.randint(1, 2)
+                pts = [P, P.conjugate(), _random_point(C, rng)]
+                for Q in pts:
+                    if Q.at_infinity or Q.is_branch():
+                        continue
+                    v = C.valuation(fn, Q)
+                    assert v == _series_valuation(C, fn, Q), (C, fn, Q)
+                    seen["zero"] += v > 0
+                    seen["pole"] += v < 0
+                    seen["unit"] += v == 0
+                    seen["x - x0 divides"] += all(
+                        polyq.mult_at(p, Q.x) for p in (fn.A, fn.B) if p)
+                seen["zero on one sheet only"] += (
+                    C.valuation(fn, P) != C.valuation(fn, P.conjugate()))
+    assert min(seen.values()) >= 10, seen
+
+
 def test_irrational_support_raises():
     # x^2 - 2 vanishes at x = +-sqrt(2)
     fn = C2.function(polyq.poly([Fraction(-2), Fraction(0), Fraction(1)]))

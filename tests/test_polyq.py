@@ -247,6 +247,46 @@ def test_split_squarefree_input_needs_no_trial_division(monkeypatch):
         assert got == ([(r, 1) for r in roots], polyq.ONE)
 
 
+def _random_squarefree(rng):
+    """A squarefree polynomial: distinct rational roots times distinct
+    irreducible quadratics and cubics (none with a rational root), under
+    a leading coefficient that may be negative, a Fraction or 10^30."""
+    roots = {Fraction(rng.randint(-12, 12), rng.randint(1, 5))
+             for _ in range(rng.randint(0, 6))}
+    p = polyq.from_roots(sorted(roots))
+    quadratics = [(1, 0, 1), (2, 0, 1), (1, 1, 1), (-3, 0, 7),
+                  (5, Fraction(1, 2), 3), (10 ** 30 + 1, 0, 1)]
+    cubics = [(-2, 0, 0, 1), (1, 1, 0, 1), (Fraction(3, 2), -1, 0, 4),
+              (-10 ** 30 - 7, 0, 0, 1)]
+    for c in rng.sample(quadratics, rng.randint(0, 2)) + rng.sample(
+            cubics, rng.randint(0, 1)):
+        p = polyq.mul(p, polyq.poly(c))
+    lc = rng.choice([1, -1, -7, Fraction(2, 3), Fraction(-5, 4), 10 ** 30,
+                     -(10 ** 30)])
+    return polyq.scale(p, lc)
+
+
+def test_squarefree_keyword_agrees_without_a_gcd(monkeypatch):
+    rng = random.Random(59)
+    cases = [_random_squarefree(rng) for _ in range(300)]
+    cases = [p for p in cases if polyq.deg(p) > 0]
+    assert all(polyq.is_squarefree(p) for p in cases)
+    want = [polyq.rational_roots(p) for p in cases]
+    assert want == [_reference_rational_roots(p) for p in cases]
+
+    def refuse(*args):
+        raise AssertionError("_int_gcd called under squarefree=True")
+
+    monkeypatch.setattr(polyq, "_int_gcd", refuse)
+    got = [polyq.rational_roots(p, squarefree=True) for p in cases]
+    assert got == want
+    split = sum(cof == polyq.ONE for _, cof in got)
+    assert min(split, len(got) - split) >= 40, split
+    assert sum(not roots for roots, _ in got) >= 10
+    assert sum(polyq.lead(p) < 0 for p in cases) >= 50
+    assert sum(polyq.lead(p).denominator > 1 for p in cases) >= 50
+
+
 def test_zero_polynomial_is_rejected():
     with pytest.raises(ValueError, match="zero polynomial"):
         polyq.rational_roots(polyq.ZERO)

@@ -12,7 +12,8 @@ from plurisusy.curve import (CurvePoint, Divisor, FunctionFieldElement,
                              HyperellipticCurve, standard_curve)
 from plurisusy.fieldext import QuadExt
 from plurisusy.linalg import kernel_basis
-from plurisusy.riemann_roch import (DivisorClass, _semi_reduced, branch_roots,
+from plurisusy.riemann_roch import (DivisorClass, ThetaCharacteristic,
+                                    _semi_reduced, branch_roots,
                                     canonical_class, canonical_divisor,
                                     class_eq, h0, h1, is_principal,
                                     parity_representatives, rr_space,
@@ -729,9 +730,11 @@ def test_thetas_are_immutable_tuple_values():
         census = theta_characteristics(C)
         for t in census:
             u = theta_from_subset(C, t.subset)
+            assert type(t) is ThetaCharacteristic
             assert (t.curve, t.subset, t.roots, t.h0) == (
                 u.curve, u.subset, u.roots, u.h0)
             assert t == u and not t != u and hash(t) == hash(u)
+            assert repr(t) == repr(u)
             assert hash(t) == hash((t.curve, t.subset, t.roots, t.h0))
             v = theta_from_subset(moved, t.subset)
             assert t != v and not t == v
@@ -745,6 +748,31 @@ def test_thetas_are_immutable_tuple_values():
         assert repr(t) == (f"ThetaCharacteristic(curve={C!r}, "
                            f"subset={t.subset!r}, roots={t.roots!r}, "
                            f"h0={t.h0!r})")
+        # the first size-g subset, and the first odd h0 in census order
+        odd = next(theta_from_subset(C, u.subset) for u in census if u.h0 % 2)
+        even = theta_from_subset(C, tuple(range(g)))
+        reps = parity_representatives(C)
+        assert reps == (even, odd)
+        assert [type(t) for t in reps] == [ThetaCharacteristic] * 2
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_one_gcd_per_curve(monkeypatch, g):
+    # the constructor proves f squarefree; the census factors f without
+    # a second gcd
+    calls = []
+    int_gcd = polyq._int_gcd
+
+    def counted(*args):
+        calls.append(args)
+        return int_gcd(*args)
+
+    monkeypatch.setattr(polyq, "_int_gcd", counted)
+    roots = random.Random(67 + g).sample(
+        [Fraction(k, 3) for k in range(-30, 31)], 2 * g + 1)
+    C = HyperellipticCurve(polyq.scale(polyq.from_roots(roots), Fraction(-5, 7)))
+    assert len(theta_characteristics(C)) == 4 ** g
+    assert len(calls) == 1
 
 
 def test_theta_from_subset_validation():
