@@ -57,7 +57,6 @@ class HyperellipticCurve:
         self._rr_cache: Dict = {}
         self._roots: Optional[Tuple[List[Tuple[Fraction, int]], Poly]] = None
         self._branch: Optional[Dict[Fraction, CurvePoint]] = None
-        self._local: Dict[CurvePoint, _Local] = {}
         # points are never mutated, so every caller shares this one
         self._infinity = CurvePoint(self, None, None, at_infinity=True)
 
@@ -122,14 +121,10 @@ class HyperellipticCurve:
 
     # -- local expansions ----------------------------------------------------
     #
-    # Each curve caches its local data: the factorisation of f, the branch
-    # points, and per point x(t), y(t), the powers x^i(t) and the inverses
-    # 1/d(t) of the denominators seen there.  A series is kept at the
-    # largest cut asked for so far and regrown to at least twice that cut
-    # when a caller needs more; a smaller cut gets an exact truncation,
-    # equal to a fresh solve.
-    # Internal callers read the cache and call the public x_series_at_branch,
-    # y_series_at and y_series_at_infinity only to grow it.
+    # Each curve keeps the factorisation of f and its branch points.  The
+    # Laurent windows below are built afresh on each call, for the public
+    # laurent_at and evaluate; the package's own conditions off the branch
+    # locus read the Taylor window of y from polyq.sqrt_window instead.
 
     def _f_roots(self) -> Tuple[List[Tuple[Fraction, int]], Poly]:
         """Rational roots of f with multiplicities, and the cofactor.
@@ -146,32 +141,21 @@ class HyperellipticCurve:
                             for r, _m in self._f_roots()[0]}
         return self._branch
 
-    def _local_at(self, P: "CurvePoint") -> "_Local":
-        loc = self._local.get(P)
-        if loc is None:
-            loc = self._local[P] = _Local()
-        return loc
-
     def x_series_at_branch(self, r: Fraction, cut: int) -> TSeries:
         """Series of x - r in the parameter t = y at the branch point (r, 0),
         solving f(x(t)) = t^2 by fixed point iteration."""
-        loc = self._local_at(self.branch_point(r))
-        if loc.x is None or loc.x.cut < cut:
-            loc.x = self._solve_branch(r, _grown(loc.x, cut))
-        return loc.x.truncate(cut)
-
-    def _solve_branch(self, r: Fraction, cut: int) -> TSeries:
         from .series import TSeries
+        self.branch_point(r)  # r must be a root of f
         fshift = polyq.shift(self.f, r)  # f(r+s), constant term 0
         u = fshift[1:]  # f(r+s) = s * u(s), u(0) != 0
         t2 = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), Fraction(1)], cut)
-        s = t2.scale(1 / u[0])
+        s = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), 1 / u[0]], cut)
         for _ in range(cut):
             nxt = t2 * _compose_poly(u, s, cut).inverse()
             if nxt.val == s.val and nxt.coeffs == s.coeffs and nxt.cut == s.cut:
                 break
             s = nxt
-        if (_compose_poly(fshift, s, cut) - t2).first_nonzero() is not None:
+        if not (_compose_poly(fshift, s, cut) - t2).is_empty():
             raise RuntimeError("branch series failed")
         return s
 
@@ -180,15 +164,10 @@ class HyperellipticCurve:
         from .series import TSeries
         if P.at_infinity:
             raise ValueError("y_series_at needs a finite point")
-        loc = self._local_at(P)
-        if loc.y is None or loc.y.cut < cut:
-            c = _grown(loc.y, cut)
-            if P.y == 0:
-                loc.y = TSeries.from_poly_coeffs([Fraction(0), Fraction(1)], c)
-            else:
-                fx = TSeries.from_poly_coeffs(polyq.taylor(self.f, P.x, c), c)
-                loc.y = fx.sqrt_with(P.y)
-        return loc.y.truncate(cut)
+        if P.y == 0:
+            return TSeries.from_poly_coeffs([Fraction(0), Fraction(1)], cut)
+        fx = TSeries.from_poly_coeffs(polyq.taylor(self.f, P.x, cut), cut)
+        return fx.sqrt_with(P.y)
 
     def y_series_at_infinity(self, cut: int) -> TSeries:
         """Series of y at infinity: y = t^-(2g+1) sqrt(G(t^2)) where
@@ -197,58 +176,19 @@ class HyperellipticCurve:
         from .series import TSeries
         m = 2 * self.genus + 1
         cut = max(cut, 1 - m)
-        loc = self._local_at(self.infinity())
-        if loc.y is None or loc.y.cut < cut:
-            coeffs: List = []
-            for c in reversed(self.f):
-                coeffs.append(c)
-                coeffs.append(Fraction(0))
-            inner = TSeries.from_poly_coeffs(coeffs, _grown(loc.y, cut) + m)
-            root0 = make_sqrt(polyq.lead(self.f))
-            loc.y = inner.sqrt_with(root0).shift(-m)
-        return loc.y.truncate(cut)
-
-    def _y_at(self, P: "CurvePoint", cut: int) -> TSeries:
-        """y(t) at P, read from the cache when it reaches cut."""
-        y = self._local_at(P).y
-        if P.at_infinity:
-            cut = max(cut, -2 * self.genus)
-        if y is not None and y.cut >= cut:
-            return y.truncate(cut)
-        if P.at_infinity:
-            return self.y_series_at_infinity(cut)
-        return self.y_series_at(P, cut)
-
-    def _powers_at(self, P: "CurvePoint", n: int, cut: int) -> List[TSeries]:
-        """x^0(t), ..., x^n(t) (at least) at a finite point P, built as
-        x^(i+1) = x^i * x and exact below cut or beyond."""
-        from .series import TSeries
-        loc = self._local_at(P)
-        powers = loc.powers
-        if not powers or powers[0].cut < cut:
-            c = _grown(powers[0] if powers else None, cut)
-            if P.y == 0:
-                x = self.x_series_at_branch(P.x, c) \
-                    + TSeries.from_poly_coeffs([P.x], c)
-            else:
-                x = TSeries.from_poly_coeffs([P.x, Fraction(1)], c)
-            powers = loc.powers = [TSeries.from_poly_coeffs([Fraction(1)], c), x]
-        c = powers[0].cut
-        while len(powers) <= n:
-            powers.append((powers[1] * powers[-1]).truncate(c))
-        return powers
-
-    def _inverse_at(self, d: Poly, P: "CurvePoint", cut: int) -> TSeries:
-        """1/d(t) at P, inverted from d's window below cut or beyond."""
-        inverses = self._local_at(P).inverses
-        hit = inverses.get(d)
-        if hit is None or hit[0] < cut:
-            c = cut if hit is None else max(cut, 2 * hit[0])
-            hit = inverses[d] = (c, self._poly_series_at(d, P, c).inverse())
-        return hit[1]
+        coeffs: List = []
+        for c in reversed(self.f):
+            coeffs.append(c)
+            coeffs.append(Fraction(0))
+        inner = TSeries.from_poly_coeffs(coeffs, cut + m)
+        root = inner.sqrt_with(make_sqrt(polyq.lead(self.f)))
+        return TSeries(-m, root.coeffs, cut)  # times t^-m
 
     def _poly_series_at(self, p: Poly, P: "CurvePoint", cut: int) -> TSeries:
-        """Laurent series of the polynomial function p(x) at P."""
+        """Laurent series of the polynomial function p(x) at P, below cut:
+        the closed form p(t^-2) at infinity, p(r + s) composed with
+        s = x(t) - r at a branch point r, and the Taylor coefficients of p
+        elsewhere."""
         from .series import TSeries
         if P.at_infinity:
             if not p:
@@ -263,12 +203,10 @@ class HyperellipticCurve:
                 if 0 <= k < len(coeffs):
                     coeffs[k] = c
             return TSeries(lo, coeffs, cut)
-        acc: List = [Fraction(0)] * cut
-        for c, s in zip(p, self._powers_at(P, polyq.deg(p), cut)):
-            if c and s.val < cut:
-                for k, a in enumerate(s.coeffs[:cut - s.val], s.val):
-                    acc[k] += c * a
-        return TSeries(0, acc, cut)
+        if P.y == 0:
+            return _compose_poly(polyq.shift(p, P.x),
+                                 self.x_series_at_branch(P.x, cut), cut)
+        return TSeries.from_poly_coeffs(polyq.taylor(p, P.x, cut), cut)
 
     def _poly_val(self, p: Poly, P: "CurvePoint") -> int:
         """Valuation at P of the nonzero polynomial function p(x)."""
@@ -289,14 +227,16 @@ class HyperellipticCurve:
         q = self._poly_series_at(fn.A, P, cut)
         if fn.B:
             # the B y window must reach cut past the leading terms of y and B
-            bcut = ycut = cut
             if P.at_infinity:
-                bcut = cut + 2 * self.genus + 1
-                ycut = cut + 2 * polyq.deg(fn.B)
-            q = q + self._poly_series_at(fn.B, P, bcut) * self._y_at(P, ycut)
+                b = self._poly_series_at(fn.B, P, cut + 2 * self.genus + 1)
+                y = self.y_series_at_infinity(cut + 2 * polyq.deg(fn.B))
+            else:
+                b = self._poly_series_at(fn.B, P, cut)
+                y = self.y_series_at(P, cut)
+            q = q + b * y
         if fn.den != polyq.ONE:
-            q = q * self._inverse_at(fn.den, P, vd + nterms)
-        if q.first_nonzero() != v:
+            q = q * self._poly_series_at(fn.den, P, vd + nterms).inverse()
+        if q.is_empty() or q.val != v:
             raise RuntimeError("series disagrees with valuation")
         return q
 
@@ -354,9 +294,11 @@ class HyperellipticCurve:
     # -- divisors ------------------------------------------------------------
 
     def divisor_of(self, fn: "FunctionFieldElement") -> "Divisor":
-        """Principal divisor of fn, every order read from valuation: at
-        infinity, and at each point over a rational root of den or of the
-        norm A^2 - B^2 f, on both sheets off the branch locus.  Raises
+        """Principal divisor of fn: the orders at infinity and at each point
+        over a rational root x0 of den or of the norm A^2 - B^2 f.  Off
+        the branch locus valuation gives one sheet P, and the other follows
+        from fn * iota*fn = norm / den^2, since x - x0 is a uniformiser at
+        both: ord_P + ord_iotaP = mult_x0(norm) - 2 mult_x0(den).  Raises
         UnrepresentableSupportError when a zero or pole has an irrational
         x-coordinate."""
         if fn.is_zero():
@@ -385,8 +327,9 @@ class HyperellipticCurve:
                         "branch valuation disagrees with norm multiplicity")
             else:
                 P = self.point(x0)
-                for Q in (P, P.conjugate()):
-                    data[Q] = self.valuation(fn, Q)
+                data[P] = self.valuation(fn, P)
+                data[P.conjugate()] = (zeros.get(x0, 0) - 2 * poles.get(x0, 0)
+                                       - data[P])
         D = Divisor(data)
         if D.degree() != 0:
             raise RuntimeError("principal divisor must have degree zero")
@@ -394,35 +337,19 @@ class HyperellipticCurve:
 
 
 def _compose_poly(p: Iterable, s: TSeries, cut: int) -> TSeries:
-    """p(s(t)) for a polynomial p and a series s with s.val >= 0."""
+    """p(s(t)) below cut for a polynomial p and a series s with
+    s.val >= 0; when s.val > 0 the powers s^i with i s.val >= cut vanish
+    there, so p's coefficients from that degree on are not read."""
     from .series import TSeries
     if not s.is_empty() and s.val < 0:
         raise ValueError("cannot compose a polynomial with a pole")
     coeffs = list(p)
+    if s.val > 0:
+        coeffs = coeffs[:max(0, (cut - 1) // s.val + 1)]
     acc = TSeries.zero(cut)
     for c in reversed(coeffs):
         acc = acc * s + TSeries.from_poly_coeffs([c], cut)
     return acc
-
-
-def _grown(old: Optional[TSeries], cut: int) -> int:
-    """Cut at which to rebuild a cached series that must reach cut."""
-    return cut if old is None else max(cut, 2 * old.cut)
-
-
-class _Local:
-    """Cached expansions at one point of a curve (see the local expansions
-    section of HyperellipticCurve): x(t) - r at a branch point r, y(t),
-    the powers x^i(t), and 1/d(t) with the window of d it came from,
-    keyed by the polynomial d."""
-
-    __slots__ = ("x", "y", "powers", "inverses")
-
-    def __init__(self):
-        self.x: Optional[TSeries] = None
-        self.y: Optional[TSeries] = None
-        self.powers: List[TSeries] = []
-        self.inverses: Dict[Poly, Tuple[int, TSeries]] = {}
 
 
 class CurvePoint:

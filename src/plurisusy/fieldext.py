@@ -267,19 +267,19 @@ def rows_independent(row1: Sequence, row2: Sequence) -> bool:
 IntRow = Tuple[List[int], Optional[List[int]], int]
 
 
-def int_row(row: Sequence, scale: Sequence[Fraction]) -> IntRow:
-    """The row of rationals and QuadExts of one field Q(sqrt d), with entry
-    j times scale[j], as an IntRow up to a positive rational factor."""
+def int_row(row: Sequence) -> IntRow:
+    """The row of rationals and QuadExts of one field Q(sqrt d) as an
+    IntRow, up to a positive rational factor."""
     us: List[Fraction] = []
     vs: List[Fraction] = []
     d = 1
-    for x, c in zip(row, scale):
+    for x in row:
         if isinstance(x, QuadExt):
-            us.append(Fraction(x.u) * c)
-            vs.append(Fraction(x.v) * c)
+            us.append(Fraction(x.u))
+            vs.append(Fraction(x.v))
             d = x.d
         else:
-            us.append(Fraction(x) * c)
+            us.append(Fraction(x))
             vs.append(Fraction(0))
     _, (ius, ivs) = clear_denominators(us, vs)
     return (ius, ivs if d != 1 else None, d)

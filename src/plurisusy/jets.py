@@ -1,11 +1,11 @@
 """Value and derivative rows of lists of functions at curve points.
 
 A row lists the functions' Laurent coefficients at one power of the local
-parameter, in the trivialization of a D-twisted bundle.  `jet_rows` reads
-them from `HyperellipticCurve.laurent_at` at any point.  `SectionJets`
-gives the same rows up to what a rank test ignores, without a series: in
-integers at almost every finite point, and as polynomial coefficients at
-infinity and the branch points.
+parameter, in the trivialization of a D-twisted bundle.  `SectionJets`
+gives these rows up to what a rank test ignores, by polynomial
+arithmetic alone: in integers at almost every finite point, as
+polynomial coefficients at infinity and the branch points, and as Taylor
+coefficients against the Taylor window of y at the other finite points.
 """
 
 from __future__ import annotations
@@ -18,21 +18,6 @@ from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
 from .fieldext import IntRow, QuadExt, int_row
-
-
-def jet_rows(curve: HyperellipticCurve,
-             sections: Sequence[FunctionFieldElement], D: Divisor,
-             P: CurvePoint, nterms: int) -> List[List]:
-    """Laurent coefficient rows of the sections at P in the local
-    trivialization of the D-twisted bundle: row k lists the t^(m+k)
-    coefficients with m = -D[P], so the fiber evaluation is row 0."""
-    m = -D[P]
-    rows: List[List] = [[] for _ in range(nterms)]
-    for s in sections:
-        q = curve.laurent_at(s, P, nterms=nterms)
-        for k in range(nterms):
-            rows[k].append(q.coeff(m + k))
-    return rows
 
 
 class SectionJets:
@@ -52,8 +37,9 @@ class SectionJets:
     infinity and at a branch point, where At and Bt y never cancel, each
     row is one coefficient of At or of Bt (_infinity_rows, _branch_rows)
     when every section lies in L(D) there, and a ValueError naming the
-    section otherwise.  At every other point the rows are the Laurent
-    rows of jet_rows, with column j times the same lam_j."""
+    section otherwise.  At the other finite points, in D's support or at a
+    zero of a denominator, the rows are Taylor coefficients of
+    At + Bt v, with v the Taylor window of y (_window_rows)."""
 
     def __init__(self, curve: HyperellipticCurve,
                  sections: Sequence[FunctionFieldElement], D: Divisor,
@@ -61,7 +47,7 @@ class SectionJets:
         for j, s in enumerate(sections):
             if s.is_zero():
                 raise ValueError(f"model section {j} is zero")
-        self.curve, self.sections, self.D = curve, sections, D
+        self.curve, self.D = curve, D
         self.nterms, self.summand = nterms, summand
         dens = list(dict.fromkeys(s.den for s in sections))
         cofactors = {}  # phi / den for phi the product of the distinct dens
@@ -71,15 +57,13 @@ class SectionJets:
                 if e != d:
                     q = polyq.mul(q, e)
             cofactors[d] = q
-        self.lam: List[Fraction] = []
         self.A: List[List[int]] = []
         self.B: List[List[int]] = []
         for s in sections:
             q = cofactors[s.den]
             A, B = ((s.A, s.B) if q == polyq.ONE
                     else (polyq.mul(q, s.A), polyq.mul(q, s.B)))
-            lam, (At, Bt) = polyq.clear_denominators(A, B)
-            self.lam.append(lam)
+            _, (At, Bt) = polyq.clear_denominators(A, B)
             self.A.append(At)
             self.B.append(Bt)
         self.dA = [polyq.int_derivative(p) for p in self.A]
@@ -100,8 +84,7 @@ class SectionJets:
         if P.y == 0:
             return self._branch_rows(P)
         if self.D[P] or not all(map(frame.ev, self.dens)):
-            return [int_row(r, self.lam) for r in jet_rows(
-                self.curve, self.sections, self.D, P, self.nterms)]
+            return self._window_rows(P)
         return self._integer_jets(frame)
 
     def _pole_past_D(self, j: int, P: CurvePoint) -> ValueError:
@@ -172,6 +155,32 @@ class SectionJets:
                    for t in (tB if k % 2 else tA)]
             rows.append((polyq.clear_denominators(row)[1][0], None, 1))
         return rows
+
+    def _window_rows(self, P: CurvePoint) -> List[IntRow]:
+        """The rows at a finite non-branch point P = (x0, y0), where no
+        section may have a pole past D.  There t = x - x0 is the local
+        parameter and y = v(t), the Taylor window of y at P
+        (polyq.sqrt_window).  Times phi, of order delta = mult_x0(phi) and
+        a unit factor that a rank test ignores, the rows sit at orders
+        o = delta - D[P] .. o + nterms - 1 of At + Bt v; every Taylor
+        coefficient below o vanishes exactly when each section lies in
+        L(D) at P.  Rows at negative orders are zero."""
+        x0 = P.x
+        o = sum(polyq.mult_at(d, x0) for d in self.dens) - self.D[P]
+        top = max(0, o + self.nterms)
+        v = polyq.sqrt_window(polyq.taylor(self.curve.f, x0, top), P.y, top)
+        cols = []
+        for j, (a, b) in enumerate(zip(self.A, self.B)):
+            tA = polyq.taylor(a, x0, top)
+            tB = polyq.taylor(b, x0, top)
+            col = [(tA[k] if k < len(tA) else 0)
+                   + sum(tB[i] * v[k - i] for i in range(min(k + 1, len(tB))))
+                   for k in range(top)]
+            if any(col[:max(0, o)]):
+                raise self._pole_past_D(j, P)
+            cols.append(col)
+        return [int_row([c[k] if k >= 0 else 0 for c in cols])
+                for k in range(o, o + self.nterms)]
 
 
 class PointFrame:

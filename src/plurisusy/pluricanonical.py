@@ -462,8 +462,9 @@ def verify_embedding(M: PluriCanonicalModel,
     (c) the odd-coordinate value row never vanishes.  A pair with equal
     members runs check (b) in place of (a).  Rows are scaled Laurent
     coefficients, so points on the cleared divisors are fine; they are
-    compared by their integer keys (fieldext.row_key), and at almost every
-    finite point built in integers without a series (jets.SectionJets).
+    built by polynomial arithmetic (jets.SectionJets), in integers at
+    almost every finite point, and compared by their integer keys
+    (fieldext.row_key).
     A sample point off M.curve is a ValueError.  An integer
     `samples` draws that many point pairs deterministically from `seed`;
     a point list checks all pairs from the list.  Fewer than one sample

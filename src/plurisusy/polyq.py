@@ -160,6 +160,22 @@ def shift(p: Poly, x0) -> Poly:
     return taylor(p, x0, len(p))
 
 
+def sqrt_window(F: Sequence, root0, n: int) -> List:
+    """The first n coefficients of the square root of the power series
+    F(t) that starts with root0, where root0^2 = F[0] != 0, by the Hensel
+    lift c_0 = root0, c_k = (F_k - sum_{0<i<k} c_i c_(k-i)) / (2 c_0).
+    The coefficients may be Fractions or elements of one Q(sqrt d); F
+    may stop early, its missing coefficients being 0."""
+    inv2r = Fraction(1) / (root0 + root0)
+    out = [root0]
+    for k in range(1, n):
+        acc = F[k] if k < len(F) else Fraction(0)
+        for i in range(1, k):
+            acc = acc - out[i] * out[k - i]
+        out.append(inv2r * acc)
+    return out[:n]
+
+
 def deflate(p: Poly, x0, most: Optional[int] = None) -> Tuple[int, Poly]:
     """(m, p / (x - x0)^m), with m the multiplicity of the root x0 in p,
     or `most` when that is smaller; the zero p gives (most, 0).  Each

@@ -5,11 +5,13 @@ functions are x^i and x^j y with pole orders at infinity controlled by their
 degrees (pole orders of the two kinds never collide, since one is even and
 the other odd).  At a branch point the vanishing conditions are
 divisibility of the two polynomials (Mumford, Tata Lectures on Theta II,
-ch. IIIa); at a point off the branch locus they are rational linear rows
-on Taylor coefficients.  Without such rows, as for every divisor of a
+ch. IIIa), and so is the order both sheets of a fibre off the branch
+locus ask alike.  Only the excess of one sheet of a rational fibre over
+the other is a remainder condition, (x - x0)^m | A + B v with v the
+Taylor window of y there.  Without such rows, as for every divisor of a
 theta characteristic's powers, the basis is written down by polynomial
-division; otherwise the divisibility conditions join the Taylor rows in
-one kernel.
+division; otherwise the divisibility conditions join those rows in one
+kernel.
 
 Dimensions and linear equivalence need no basis: every divisor is
 equivalent to E + n * infinity with E reduced in Cantor's sense, found by
@@ -26,24 +28,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, repeat
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
-from .fieldext import QuadExt
 from .linalg import kernel_basis
 from .records import frozen
-
-
-def _split_rows(entries: List) -> List[List[Fraction]]:
-    """One linear condition with entries in Q(sqrt(d)) becomes two rational
-    conditions (rational and sqrt parts); a rational row stays single."""
-    if any(isinstance(e, QuadExt) for e in entries):
-        u_row = [e.u if isinstance(e, QuadExt) else Fraction(e) for e in entries]
-        v_row = [e.v if isinstance(e, QuadExt) else Fraction(0) for e in entries]
-        return [u_row, v_row]
-    return [[Fraction(e) for e in entries]]
 
 
 def _require_stable(D: Divisor) -> None:
@@ -93,20 +84,24 @@ def _rr_space(curve: HyperellipticCurve, D: Divisor
     At a branch point P over r, x - r has order 2 and y order 1, so A and
     B y never cancel, and ord_P(A + B y) >= need = 2 exps[r] - D[P] says
     (x - r)^ceil(need/2) | A and (x - r)^floor(need/2) | B; U_A and U_B
-    are the products of these factors.  At a point P off the branch locus
-    the candidates must vanish to order exps[x_P] - D[P], which gives
-    rational rows on their Taylor coefficients; a rational fibre takes both
-    sheets, an inert one either, since _split_rows adds the conjugate
-    conditions.
+    are the products of these factors.  Off the branch locus a point P
+    over x0 asks ord_P(A + B y) >= exps[x0] - D[P], with x - x0 a
+    uniformiser.  There 1 and y are a local integral basis (f is
+    squarefree), so both sheets vanish to order k exactly when
+    (x - x0)^k divides A and B: the smaller demand k of the two sheets
+    joins U_A and U_B.  An inert fibre is symmetric, as D is
+    Galois-stable.  On a rational fibre the sheet P with the larger demand
+    m > k asks (x - x0)^m | A + B v, with v = y mod (x - x0)^m there, the
+    Hensel lift of sqrt(f) (polyq.sqrt_window): m rows of _remainder_rows.
 
-    Without Taylor rows the kernel is U_A | A, U_B | B, and its reduced
+    Without such rows the kernel is U_A | A, U_B | B, and its reduced
     echelon basis is written down (Mumford, Tata Lectures on Theta II,
     ch. IIIa): x^c - (x^c mod U_A) for deg U_A <= c < n_x, then
     (x^c - (x^c mod U_B)) y for deg U_B <= c < n_y.  Otherwise the rows of
-    A mod U_A and of B mod U_B join the Taylor rows in kernel_basis,
-    whose reduced echelon output does not depend on how the rows are
-    written, so both give the same basis.  Each element is brought to
-    normal form by dividing out the factors x - r it shares with d."""
+    A mod U_A and of B mod U_B join them in kernel_basis, whose reduced
+    echelon output does not depend on how the rows are written, so both
+    give the same basis.  Each element is brought to normal form by
+    dividing out the factors x - r it shares with d."""
     exps, d, n_x, n_y = clearing_frame(curve, D)
     if D.degree() < 0 or n_x + n_y == 0:
         return []
@@ -120,13 +115,21 @@ def _rr_space(curve: HyperellipticCurve, D: Divisor
             roots_A += [x0] * max(0, (need + 1) // 2)
             roots_B += [x0] * max(0, need // 2)
             continue
-        for Q in (P, P.conjugate()) if P.is_rational() else (P,):
-            if e > D[Q]:
-                rows += _taylor_rows(curve, Q, e - D[Q], n_x, n_y)
+        Q = P.conjugate()
+        if D[Q] < D[P]:
+            P, Q = Q, P  # P has the larger demand
+        k, m = max(0, e - D[Q]), e - D[P]
+        roots_A += [x0] * k
+        roots_B += [x0] * k
+        if m > k:
+            u = polyq.from_roots([x0] * m)
+            v = polyq.shift(polyq.poly(polyq.sqrt_window(
+                polyq.taylor(curve.f, x0, m), P.y, m)), -x0)
+            rows += _remainder_rows(u, n_x, n_y, polyq.ONE, v)
     U_A, U_B = polyq.from_roots(roots_A), polyq.from_roots(roots_B)
     if rows:
-        rows += [r + [Fraction(0)] * n_y for r in _remainder_rows(U_A, n_x)]
-        rows += [[Fraction(0)] * n_x + r for r in _remainder_rows(U_B, n_y)]
+        rows += _remainder_rows(U_A, n_x, n_y, polyq.ONE, polyq.ZERO)
+        rows += _remainder_rows(U_B, n_x, n_y, polyq.ZERO, polyq.ONE)
         pairs = [(polyq.poly(v[:n_x]), polyq.poly(v[n_x:]))
                  for v in kernel_basis(rows, n_x + n_y)]
     else:
@@ -150,39 +153,35 @@ def _rr_space(curve: HyperellipticCurve, D: Divisor
     return [normal(A, B) for A, B in pairs]
 
 
-def _taylor_rows(curve: HyperellipticCurve, P: CurvePoint, r: int,
-                 n_x: int, n_y: int) -> List[List[Fraction]]:
-    """Rows saying that a combination of the candidates x^i, i < n_x, and
-    x^j y, j < n_y, vanishes to order r at P, off the branch locus."""
-    powers = curve._powers_at(P, max(n_x, n_y) - 1, r)
-    series = powers[:n_x]
-    if n_y:
-        ys = curve._y_at(P, r)
-        series += [s.truncate(r) * ys for s in powers[:n_y]]
-    return [row for k in range(r)
-            for row in _split_rows([s.coeff(k) for s in series])]
-
-
-def _remainder_rows(U: polyq.Poly, n: int) -> List[List[Fraction]]:
-    """Rows of p -> p mod U, U monic, on the coefficients of p, deg p < n:
-    column c is x^c mod U, which is x^c below deg U and the negated low
-    coefficients of _multiples' x^c - (x^c mod U) from there on."""
-    a = polyq.deg(U)
-    cols = [[Fraction(int(k == c)) for k in range(a)] for c in range(min(a, n))]
-    cols += [[-v for v in p[:a]] for p in _multiples(U, n)]
+def _remainder_rows(U: polyq.Poly, n_x: int, n_y: int, p: polyq.Poly,
+                    q: polyq.Poly) -> List[List[Fraction]]:
+    """Rows of (A, B) -> (p A + q B) mod U, U monic, on the coefficients
+    of A, deg A < n_x, then of B, deg B < n_y: column c of A is
+    x^c p mod U, and of B x^c q mod U."""
+    cols = list(_times_x_mod(U, p, n_x)) + list(_times_x_mod(U, q, n_y))
     return [list(row) for row in zip(*cols)]
 
 
 def _multiples(U: polyq.Poly, n: int) -> Iterator[polyq.Poly]:
     """x^c - (x^c mod U) for deg U <= c < n, U monic: the reduced echelon
-    basis of its multiples of degree below n.  The remainders follow
-    one another as x^(c+1) mod U = x (x^c mod U) - top U, with top the
-    coefficient of x^(deg U - 1) in x^c mod U."""
-    a = polyq.deg(U)
-    rem = [-u for u in U[:-1]]  # x^a mod U
-    zero = Fraction(0)
-    for c in range(a, n):
+    basis of its multiples of degree below n."""
+    a, zero = polyq.deg(U), Fraction(0)
+    xa = [-u for u in U[:-1]]  # x^a mod U
+    for c, rem in enumerate(_times_x_mod(U, xa, n - a), a):
         yield tuple(-r for r in rem) + (zero,) * (c - a) + (Fraction(1),)
+
+
+def _times_x_mod(U: polyq.Poly, p: Sequence[Fraction],
+                 n: int) -> Iterator[List[Fraction]]:
+    """x^c p mod U for 0 <= c < n, U monic and p reduced mod U (of degree
+    below deg U, or a constant when U = 1), each as its deg U low
+    coefficients.  The remainders follow one another as
+    x^(c+1) p mod U = x (x^c p mod U) - top U, with top the coefficient of
+    x^(deg U - 1) in x^c p mod U."""
+    a, zero = polyq.deg(U), Fraction(0)
+    rem = [p[i] if i < len(p) else zero for i in range(a)]
+    for _ in range(n):
+        yield rem
         if a:
             top = rem[-1]
             rem = [zero] + rem[:-1]
@@ -243,13 +242,19 @@ def _mumford_pair(curve: HyperellipticCurve, E: Dict[CurvePoint, int]
 
 def _mumford_step(curve: HyperellipticCurve, P: CurvePoint, m: int,
                   u: polyq.Poly, v: polyq.Poly) -> polyq.Poly:
-    """w = (y - v)/u mod t^m at a finite non-branch point P, t = x - x_P,
-    from the series of y there."""
-    from .series import TSeries
-    ys = curve.y_series_at(P, m)
-    rest = ys - TSeries.from_poly_coeffs(polyq.shift(v, P.x), m)
-    w = rest * TSeries.from_poly_coeffs(polyq.shift(u, P.x), m).inverse()
-    return polyq.shift(polyq.poly(w.coeff(k) for k in range(m)), -P.x)
+    """w = (y - v)/u mod t^m at a finite non-branch point P, t = x - x_P.
+    With c the Taylor window of y at P (polyq.sqrt_window) and U, V the
+    Taylor coefficients of u and v, U w = c - V mod t^m is triangular:
+    w_n = (c_n - V_n - sum_{i>=1} U_i w_(n-i)) / U_0, as U_0 = u(x_P) != 0."""
+    x0, zero = P.x, Fraction(0)
+    c = polyq.sqrt_window(polyq.taylor(curve.f, x0, m), P.y, m)
+    U, V = (list(p) + [zero] * (m - len(p))
+            for p in (polyq.taylor(u, x0, m), polyq.taylor(v, x0, m)))
+    w: List[Fraction] = []
+    for n in range(m):
+        acc = c[n] - V[n] - sum(U[i] * w[n - i] for i in range(1, n + 1))
+        w.append(acc / U[0])
+    return polyq.shift(polyq.poly(w), -x0)
 
 
 def _reduce(curve: HyperellipticCurve, D: Divisor

@@ -3,12 +3,15 @@
 A TSeries represents sum_{k >= val} c_k t^k known exactly for all k < cut.
 Coefficients are Fractions or QuadExt elements; all arithmetic is exact and
 truncation windows are tracked so that no claimed coefficient is ever wrong.
+Only `curve` builds series, for the public `laurent_at` and `evaluate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Sequence
+
+from .polyq import sqrt_window
 
 
 class TSeries:
@@ -48,12 +51,6 @@ class TSeries:
             return Fraction(0)
         return self.coeffs[k - self.val]
 
-    def first_nonzero(self) -> Optional[int]:
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.val + i
-        return None
-
     def __neg__(self):
         return TSeries(self.val, [-c for c in self.coeffs], self.cut)
 
@@ -87,25 +84,6 @@ class TSeries:
                 cs[k - val] = cs[k - val] + a * b
         return TSeries(val, cs, cut)
 
-    def scale(self, c):
-        if c == 0:
-            return TSeries.zero(self.cut)
-        return TSeries(self.val, [c * a for a in self.coeffs], self.cut)
-
-    def truncate(self, cut: int) -> "TSeries":
-        """The same series known only below cut <= self.cut."""
-        if cut > self.cut:
-            raise ValueError("cannot truncate beyond the known window")
-        if cut == self.cut:
-            return self
-        if cut <= self.val:
-            return TSeries.zero(cut)
-        return TSeries(self.val, self.coeffs[: cut - self.val], cut)
-
-    def shift(self, k: int) -> "TSeries":
-        """Multiply by t^k."""
-        return TSeries(self.val + k, list(self.coeffs), self.cut + k)
-
     def inverse(self) -> "TSeries":
         """Multiplicative inverse; the leading coefficient must be a unit and
         exactly known (a series that vanishes through its whole window has no
@@ -134,15 +112,8 @@ class TSeries:
         if root0 * root0 != c0:
             raise ValueError("prescribed root does not square to the leading term")
         n = self.cut - self.val
-        inv2r = Fraction(1) / (root0 + root0)
-        out: List = [root0] + [Fraction(0)] * (n - 1)
-        for k in range(1, n):
-            acc = self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-            for i in range(1, k):
-                acc = acc - out[i] * out[k - i]
-            out[k] = inv2r * acc
         half = self.val // 2
-        return TSeries(half, out, half + n)
+        return TSeries(half, sqrt_window(self.coeffs, root0, n), half + n)
 
     def __repr__(self):
         terms = ", ".join(f"t^{self.val + i}: {c}" for i, c in enumerate(self.coeffs))

@@ -171,8 +171,7 @@ def test_series_squares_to_f():
     # f(x(t)) via Horner on the shifted polynomial
     rhs = None
     for c in reversed(polyq.shift(C2.f, Fraction(1))):
-        rhs = xs.scale(0) if rhs is None else rhs * xs
-        from plurisusy.series import TSeries
+        rhs = TSeries.zero(xs.cut) if rhs is None else rhs * xs
         rhs = rhs + TSeries.from_poly_coeffs([c], min(cut, rhs.cut))
     for k in range(min(lhs.cut, rhs.cut)):
         assert lhs.coeff(k) == rhs.coeff(k)
@@ -181,10 +180,10 @@ def test_series_squares_to_f():
 def test_series_at_infinity_squares_to_f():
     cut = 3
     ys = C2.y_series_at_infinity(cut)
-    assert ys.first_nonzero() == -5
+    assert ys.val == -5 and ys.coeffs[0]
     sq = ys * ys
     # f(t^-2) has lowest term t^-10 with coefficient lead(f) = 1
-    assert sq.first_nonzero() == -10
+    assert sq.val == -10
     assert sq.coeff(-10) == 1
 
 
@@ -203,7 +202,7 @@ def test_laurent_leading_term_at_requested_depth():
     f = C2.y_fn() / C2.x_fn()
     W0 = C2.branch_point(Fraction(0))
     s = C2.laurent_at(f, W0, nterms=3)
-    assert s.first_nonzero() == -1
+    assert s.val == -1 and s.coeffs[0]
     assert s.cut >= 2
 
 
@@ -370,6 +369,74 @@ def test_divisor_of_products_with_rational_and_quadratic_fibres():
     assert min(seen.values()) >= 5, seen
 
 
+def test_divisor_of_values_one_sheet_per_fibre(monkeypatch):
+    # off the branch locus valuation reads one sheet and the norm gives
+    # the other, so _val_num_at runs once per non-branch fibre and no
+    # series is built; both sheets' orders match the Laurent series of
+    # laurent_at
+    rng = random.Random(27)
+    real = HyperellipticCurve._val_num_at
+    calls = []
+
+    def spy(self, A, B, P):
+        calls.append(P.x)
+        return real(self, A, B, P)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    checked = 0
+    for g in (2, 3):
+        for _ in range(3):
+            C, atoms = _curve_with_a_split_norm(g, rng)
+            for _ in range(4):
+                fn = C.function((Fraction(rng.randint(1, 5)),))
+                for at, _D in rng.sample(atoms, rng.randint(1, 3)):
+                    fn = fn * at ** rng.choice((-2, -1, 1, 2))
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(HyperellipticCurve, "_val_num_at", spy)
+                    m.setattr(TSeries, "__init__", refuse)
+                    D = C.divisor_of(fn)
+                fibres = {P.x for P in D.support()
+                          if not (P.at_infinity or P.is_branch())}
+                assert sorted(calls) == sorted(fibres), (C, fn)
+                for P in D.support():
+                    for Q in (P, P.conjugate()):
+                        assert C.laurent_at(fn, Q).val == D[Q], (C, fn, Q)
+                checked += len(fibres)
+    assert checked >= 40, checked
+
+
+def test_taylor_window_of_y_matches_its_series():
+    # polyq.sqrt_window on Taylor coefficients of f against the series of
+    # y from y_series_at, at points with y in Q and in Q(sqrt d), d > 0 and
+    # d < 0, on both sheets, for windows up to 12; as y_series_at runs the
+    # same recurrence, the window is also squared back to f's window
+    rng = random.Random(28)
+    points = []
+    for C in _differential_curves():
+        rational, quadratic = _finite_points(C)
+        points += rational + rng.sample(quadratic, 16)
+    for g in (2, 3):
+        _C, atoms = _curve_with_a_split_norm(g, rng)
+        points += [P for _fn, D in atoms[:2] for P in D.support()
+                   if not (P.at_infinity or P.is_branch())]
+    seen = {"Q": 0, "real": 0, "imaginary": 0}
+    for P in points:
+        C, m = P.curve, rng.randint(1, 12)
+        F = polyq.taylor(C.f, P.x, m)
+        window = polyq.sqrt_window(F, P.y, m)
+        for k in range(m):
+            square = sum(window[i] * window[k - i] for i in range(k + 1))
+            assert square == (F[k] if k < len(F) else 0), (C, P, k)
+        series = C.y_series_at(P, m)
+        assert window == [series.coeff(k) for k in range(m)], (C, P, m)
+        seen["Q" if P.is_rational() else
+             "real" if P.y.d > 0 else "imaginary"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def _series_valuation(C, fn, P):
     """Order of fn at a finite non-branch point from the Laurent series of
     A + B y, expanded one term past the order of the norm A^2 - B^2 f at
@@ -378,9 +445,13 @@ def _series_valuation(C, fn, P):
     A, B, x0 = fn.A, fn.B, P.x
     norm = polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), C.f))
     cut = polyq.mult_at(norm, x0) + 1
-    s = (C._poly_series_at(A, P, cut)
-         + C._poly_series_at(B, P, cut) * C._y_at(P, cut))
-    return s.first_nonzero() - polyq.mult_at(fn.den, x0)
+
+    def window(p):
+        return TSeries.from_poly_coeffs(polyq.taylor(p, x0, cut), cut)
+
+    s = window(A) + window(B) * C.y_series_at(P, cut)
+    assert s.coeffs, "the norm bounds the order"
+    return s.val - polyq.mult_at(fn.den, x0)
 
 
 def test_valuation_off_the_branch_locus_matches_the_series_oracle():
@@ -440,7 +511,7 @@ def test_divisor_arithmetic():
 
 
 # ---------------------------------------------------------------------------
-# cached local expansions: a warm curve answers like a cold one
+# a warm curve, with its roots and L(D) cached, answers like a cold one
 # ---------------------------------------------------------------------------
 
 

@@ -57,7 +57,8 @@ def _check(row1, row2):
         assert n is None or next(x for x in n if x != 0) == 1
     # the same rule on integer keys, with the columns scaled alike
     lam = [Fraction(j + 2, 3) for j in range(len(row1))]
-    k1, k2 = (row_key(int_row(r, lam)) for r in (row1, row2))
+    k1, k2 = (row_key(int_row([x * c for x, c in zip(r, lam)]))
+              for r in (row1, row2))
     assert (k1 is None or k2 is None or k1 == k2) != _oracle(row1, row2)
 
 

@@ -3,7 +3,11 @@ imported: `dataclasses` costs every CLI process about 4 ms, and only the
 routines that build a series import `series`, when they run.  The CLI
 pins in test_cold_start.py run the subcommands; this check also covers
 import paths that only library callers take.  Code that runs at import
-is everything outside function bodies and `if TYPE_CHECKING:` blocks."""
+is everything outside function bodies and `if TYPE_CHECKING:` blocks.
+
+Series are built only by `curve`, for the public `laurent_at` and
+`evaluate` and the series of x and y behind them: no other module names
+`series` or `TSeries` at all."""
 
 import ast
 from pathlib import Path
@@ -78,3 +82,46 @@ def test_check_sees_an_import_at_module_level(source):
 ])
 def test_check_allows_imports_that_run_later(source):
     assert not list(_banned_imports(source))
+
+
+SERIES_NAMES = {"series", "TSeries"}
+
+
+def _series_names(source: str):
+    """(line, name) of each identifier, attribute or import naming the
+    series module or its class."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        elif isinstance(node, ast.ImportFrom):
+            name = (node.module or "").rpartition(".")[2]
+        else:
+            continue
+        if name in SERIES_NAMES:
+            yield node.lineno, name
+
+
+def test_only_curve_names_series():
+    users = {p.name for p in MODULES if p.stem != "series"
+             and any(_series_names(p.read_text(encoding="utf-8")))}
+    assert users == {"curve.py"}
+
+
+@pytest.mark.parametrize("source", [
+    "from .series import TSeries\n",
+    "from . import series\n",
+    "def f():\n    from .series import sqrt_with\n",
+    "x = curve.TSeries\n",
+])
+def test_series_check_sees_a_name(source):
+    assert list(_series_names(source))
+
+
+def test_series_check_ignores_strings_and_other_names():
+    assert not list(_series_names(
+        '"""a finite geometric series"""\nfrom .polyq import sqrt_window\n'
+        "laurent = series_of = 1\n"))

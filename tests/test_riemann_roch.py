@@ -19,6 +19,7 @@ from plurisusy.riemann_roch import (DivisorClass, ThetaCharacteristic,
                                     parity_representatives, rr_space,
                                     semi_reduce, theta_characteristics,
                                     theta_from_subset)
+from plurisusy.series import TSeries
 
 C2 = standard_curve(2)
 C3 = standard_curve(3)
@@ -35,14 +36,28 @@ CR3 = HyperellipticCurve(polyq.from_roots(
 # ---------------------------------------------------------------------------
 
 
+def _local_series(curve, P, n, r):
+    """x^0(t), ..., x^n(t) and y(t) at the finite point P, exact below r,
+    from the public series of x - x_P at a branch point and of y."""
+    if P.is_branch():
+        x = curve.x_series_at_branch(P.x, r) + TSeries.from_poly_coeffs(
+            [P.x], r)
+    else:
+        x = TSeries.from_poly_coeffs([P.x, Fraction(1)], r)
+    powers = [TSeries.from_poly_coeffs([Fraction(1)], r)]
+    while len(powers) <= n:
+        powers.append(powers[-1] * x)
+    return powers, curve.y_series_at(P, r)
+
+
 def _kernel_oracle(curve, D):
     """L(D) as the kernel over Laurent-series rows at every finite point of
     D, branch points included: the reduced echelon basis in
     clearing_frame's candidates, by an algorithm that shares nothing with
-    rr_space's divisibility conditions.  At each point the candidates
-    x^i and x^j y must vanish to order ord_P(d) - D[P]; an inert fibre
-    needs its + sheet only, since a row over Q(sqrt(d)) splits into its
-    rational and sqrt parts."""
+    rr_space's divisibility and remainder conditions.  At each point the
+    candidates x^i and x^j y must vanish to order ord_P(d) - D[P]; an
+    inert fibre needs its + sheet only, since a row over Q(sqrt(d)) splits
+    into its rational and sqrt parts."""
     if D.degree() < 0:
         return []
     exps, d, n_x, n_y = riemann_roch.clearing_frame(curve, D)
@@ -60,11 +75,8 @@ def _kernel_oracle(curve, D):
             r = order - D[P]
             if r <= 0:
                 continue
-            powers = curve._powers_at(P, max(n_x, n_y) - 1, r)
-            series = powers[:n_x]
-            if n_y:
-                ys = curve._y_at(P, r)
-                series += [s.truncate(r) * ys for s in powers[:n_y]]
+            powers, ys = _local_series(curve, P, max(n_x, n_y) - 1, r)
+            series = powers[:n_x] + [s * ys for s in powers[:n_y]]
             for k in range(r):
                 entries = [s.coeff(k) for s in series]
                 if any(isinstance(c, QuadExt) for c in entries):
@@ -116,14 +128,16 @@ def test_branch_space_matches_the_kernel_oracle():
     assert min(kinds.values()) >= 40, kinds
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a series was built")
+
+
 def test_branch_space_builds_no_series_or_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("series or kernel on the branch locus")
 
     cases = list(_branch_divisors(random.Random(2202), 40))
-    for name in ("_powers_at", "_y_at", "x_series_at_branch",
-                 "laurent_at"):
-        monkeypatch.setattr(HyperellipticCurve, name, refuse)
+    monkeypatch.setattr(TSeries, "__init__", refuse)
     monkeypatch.setattr(riemann_roch, "kernel_basis", refuse)
     monkeypatch.setattr(polyq, "gcd", refuse)
     for C, D in cases:
@@ -177,15 +191,17 @@ def _off_branch_divisors(rng, n):
         yield C, D + Divisor.of_point(C.infinity(), target - D.degree())
 
 
-def test_off_branch_space_matches_the_kernel_oracle():
-    # Taylor rows off the branch locus and remainder rows on it give the
-    # oracle's reduced echelon basis, field for field
+def test_off_branch_space_matches_the_kernel_oracle(monkeypatch):
+    # divisibility and the one-sheet remainder rows, built with no series,
+    # give the oracle's reduced echelon basis, field for field
     rng = random.Random(2203)
     kinds = {"nonempty": 0, "one sheet": 0, "both sheets": 0, "inert": 0,
              "branch negative": 0, "branch positive": 0, "non-monic": 0,
              "taylor-free": 0, **{f"g={g}": 0 for g in range(2, 6)}}
     for C, D in _off_branch_divisors(rng, 320):
-        got = rr_space(C, D)
+        with monkeypatch.context() as m:
+            m.setattr(TSeries, "__init__", _refuse)
+            got = rr_space(C, D)
         assert _fields(got) == _fields(_kernel_oracle(C, D)), (C, D)
         if not got:
             continue
@@ -211,26 +227,21 @@ def test_off_branch_space_matches_the_kernel_oracle():
 
 
 def test_off_branch_space_expands_no_series_at_a_branch_point(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("series at a branch point")
+    # no series anywhere: off the branch locus only the Taylor window of y
+    # at a rational point with a one-sheet excess
+    real = polyq.sqrt_window
+    calls = []
 
-    def off_branch_only(name):
-        real = getattr(HyperellipticCurve, name)
+    def spy(F, root0, n):
+        calls.append(root0)
+        return real(F, root0, n)
 
-        def spy(self, P, *args):
-            assert not P.is_branch(), (name, P)
-            calls[name] += 1
-            return real(self, P, *args)
-        return spy
-
-    calls = {"_powers_at": 0, "_y_at": 0}
     cases = list(_off_branch_divisors(random.Random(2204), 60))
-    monkeypatch.setattr(HyperellipticCurve, "x_series_at_branch", refuse)
-    for name in calls:
-        monkeypatch.setattr(HyperellipticCurve, name, off_branch_only(name))
+    monkeypatch.setattr(TSeries, "__init__", _refuse)
+    monkeypatch.setattr(polyq, "sqrt_window", spy)
     for C, D in cases:
         rr_space(C, D)
-    assert min(calls.values()) > 0, calls
+    assert calls and all(isinstance(y0, Fraction) and y0 for y0 in calls)
 
 
 def test_space_of_double_infinity():
@@ -474,6 +485,46 @@ def test_class_eq_agrees_with_is_principal_in_degree_zero(monkeypatch):
     # a non-principal answer comes from the reduced pair alone
     monkeypatch.setattr(riemann_roch, "rr_space", None)
     assert is_principal(CV3, Divisor({Q[0]: 1, inf: -1})) == (False, None)
+
+
+def test_classes_off_the_branch_locus_build_no_series(monkeypatch):
+    # h0 and is_principal through the Mumford pairs of off-branch points
+    # (semi-reduced parts of degree above g), with divisor_of checking each
+    # witness, all without a series; then against the kernel oracle and
+    # the orders of the witness in laurent_at, on both sheets
+    cases = []
+    for g in (2, 3):
+        rng = random.Random(900 + g)  # the divisors of the h0 test above
+        C, rational, quadratic = _split_curve_with_points(g, rng)
+        for _ in range(25):
+            D = _random_divisor(C, rng, rational, quadratic)
+            if sum(_semi_reduced(D).values()) > g:
+                cases.append((C, D))
+    inf, Q = CV3.infinity(), CV3_Q
+    div_y = Divisor({P: 1 for P in Q}) - Divisor.of_point(inf, 7)
+    div_x = Divisor({Q[1]: 1, Q[1].conjugate(): 1, inf: -2})  # div(x + 2)
+    rng = random.Random(32)
+    for _ in range(12):
+        D = Divisor({rng.choice(Q + [P.conjugate() for P in Q]):
+                     rng.randint(-2, 2) for _ in range(3)})
+        D = D + Divisor.of_point(inf, -D.degree())
+        cases += [(CV3, D), (CV3, D + div_y), (CV3, div_y - D - D)]
+    cases += [(CV3, div_y), (CV3, div_y - div_x), (CV3, 2 * div_y + div_x)]
+    with monkeypatch.context() as m:
+        m.setattr(TSeries, "__init__", _refuse)
+        got = [(h0(C, D), is_principal(C, D)) for C, D in cases]
+    seen = {"mumford": 0, "principal": 0, "not principal": 0}
+    for (C, D), (n, (ok, wit)) in zip(cases, got):
+        basis = _kernel_oracle(C, D)
+        assert n == len(basis), D
+        assert ok == (D.degree() == 0 and len(basis) == 1), D
+        if ok:
+            for P in D.support():
+                for R in (P, P.conjugate()):
+                    assert C.laurent_at(wit, R).val == D[R], (D, R)
+        seen["mumford"] += sum(_semi_reduced(D).values()) > C.genus
+        seen["principal" if ok else "not principal"] += D.degree() == 0
+    assert min(seen.values()) >= 3, seen
 
 
 def test_galois_unstable_divisor_is_rejected():

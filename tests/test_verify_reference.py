@@ -1,32 +1,49 @@
 """verify_embedding against the Laurent-row reference.
 
 The reference is the row test verify_embedding used to run: the Laurent
-rows of `jets.jet_rows` at every sample point, compared through
+rows of `jet_rows` below, read from the public
+`HyperellipticCurve.laurent_at` at every sample point, compared through
 `fieldext.normalised` and `rows_independent`.  The integer rows and keys
 of verify_embedding must give the same report, failures included, on
 random models with sections dropped, at points with y in Q and in
 Q(sqrt d) for d > 0 and d < 0, at infinity, at branch points, and at a
 finite non-branch point in the support of a cleared divisor.  At infinity
-and the branch points the rows are coefficients of polynomials; they are
-checked at every branch point of monic and non-monic curves at
-g = 2..6, and so is the error for sections with a pole past the
-cleared divisor there.
+and the branch points the rows are coefficients of polynomials, and at
+the other finite points Taylor coefficients against the Taylor window of
+y; they are checked at every branch point of monic and non-monic curves
+at g = 2..6, and so is the error for sections with a pole past the
+cleared divisor at infinity, at a branch point and at a point off the
+branch locus.
 """
 
+import json
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from plurisusy import jets, polyq
+from plurisusy import cli, polyq, serialize
 from plurisusy.curve import Divisor, HyperellipticCurve
 from plurisusy.fieldext import QuadExt, normalised, rows_independent
-from plurisusy.jets import jet_rows
 from plurisusy.pluricanonical import (EmbeddingReport, PluriCanonicalModel,
                                       build_model, verify_embedding)
 from plurisusy.riemann_roch import theta_from_subset
+from plurisusy.series import TSeries
 from plurisusy.supercurve import RankPair, make_split_supercurve
+
+
+def jet_rows(curve, sections, D, P, nterms):
+    """Laurent coefficient rows of the sections at P in the local
+    trivialization of the D-twisted bundle: row k lists the t^(m+k)
+    coefficients with m = -D[P], so the fiber evaluation is row 0."""
+    m = -D[P]
+    rows = [[] for _ in range(nterms)]
+    for s in sections:
+        q = curve.laurent_at(s, P, nterms=nterms)
+        for k in range(nterms):
+            rows[k].append(q.coeff(m + k))
+    return rows
 
 
 def reference_report(M, pts):
@@ -176,6 +193,38 @@ def test_integer_keys_match_laurent_rows():
     assert fallback_off_branch >= 20
 
 
+def test_models_off_the_branch_locus_are_verified_without_series(
+        monkeypatch):
+    # the y^2 = x^5 + 1 models, whose cleared divisors sit on Q = (0, 1):
+    # rows at Q and iota Q, at a zero of no denominator and at infinity
+    # come with no series, and match the Laurent-row reference
+    models = [(M, extra) for M, extra in _base_models(random.Random(1801))
+              if extra]
+    assert len(models) == 4
+    cases = []
+    for M, extra in models:
+        C = M.curve
+        kinds = _finite_points(C)
+        pts = [C.infinity()] + extra + kinds["Q"][:2] + kinds["real"][:2] \
+            + kinds["imaginary"][:2]
+        cases.append((M, pts))
+        rng = random.Random(len(cases))
+        for _ in range(3):
+            cases.append((_variant(M, rng, kinds["Q"])[0], pts))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(TSeries, "__init__", refuse)
+        got = [verify_embedding(V, samples=pts) for V, pts in cases]
+    for (V, pts), rep in zip(cases, got):
+        assert rep.to_json() == reference_report(V, pts).to_json(), (
+            V.even_sections, V.odd_sections)
+    assert any(rep.all_pass for rep in got)
+    assert not all(rep.all_pass for rep in got)
+
+
 def test_pencils_with_shared_fibres_and_scaled_columns():
     # two-section models on y^2 = x(x - 1)(x - 2)(x - 3)(x + 7): x^2 takes
     # one value at the branch point (r, 0) and at (-r, y), so a pair of a
@@ -244,36 +293,56 @@ def test_rows_at_infinity_and_every_branch_point():
 
 
 def test_sections_past_the_cleared_divisor_are_named_in_the_error(
-        monkeypatch):
-    # a section with a pole past D at infinity, or at a branch point, has
-    # no coefficient rows there; verify_embedding names the summand, the
-    # section and the point without reading Laurent rows, and the
-    # reference raises since its Laurent window, sized by the valuation,
-    # ends below the rows D asks for
+        monkeypatch, tmp_path, capsys):
+    # a section with a pole past D at infinity, at a branch point, or at a
+    # point off the branch locus has no rows there; verify_embedding names
+    # the summand, the section and the point without building a series,
+    # and the reference raises since its Laurent window, sized by the
+    # valuation, ends below the rows D asks for
     C = _split((0, 1, 2, 3, -7))
     M = build_model(make_split_supercurve(C, theta_from_subset(C, [0])), 5)
     D = M.cleared_divisors["even"]
     W = C.branch_point(1)
     assert D[W] == 0
-    fallbacks = []
-
-    def spy(curve, sections, D, P, nterms):
-        fallbacks.append(P)
-        return jet_rows(curve, sections, D, P, nterms)
-
-    monkeypatch.setattr(jets, "jet_rows", spy)
     pole_at_inf = C.x_fn() ** (D[C.infinity()] // 2 + 1)
     pole_at_W = (C.x_fn() - 1).inverse() * C.y_fn()
     pts = [C.infinity(), W, C.branch_point(2), C.point(-1), C.point(5)]
-    for extra, P in ((pole_at_inf, C.infinity()), (pole_at_W, W)):
-        even = M.even_sections[:3] + (extra,)
-        V = PluriCanonicalModel(C, M.nu, RankPair(len(even) - 1, 1), even,
-                                M.odd_sections[:1], M.cleared_divisors)
-        fallbacks.clear()
-        with pytest.raises(ValueError, match=re.escape(
-                f"even section 3 has a pole past its cleared divisor at "
-                f"{P!r}")):
-            verify_embedding(V, samples=pts)
-        assert fallbacks == []
+    cases = [(M, extra, P, pts)
+             for extra, P in ((pole_at_inf, C.infinity()), (pole_at_W, W))]
+    # y^2 = x^5 + 1 with D_even = 4 (0, 1): (y + 1) x^-6 has order -6 at
+    # (0, 1) and -1 at (0, -1), where D_even is 0
+    K = HyperellipticCurve(polyq.poly([1, 0, 0, 0, 0, 1]))
+    Q = K.point(Fraction(0), y=Fraction(1))
+    MK = build_model(make_split_supercurve(
+        K, Divisor({Q: 2, Q.conjugate(): 1, K.infinity(): -2})), 3,
+        force=True)
+    assert MK.cleared_divisors["even"] == Divisor({Q: 4})
+    pole_at_Q = (K.y_fn() + 1) * K.x_fn() ** -6
+    for P in (Q, Q.conjugate()):
+        cases.append((MK, pole_at_Q, P, [K.infinity(), K.point(1), P]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series was built")
+
+    for M0, extra, P, pts in cases:
+        even = M0.even_sections[:3] + (extra,)
+        V = PluriCanonicalModel(M0.curve, M0.nu, RankPair(len(even) - 1, 1),
+                                even, M0.odd_sections[:1],
+                                M0.cleared_divisors)
+        message = f"even section 3 has a pole past its cleared divisor at {P!r}"
+        with monkeypatch.context() as m:
+            m.setattr(TSeries, "__init__", refuse)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify_embedding(V, samples=pts)
         with pytest.raises(ValueError, match="beyond truncation window"):
             reference_report(V, pts)
+
+    # verify names it too, with exit 2; seed 1 draws (0, 1) among the
+    # 100 sample pairs
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(serialize.model_to_json(V)))
+    assert cli.main(["verify", str(path), "--samples", "100",
+                     "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: even section 3 has a pole past its cleared divisor at "
+        "(0, 1)\n")
