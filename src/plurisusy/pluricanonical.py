@@ -72,10 +72,11 @@ def pluri_canonical_rank(X: SplitSupercurve, nu: int) -> RankReport:
 
     The two graded pieces are the section spaces of L^nu and L^(nu+1);
     the L^nu piece carries the parity of nu since the bundle itself is
-    odd.  When h1 of both summands vanishes (exactly nu >= 3, by degree)
-    the pair is base-independent and is ordered by that parity.  For
-    nu <= 2 the hypotheses fail and the returned pair is the literal
-    section count over a point, in summand order h0(L^nu) | h0(L^(nu+1)).
+    odd.  When h1 of both summands vanishes (for every nu >= 3, by degree,
+    and for no nu <= 2 on a susy curve, where h1(L^2) = 1) the pair is
+    base-independent and is ordered by that parity.  Otherwise the
+    hypotheses fail and the returned pair is the literal section count
+    over a point, in summand order h0(L^nu) | h0(L^(nu+1)).
 
     `formula` is the closed-form pair with (nu-1)g - nu + 1 in the L^nu
     slot and (2nu-1)g - 2nu + 1 in the L^(nu+1) slot; the second entry
@@ -87,18 +88,40 @@ def pluri_canonical_rank(X: SplitSupercurve, nu: int) -> RankReport:
 def _certified_rank(X: SplitSupercurve, nu: int
                     ) -> Tuple[RankReport, FreenessCertificate]:
     """pluri_canonical_rank with the certificate it rests on, whose
-    h1_E and h1_EL belong to the powers nu and nu + 1."""
+    h1_E and h1_EL belong to the powers nu and nu + 1.
+
+    The certificate is criterion_local_freeness(X, nu L), read off the
+    degrees with no divisor built.  L^k has degree d_k = k(g - 1) and
+    Euler characteristic chi_k = d_k - g + 1, so h1(L^k) = h0(L^k) - chi_k
+    by Riemann-Roch, and h0(L^k) is chi_k for k >= 3 (d_k > 2g - 2), g or
+    g - 1 at k = 2 as 2L ~ K or not (the susy flag), and h0(L), the one
+    reduction left, at k = 1."""
     if nu < 1:
         raise ValueError("nu must be at least 1")
     g = X.genus
-    cert = criterion_local_freeness(X, nu * X.L,
-                                    "even" if nu % 2 == 0 else "odd")
+
+    def chi(k: int) -> int:
+        return k * (g - 1) - g + 1
+
+    def h0_power(k: int) -> int:
+        if k == 1:
+            return h0(X.curve, X.L.rep)
+        if k == 2:
+            return g if X.susy else g - 1
+        return chi(k)
+
+    h0_E, h0_EL = h0_power(nu), h0_power(nu + 1)
+    h1_E, h1_EL = h0_E - chi(nu), h0_EL - chi(nu + 1)
+    passed = h1_E == 0 and h1_EL == 0
     k_even, k_odd = summand_powers(nu)
+    h0_k = {nu: h0_E, nu + 1: h0_EL}
+    cert = FreenessCertificate(h0_E, h0_EL, h1_E, h1_EL,
+                               RankPair(h0_k[k_even], h0_k[k_odd]), passed)
     alt = {nu: (nu - 1) * g - nu + 1, nu + 1: (2 * nu - 1) * g - 2 * nu + 1}
     formula = RankPair(alt[k_even], alt[k_odd])
-    if cert.passed:
+    if passed:
         return RankReport(nu, cert.rank, True, formula), cert
-    return RankReport(nu, RankPair(cert.h0_E, cert.h0_EL), False, formula,
+    return RankReport(nu, RankPair(h0_E, h0_EL), False, formula,
                       note="hypotheses fail; point-base value"), cert
 
 
@@ -114,7 +137,12 @@ def criterion_local_freeness(X: SplitSupercurve, E_class: DivisorClass,
     """Local-freeness test for the direct image of an arbitrary class E
     on the underlying curve (the susy structure never enters): both h1(E)
     and h1(E + L) must vanish.  The rank pair is h0(E) | h0(E + L) when E
-    is declared even, swapped when odd."""
+    is declared even, swapped when odd.
+
+    This is the general test, for any E: each h0 is a reduction and each
+    h1 the h0 of K minus the class, by Serre duality.  For E = nu L it is
+    the reference that the degree-read certificate of
+    pluri_canonical_rank is tested against."""
     if E_parity not in ("even", "odd"):
         raise ValueError("E_parity must be 'even' or 'odd'")
     curve = X.curve
@@ -674,11 +702,12 @@ def pushforward_over_superpoint(F: SuperPointFamily,
     g = (1 + eta h) f on the overlap, so f0 = g0 is a global section of
     the summand and the eta-component exists iff the Cech class of h f0
     in H^1 of the summand vanishes.  Each summand is first decided by
-    its closed-form h1, read from the certificate of
-    pluri_canonical_rank: with h1 = 0 nothing obstructs, its matrix is
-    () and no section space is built.  That is every summand for
-    nu >= 3, by degree, so there the rank pair is that of the fiber.
-    Otherwise (nu <= 2) by Serre duality the class is zero iff its
+    its h1, read from the certificate of pluri_canonical_rank, which
+    takes it from the degree of L^k, the susy flag at k = 2 and h0(L)
+    at k = 1: with h1 = 0 nothing obstructs, its matrix is () and no
+    divisor or section space is built.  That is every summand for
+    nu >= 3, so there the rank pair is that of the fiber.  Otherwise
+    (nu <= 2) by Serre duality the class is zero iff its
     residue pairing with every b in L(K - D) is zero, so the summand's
     obstruction rank is the rank of its residue matrix, computed exactly
     by polynomial division: nothing is truncated, so any overlap-regular
@@ -706,9 +735,9 @@ def canonical_nonembedding_demo(X: SplitSupercurve) -> NonembeddingReport:
     ambient space has even dimension -1: no room for a 1|1-dimensional
     curve, so there is no canonical model.  For h0(L) >= 1 the report
     carries the rank pair and makes no claim."""
-    rr = pluri_canonical_rank(X, 1)
+    rr, cert = _certified_rank(X, 1)
     g = X.genus
-    h0_L = h0(X.curve, X.L.rep)
+    h0_L = cert.h0_E
     if h0_L == 0:
         claim = (f"rank 0|{g}: the ambient space would be P^(-1|{g}), "
                  f"which cannot contain a 1|1-dimensional curve")

@@ -7,7 +7,8 @@ import pytest
 
 from plurisusy import polyq
 from plurisusy.curve import (Divisor, HyperellipticCurve,
-                             UnrepresentableSupportError, standard_curve)
+                             UnrepresentableSupportError, _compose_poly,
+                             standard_curve)
 from plurisusy.riemann_roch import rr_space
 from plurisusy.series import TSeries
 
@@ -175,6 +176,44 @@ def test_series_squares_to_f():
         rhs = rhs + TSeries.from_poly_coeffs([c], min(cut, rhs.cut))
     for k in range(min(lhs.cut, rhs.cut)):
         assert lhs.coeff(k) == rhs.coeff(k)
+
+
+def _fixed_point_x_series(C, r, cut):
+    """x - r at the branch point (r, 0) by the fixed point s <- t^2 / u(s),
+    with f(r + s) = s u(s): one order of t^2 per iteration, the reference
+    for the Newton step of x_series_at_branch."""
+    fshift = polyq.shift(C.f, r)
+    u = fshift[1:]
+    t2 = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), Fraction(1)], cut)
+    s = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), 1 / u[0]], cut)
+    for _ in range(cut):
+        nxt = t2 * _compose_poly(u, s, cut).inverse()
+        if (nxt.val, nxt.coeffs, nxt.cut) == (s.val, s.coeffs, s.cut):
+            break
+        s = nxt
+    assert (_compose_poly(fshift, s, cut) - t2).is_empty()
+    return s
+
+
+def test_branch_series_newton_matches_fixed_point():
+    # every branch point of the stock curves of genus 2..6 at the cuts
+    # around the first two doublings; at the middle one every cut up to
+    # 30 against the truncations of the cut-30 fixed point
+    def key(s):
+        return s.val, s.coeffs, s.cut
+
+    for g in range(2, 7):
+        C = standard_curve(g)
+        branch = C.rational_branch_points()
+        for W in branch:
+            for cut in (1, 2, 3, 4, 5, 8, 9):
+                assert key(C.x_series_at_branch(W.x, cut)) \
+                    == key(_fixed_point_x_series(C, W.x, cut)), (g, W, cut)
+        r = branch[g].x
+        want = _fixed_point_x_series(C, r, 30)
+        for cut in range(3, 31):
+            assert key(C.x_series_at_branch(r, cut)) == key(
+                TSeries.from_poly_coeffs(want.coeffs, cut, want.val)), (g, cut)
 
 
 def test_series_at_infinity_squares_to_f():
@@ -369,6 +408,24 @@ def test_divisor_of_products_with_rational_and_quadratic_fibres():
     assert min(seen.values()) >= 5, seen
 
 
+def test_divisor_of_builds_the_norm_once(monkeypatch):
+    # y - 1 on y^2 = x^5 + 1 vanishes to order 5 at (0, 1), where
+    # A + B y0 = 0: the norm -x^5 takes three products, and its
+    # multiplicity gives that order with no second norm
+    C = HyperellipticCurve(polyq.poly([1, 0, 0, 0, 0, 1]))
+    fn = C.y_fn() - C.one_fn()
+    real, calls = polyq.mul, []
+
+    def spy(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(polyq, "mul", spy)
+    D = C.divisor_of(fn)
+    assert D == Divisor({C.point(0, 1): 5, C.infinity(): -5})
+    assert len(calls) == 3, calls
+
+
 def test_divisor_of_values_one_sheet_per_fibre(monkeypatch):
     # off the branch locus valuation reads one sheet and the norm gives
     # the other, so _val_num_at runs once per non-branch fibre and no
@@ -378,9 +435,9 @@ def test_divisor_of_values_one_sheet_per_fibre(monkeypatch):
     real = HyperellipticCurve._val_num_at
     calls = []
 
-    def spy(self, A, B, P):
+    def spy(self, A, B, P, *norm_mult):
         calls.append(P.x)
-        return real(self, A, B, P)
+        return real(self, A, B, P, *norm_mult)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a series was built")

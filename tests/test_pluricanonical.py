@@ -136,6 +136,96 @@ def test_local_freeness_canonical_fails():
     assert cert.h1_E == 1
 
 
+def non_susy_supercurves():
+    """Split supercurves with 2L not ~ K: y^2 = x^5 + 1 with L = (0, 1),
+    y^2 = x^7 + 1 with L = 2 (0, 1) and y^2 = x^9 + 4 with
+    L = (0, 2) + 2 inf.  (0, y0) - inf has odd order, as the divisor of
+    y - y0 is (2g + 1)((0, y0) - inf), so none of these L is a theta."""
+    out = []
+    for g, c, L in ((2, 1, {1: 1}), (3, 1, {1: 2}), (4, 2, {1: 1, 0: 2})):
+        C = HyperellipticCurve(polyq.poly([c * c] + [0] * (2 * g) + [1]))
+        P = (C.infinity(), C.point(0, c))
+        out.append(make_split_supercurve(
+            C, Divisor({P[i]: m for i, m in L.items()})))
+    return out
+
+
+def _mixed_supercurves():
+    """Classes a P + b iota(P) + (g - 1 - a - b) inf on y^2 = x^(2g+1) + 4
+    with P = (0, 2), g = 2..4, |a|, |b| <= 1: thetas and non-thetas."""
+    for g in (2, 3, 4):
+        C = HyperellipticCurve(polyq.poly([4] + [0] * (2 * g) + [1]))
+        P, inf = C.point(0, 2), C.infinity()
+        for a in range(-1, 2):
+            for b in range(-1, 2):
+                yield make_split_supercurve(C, Divisor(
+                    {P: a, P.conjugate(): b, inf: g - 1 - a - b}))
+
+
+def _split_theta_supercurves():
+    """Every theta of three seeded split curves per genus 2..5."""
+    rng = random.Random(28)
+    for g in (2, 3, 4, 5):
+        for _ in range(3):
+            roots = rng.sample(range(-8, 9), 2 * g + 1)
+            C = HyperellipticCurve(polyq.from_roots(
+                [Fraction(r) for r in roots]))
+            for theta in riemann_roch.theta_characteristics(C):
+                yield make_split_supercurve(C, theta)
+
+
+def test_rank_certificate_matches_the_reduction_oracle():
+    """The degree-read certificate and report of pluri_canonical_rank
+    against criterion_local_freeness(X, nu L), which reduces every h0 and
+    takes h1 by duality, for nu = 1..8."""
+    seen = {True: 0, False: 0}
+    cases = (list(_split_theta_supercurves()) + list(_mixed_supercurves())
+             + non_susy_supercurves())
+    for X in cases:
+        g = X.genus
+        for nu in range(1, 9):
+            report, cert = pluricanonical._certified_rank(X, nu)
+            ref = criterion_local_freeness(
+                X, nu * X.L, "even" if nu % 2 == 0 else "odd")
+            assert cert == ref, (X, nu)
+            k_even, k_odd = summand_powers(nu)
+            alt = {nu: (nu - 1) * g - nu + 1,
+                   nu + 1: (2 * nu - 1) * g - 2 * nu + 1}
+            formula = RankPair(alt[k_even], alt[k_odd])
+            if ref.passed:
+                want = pluricanonical.RankReport(nu, ref.rank, True, formula)
+            else:
+                want = pluricanonical.RankReport(
+                    nu, RankPair(ref.h0_E, ref.h0_EL), False, formula,
+                    note="hypotheses fail; point-base value")
+            assert report == want == pluri_canonical_rank(X, nu), (X, nu)
+            seen[X.susy] += 1
+    assert seen[True] >= 1800 and seen[False] >= 100, seen
+
+
+@pytest.mark.parametrize("X", non_susy_supercurves(),
+                         ids=["x^5+1", "x^7+1", "x^9+4"])
+def test_rank_on_supercurves_that_are_not_susy(X):
+    # h0(L^2) = g - 1 off the theta classes, so nu = 2 already passes;
+    # at nu = 1 h1(L) = h0(L) >= 1, as each L here is effective
+    g, h0_L = X.genus, h0(X.curve, X.L.rep)
+    assert not X.susy and h0_L == (2 if g == 4 else 1)
+    r1 = pluri_canonical_rank(X, 1)
+    assert r1.rank == RankPair(h0_L, g - 1) and not r1.hypotheses_hold
+    assert str(r1) == f"{h0_L}|{g - 1} (hypotheses fail; point-base value)"
+    r2 = pluri_canonical_rank(X, 2)
+    assert r2.rank == RankPair(g - 1, 2 * g - 2) and r2.hypotheses_hold
+    assert r2.note == ""
+    for nu in (3, 4, 5):
+        lo, hi = (nu - 1) * (g - 1), nu * (g - 1)
+        r = pluri_canonical_rank(X, nu)
+        assert r.rank == (RankPair(lo, hi) if nu % 2 == 0
+                          else RankPair(hi, lo))
+        assert r.hypotheses_hold
+    demo = canonical_nonembedding_demo(X)
+    assert (demo.rank, demo.h0_L, demo.obstruction) == (r1.rank, h0_L, None)
+
+
 # ---------------------------------------------------------------------------
 # very-ampleness
 # ---------------------------------------------------------------------------

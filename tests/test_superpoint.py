@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from plurisusy import pluricanonical, polyq
+from plurisusy import pluricanonical, polyq, riemann_roch
 from plurisusy.curve import (Divisor, FunctionFieldElement,
                              HyperellipticCurve, standard_curve)
 from plurisusy.linalg import ColumnSpace, kernel_basis
@@ -30,6 +30,7 @@ from plurisusy.riemann_roch import (canonical_divisor, clearing_frame, h0,
                                     h1, parity_representatives, rr_space,
                                     semi_reduce)
 from plurisusy.supercurve import make_split_supercurve
+from test_pluricanonical import non_susy_supercurves
 
 
 def _coords(den, n_x, n_y, u):
@@ -108,6 +109,35 @@ def test_residue_drops_match_cech_oracle():
             assert rep.free == (got == (0, 0))
             drops.extend(got)
     assert any(drops), "no nonzero obstruction exercised"
+
+
+def test_superpoint_off_the_theta_classes_matches_cech_oracle():
+    # y^2 = x^5 + 1, L = (0, 1) and y^2 = x^7 + 1, L = 2 (0, 1): only
+    # h1(L) = h0(L) = 1 can obstruct, so nu = 1 has a residue matrix in
+    # the odd summand and nu >= 2 is free with the fiber's rank
+    Xa, Xb, Xc = non_susy_supercurves()
+    rng = random.Random(28)
+    drops = []
+    for X in (Xa, Xb):
+        for _ in range(2):
+            F = SuperPointFamily(X, random_deformation(X.curve, rng=rng))
+            for nu in (1, 2, 3, 4):
+                rep = pushforward_over_superpoint(F, nu)
+                rr = pluri_canonical_rank(X, nu)
+                got = (rep.drop_even, rep.drop_odd)
+                if nu < 3:
+                    assert got == cech_drops(F, nu), (F, nu)
+                assert (rep.rank, rep.hypotheses_hold) \
+                    == (rr.rank, rr.hypotheses_hold)
+                assert rep.residues_even == ()
+                assert (len(rep.residues_odd) == 1) == (nu == 1)
+                if nu > 1:
+                    assert rep.free and got == (0, 0)
+                drops.append(got)
+    assert (0, 1) in drops, "no obstruction exercised"
+    # the third has no rational finite branch point to serve as W
+    with pytest.raises(ValueError, match="no rational finite branch point"):
+        SuperPointFamily(Xc, 1)
 
 
 @pytest.mark.parametrize("h_text, nus", [("x**6", (1, 2, 3)),
@@ -231,17 +261,33 @@ def test_bases_are_built_only_where_h1_is_positive(monkeypatch):
             X = make_split_supercurve(C, theta)
             families.append(SuperPointFamily(X, random_deformation(C,
                                                                    seed=g)))
+    for X in non_susy_supercurves()[:2]:
+        families.append(SuperPointFamily(X, random_deformation(X.curve,
+                                                               seed=5)))
+    ranks = {(id(F), nu): pluri_canonical_rank(F.fiber, nu).rank
+             for F in families for nu in (2, 3, 4, 5)}
 
-    def refuse(curve, D):
-        raise AssertionError(f"rr_space called at nu >= 3 for {D}")
+    def refuse(*args):
+        raise AssertionError("a divisor, a reduction or a basis was built")
 
-    monkeypatch.setattr(pluricanonical, "rr_space", refuse)
-    for F in families:
-        for nu in (3, 4, 5):
-            rep = pushforward_over_superpoint(F, nu)
-            assert rep.free and (rep.drop_even, rep.drop_odd) == (0, 0)
-            assert rep.residues_even == rep.residues_odd == ()
-            assert rep.rank == pluri_canonical_rank(F.fiber, nu).rank
+    # at nu >= 2 the rank reads degrees and the susy flag: no reduction
+    # and no Divisor, and no basis either where both h1 vanish, which is
+    # every nu >= 3 and nu = 2 off the theta classes
+    with monkeypatch.context() as m:
+        m.setattr(pluricanonical, "rr_space", refuse)
+        m.setattr(riemann_roch, "_reduce", refuse)
+        m.setattr(pluricanonical, "_reduce", refuse)
+        m.setattr(Divisor, "__init__", refuse)
+        for F in families:
+            for nu in (2, 3, 4, 5):
+                assert pluri_canonical_rank(F.fiber, nu).rank \
+                    == ranks[id(F), nu]
+                if nu == 2 and F.fiber.susy:
+                    continue
+                rep = pushforward_over_superpoint(F, nu)
+                assert rep.free and (rep.drop_even, rep.drop_odd) == (0, 0)
+                assert rep.residues_even == rep.residues_odd == ()
+                assert rep.rank == ranks[id(F), nu]
 
     seen = []
     monkeypatch.setattr(pluricanonical, "rr_space",
