@@ -54,7 +54,6 @@ class HyperellipticCurve:
             raise ValueError("f must be squarefree")
         self.f = f
         self.genus = (d - 1) // 2
-        self._rr_cache: Dict = {}
         self._roots: Optional[Tuple[List[Tuple[Fraction, int]], Poly]] = None
         self._branch: Optional[Dict[Fraction, CurvePoint]] = None
         # points are never mutated, so every caller shares this one
@@ -301,8 +300,7 @@ class HyperellipticCurve:
             return k
         if norm_mult is not None:
             return norm_mult - k
-        norm = polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), self.f))
-        return k + polyq.mult_at(norm, x0)
+        return k + polyq.mult_at(_norm(A, B, self.f), x0)
 
     # -- divisors ------------------------------------------------------------
 
@@ -318,7 +316,7 @@ class HyperellipticCurve:
         if fn.is_zero():
             raise ValueError("the zero function has no divisor")
         A, B = fn.A, fn.B
-        norm = polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), self.f))
+        norm = _norm(A, B, self.f)
         if not norm:
             raise RuntimeError("nonzero function with zero norm")
         poles, cof = polyq.rational_roots(fn.den)
@@ -349,6 +347,11 @@ class HyperellipticCurve:
         if D.degree() != 0:
             raise RuntimeError("principal divisor must have degree zero")
         return D
+
+
+def _norm(A: Poly, B: Poly, f: Poly) -> Poly:
+    """A^2 - B^2 f, the norm of A + B y over Q(x)."""
+    return polyq.sub(polyq.mul(A, A), polyq.mul(polyq.mul(B, B), f))
 
 
 def _compose_poly(p: Iterable, s: TSeries, cut: int) -> TSeries:
@@ -505,16 +508,14 @@ class FunctionFieldElement:
 
     def norm_fn(self) -> "FunctionFieldElement":
         """fn * conj(fn) = (A^2 - B^2 f) / den^2, a rational function of x."""
-        N = polyq.sub(polyq.mul(self.A, self.A),
-                      polyq.mul(polyq.mul(self.B, self.B), self.curve.f))
+        N = _norm(self.A, self.B, self.curve.f)
         return FunctionFieldElement(self.curve, N, polyq.ZERO,
                                     polyq.mul(self.den, self.den))
 
     def inverse(self) -> "FunctionFieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of the zero function")
-        N = polyq.sub(polyq.mul(self.A, self.A),
-                      polyq.mul(polyq.mul(self.B, self.B), self.curve.f))
+        N = _norm(self.A, self.B, self.curve.f)
         return FunctionFieldElement(self.curve, polyq.mul(self.den, self.A),
                                     polyq.neg(polyq.mul(self.den, self.B)), N)
 
@@ -623,6 +624,9 @@ class Divisor:
         return hash(frozenset(self.data.items()))
 
     def key(self):
+        """A hashable tuple of (point key, coefficient) in support order.
+        No module of the package calls it; the benchmark's traced runs key
+        their rr_space repeat counts by it (perfbench/tracing.py)."""
         return tuple((p._key, n) for p, n in self.items())
 
     def __repr__(self):

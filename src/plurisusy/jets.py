@@ -34,12 +34,13 @@ class SectionJets:
     denominator vanishes, row 0 is At(x0) + Bt(x0) y0, and row 1 times
     2 f(x0) is 2 f At'(x0) + (2 f Bt'(x0) + f'(x0) Bt(x0)) y0, as
     y' = f'/(2y): integer pairs once scaled as PointFrame says.  At
-    infinity and at a branch point, where At and Bt y never cancel, each
-    row is one coefficient of At or of Bt (_infinity_rows, _branch_rows)
-    when every section lies in L(D) there, and a ValueError naming the
-    section otherwise.  At the other finite points, in D's support or at a
-    zero of a denominator, the rows are Taylor coefficients of
-    At + Bt v, with v the Taylor window of y (_window_rows)."""
+    infinity, where At and Bt y never cancel, each row is one coefficient
+    of At or of Bt (_infinity_rows).  At the other finite points, branch
+    points, D's support and the zeros of a denominator, the rows are
+    Taylor coefficients at x0 (_taylor_rows): of At and Bt interleaved by
+    parity at a branch point, and of At + Bt v, with v the Taylor window
+    of y, elsewhere.  A section that is not in L(D) at the point raises a
+    ValueError naming it."""
 
     def __init__(self, curve: HyperellipticCurve,
                  sections: Sequence[FunctionFieldElement], D: Divisor,
@@ -81,10 +82,8 @@ class SectionJets:
         """Rows 0 .. nterms - 1 at P; frame is P's, None at infinity."""
         if P.at_infinity:
             return self._infinity_rows()
-        if P.y == 0:
-            return self._branch_rows(P)
-        if self.D[P] or not all(map(frame.ev, self.dens)):
-            return self._window_rows(P)
+        if P.y == 0 or self.D[P] or not all(map(frame.ev, self.dens)):
+            return self._taylor_rows(P)
         return self._integer_jets(frame)
 
     def _pole_past_D(self, j: int, P: CurvePoint) -> ValueError:
@@ -130,52 +129,38 @@ class SectionJets:
                          None, 1))
         return rows
 
-    def _branch_rows(self, P: CurvePoint) -> List[IntRow]:
-        """The rows at the branch point P over r, where no section may
-        have a pole past D.  Times phi, which is even in t = y and
-        of order 2 delta, delta = mult_r(phi), the rows sit at orders
-        o = 2 delta - D[P] and o + 1 of At + Bt y.  As x - r = t^2 u(t^2),
-        the Taylor coefficient of (x - r)^i in At has order 2i, and in Bt
-        order 2i + 1, each up to the factor u(0)^i of the whole row; all
-        below order o vanish exactly when every section lies in L(D) at
-        P.  So each row is one Taylor coefficient of At or of Bt at r."""
-        r = P.x
-        o = 2 * sum(polyq.mult_at(d, r) for d in self.dens) - self.D[P]
-        top = o + self.nterms
-        tA = [polyq.taylor(p, r, (top + 1) // 2) for p in self.A]
-        tB = [polyq.taylor(p, r, top // 2) for p in self.B]
-        nA, nB = max(0, (o + 1) // 2), max(0, o // 2)
-        for j, (a, b) in enumerate(zip(tA, tB)):
-            if any(a[:nA]) or any(b[:nB]):
-                raise self._pole_past_D(j, P)
-        rows = []
-        for k in range(o, top):
-            i = k // 2
-            row = [t[i] if 0 <= i < len(t) else 0
-                   for t in (tB if k % 2 else tA)]
-            rows.append((polyq.clear_denominators(row)[1][0], None, 1))
-        return rows
-
-    def _window_rows(self, P: CurvePoint) -> List[IntRow]:
-        """The rows at a finite non-branch point P = (x0, y0), where no
-        section may have a pole past D.  There t = x - x0 is the local
-        parameter and y = v(t), the Taylor window of y at P
-        (polyq.sqrt_window).  Times phi, of order delta = mult_x0(phi) and
+    def _taylor_rows(self, P: CurvePoint) -> List[IntRow]:
+        """The rows at a finite point P = (x0, y0) that is a branch point,
+        in D's support or a zero of a denominator, where no section may
+        have a pole past D.  Times phi, of order e delta with
+        delta = mult_x0(phi), e = 2 at a branch point and 1 elsewhere, and
         a unit factor that a rank test ignores, the rows sit at orders
-        o = delta - D[P] .. o + nterms - 1 of At + Bt v; every Taylor
+        o = e delta - D[P] .. o + nterms - 1 of At + Bt y; every
         coefficient below o vanishes exactly when each section lies in
-        L(D) at P.  Rows at negative orders are zero."""
-        x0 = P.x
-        o = sum(polyq.mult_at(d, x0) for d in self.dens) - self.D[P]
+        L(D) at P, and rows at negative orders are zero.  At a branch
+        point t = y and x - x0 = t^2 u(t^2), so the Taylor coefficient of
+        (x - x0)^i in At has order 2i and in Bt order 2i + 1, each up to
+        the factor u(0)^i of the whole row: the windows of At and Bt
+        interleave by parity.  Elsewhere t = x - x0 and y = v(t), the
+        Taylor window of y (polyq.sqrt_window), and the column is the
+        window of At + Bt v."""
+        x0, branch = P.x, P.y == 0
+        e = 2 if branch else 1
+        o = e * sum(polyq.mult_at(d, x0) for d in self.dens) - self.D[P]
         top = max(0, o + self.nterms)
-        v = polyq.sqrt_window(polyq.taylor(self.curve.f, x0, top), P.y, top)
+        n = (top + 1) // 2 if branch else top
+        if not branch:
+            v = polyq.sqrt_window(polyq.taylor(self.curve.f, x0, top), P.y,
+                                  top)
         cols = []
         for j, (a, b) in enumerate(zip(self.A, self.B)):
-            tA = polyq.taylor(a, x0, top)
-            tB = polyq.taylor(b, x0, top)
-            col = [(tA[k] if k < len(tA) else 0)
-                   + sum(tB[i] * v[k - i] for i in range(min(k + 1, len(tB))))
-                   for k in range(top)]
+            tA, tB = (polyq.taylor(p, x0, n) for p in (a, b))
+            tA, tB = (list(t) + [0] * (n - len(t)) for t in (tA, tB))
+            if branch:
+                col = [c for pair in zip(tA, tB) for c in pair][:top]
+            else:
+                col = [tA[k] + sum(tB[i] * v[k - i] for i in range(k + 1))
+                       for k in range(top)]
             if any(col[:max(0, o)]):
                 raise self._pole_past_D(j, P)
             cols.append(col)

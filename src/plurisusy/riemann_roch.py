@@ -43,17 +43,6 @@ def _require_stable(D: Divisor) -> None:
                          "so L(D) is not defined over Q")
 
 
-def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement]:
-    """Basis of L(D) = { h : div(h) + D >= 0 }, cached per divisor: the
-    reduced echelon basis of the kernel in clearing_frame's candidates."""
-    key = D.key()
-    if key in curve._rr_cache:
-        return curve._rr_cache[key]
-    _require_stable(D)
-    result = curve._rr_cache[key] = _rr_space(curve, D)
-    return result
-
-
 def clearing_frame(curve: HyperellipticCurve, D: Divisor
                    ) -> Tuple[Dict[Fraction, int], polyq.Poly, int, int]:
     """Coordinate frame of L(D): (exps, d, n_x, n_y).
@@ -77,9 +66,10 @@ def clearing_frame(curve: HyperellipticCurve, D: Divisor
     return exps, d, n_x, n_y
 
 
-def _rr_space(curve: HyperellipticCurve, D: Divisor
-              ) -> List[FunctionFieldElement]:
-    """L(D) in the frame of clearing_frame, where a function is (A + B y)/d.
+def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement]:
+    """Basis of L(D) = { h : div(h) + D >= 0 }, built on each call: the
+    reduced echelon basis of the kernel in the frame of clearing_frame,
+    where a function is (A + B y)/d.
 
     At a branch point P over r, x - r has order 2 and y order 1, so A and
     B y never cancel, and ord_P(A + B y) >= need = 2 exps[r] - D[P] says
@@ -102,6 +92,7 @@ def _rr_space(curve: HyperellipticCurve, D: Divisor
     echelon output does not depend on how the rows are written, so both
     give the same basis.  Each element is brought to normal form by
     dividing out the factors x - r it shares with d."""
+    _require_stable(D)
     exps, d, n_x, n_y = clearing_frame(curve, D)
     if D.degree() < 0 or n_x + n_y == 0:
         return []

@@ -568,7 +568,7 @@ def test_divisor_arithmetic():
 
 
 # ---------------------------------------------------------------------------
-# a warm curve, with its roots and L(D) cached, answers like a cold one
+# a warm curve, with its roots and branch points kept, answers like a cold one
 # ---------------------------------------------------------------------------
 
 

@@ -254,6 +254,17 @@ def test_space_of_six_infinity():
     assert [repr(b) for b in basis] == ["1", "x", "x^2", "x^3", "y"]
 
 
+def test_space_is_a_new_list_on_every_call():
+    # a caller that edits its basis leaves later calls, and h0, untouched
+    C = standard_curve(2)
+    D = Divisor({C.infinity(): 6})
+    first, second = rr_space(C, D), rr_space(C, D)
+    assert first == second and first is not second
+    first.pop()
+    assert len(rr_space(C, D)) == 5
+    assert h0(C, D) == 5
+
+
 def test_space_of_zero_divisor():
     basis = rr_space(C2, Divisor())
     assert len(basis) == 1

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from plurisusy.curve import Divisor, standard_curve
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -26,3 +28,13 @@ def test_every_trace_boundary_resolves():
             assert hasattr(obj, part), f"plurisusy.{modname}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"plurisusy.{modname}.{attr}"
+
+
+def test_divisor_key_for_the_rr_space_hook_is_hashable():
+    # the rr_space boundary keys its repeat counts by D.key(), which no
+    # module of the package calls, so the check above would not see it go
+    C = standard_curve(2)
+    D = Divisor({C.branch_point(1): 3, C.point(5, sign=-1): 1,
+                 C.infinity(): -2})
+    assert hash(D.key()) == hash(Divisor(dict(D.data)).key())
+    assert D.key() != (2 * D).key()
