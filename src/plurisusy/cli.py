@@ -30,10 +30,11 @@ MAX_GENUS = {"theta-census": CENSUS_MAX_GENUS, "rank": 160, "dual": 160,
              "superpoint-rank": 40, "verify": 20}
 # The largest degree (nu + 1)(g - 1) of the larger summand for the
 # subcommands whose run time grows with it, checked with the genus: an
-# embed model at the bound is read back by verify within the same 3.5 s.
+# embed model at the bound is read back by verify within the same 3.5 s,
+# and the thresholds grid, of about that many cells, is written in it.
 # superpoint-rank needs none, since from nu = 3 on it reads the answer
 # off the closed-form h1.
-MAX_DEGREE = {"embed": 160}
+MAX_DEGREE = {"embed": 160, "thresholds": 300_000}
 # The largest --samples of verify, checked before the model is read and
 # held to the same 3.5 s on the models embed writes at its degree bound.
 MAX_SAMPLES = 500
@@ -45,11 +46,11 @@ class UsageError(Exception):
 
 def _load_json(path: str, reader):
     """The object that reader builds from the JSON file at path; a file
-    that is not JSON, or holds what reader cannot use, is a usage error."""
+    that does not decode, or holds what reader cannot use, is a usage error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return reader(obj)
@@ -114,7 +115,7 @@ def _get_theta(curve: HyperellipticCurve, choice: Optional[str]):
         return odd
     try:
         obj = json.loads(choice)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"--theta must be 'even', 'odd' or a JSON subset "
                          f"object: {exc}") from exc
     if not isinstance(obj, dict) or "subset" not in obj:

@@ -123,7 +123,12 @@ class HyperellipticCurve:
     # Each curve keeps the factorisation of f and its branch points.  The
     # Laurent windows below are built afresh on each call, for the public
     # laurent_at and evaluate; the package's own conditions off the branch
-    # locus read the Taylor window of y from polyq.sqrt_window instead.
+    # locus read the Taylor window of y from _y_window instead.
+
+    def _y_window(self, P: "CurvePoint", n: int) -> List[Scalar]:
+        """The first n Taylor coefficients of y in x - x0 at P = (x0, y0),
+        off the branch locus: the Hensel lift of sqrt(f) from y0."""
+        return polyq.sqrt_window(polyq.taylor(self.f, P.x, n), P.y, n)
 
     def _f_roots(self) -> Tuple[List[Tuple[Fraction, int]], Poly]:
         """Rational roots of f with multiplicities, and the cofactor.
@@ -284,17 +289,9 @@ class HyperellipticCurve:
         caller that holds its multiplicity at x0 passes it as norm_mult
         and the norm is not rebuilt: M = norm_mult - 2k."""
         x0 = P.x
-        k = 0
-        if A and B:
-            k = min(polyq.mult_at(A, x0), polyq.mult_at(B, x0))
-        elif A:
-            k = polyq.mult_at(A, x0)
-        elif B:
-            k = polyq.mult_at(B, x0)
-        if k:
-            lin = polyq.from_roots([x0] * k)
-            A = polyq.exact_div(A, lin) if A else A
-            B = polyq.exact_div(B, lin) if B else B
+        kA, A1 = polyq.deflate(A, x0) if A else (None, A)
+        k, B = polyq.deflate(B, x0, kA)
+        A = A1 if k == kA else polyq.deflate(A, x0, k)[1]
         val0 = polyq.eval_at(A, x0) + polyq.eval_at(B, x0) * P.y
         if val0 != 0:
             return k

@@ -19,16 +19,14 @@ installed.  A float, any other object, or a sympy expression that is not
 in Q(z) raises ValueError.  A coefficient prints natively in the form of
 sympy's str of the cancelled p/q, the text earlier versions printed.
 
-`GrassmannAlgebra.parse` reads an element with the package's `reader`:
-integer and decimal literals (0.1 is 1/10), the name z, the algebra's odd
-generators, unary + and -, binary + - * /, parentheses, and ** or ^
-raised to an integer literal.  Products are taken in the algebra, in the
-order written, so eta*theta is -theta*eta; earlier versions read the
-string as a commutative polynomial and lost that sign.  A divisor, and
-the base of a negative power, must be a nonzero element of Q(z): 1/theta,
-theta/(1 + eta), z**theta, (2*z)**(1/2), exp(z) and a*z raise ValueError,
-where earlier versions accepted some of them with coefficients outside
-Q(z).
+`GrassmannAlgebra.parse` reads an element in the grammar of the package's
+`reader`, with the name z and the algebra's odd generators.  Products are
+taken in the algebra, in the order written, so eta*theta is -theta*eta;
+earlier versions read the string as a commutative polynomial and lost
+that sign.  A divisor, and the base of a negative power, must be a
+nonzero element of Q(z): 1/theta, theta/(1 + eta), z**theta,
+(2*z)**(1/2), exp(z) and a*z raise ValueError, where earlier versions
+accepted some of them with coefficients outside Q(z).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from . import polyq
 from .polyq import Poly
-from .reader import check_degree, degrees, evaluate
+from .reader import degrees, evaluate
 from .records import Record
 
 Subset = Tuple[int, ...]
@@ -476,54 +474,29 @@ class GrassmannElement:
         return " + ".join(bits)
 
 
-def _scalar_inverse(a: GrassmannElement, what: str) -> RationalFunction:
-    """1/a for a nonzero element a of Q(z), else ValueError naming what."""
-    if not a.terms:
-        raise ValueError("division by zero")
-    if list(a.terms) != [()]:
-        raise ValueError(f"{what} an expression in the odd generators")
-    return a.terms[()].inverse()
-
-
 class _Reader:
-    """One Grassmann algebra as the ring of `reader.evaluate`: a divisor,
-    and the base of a negative power, must be a nonzero element of Q(z).
-    No result may pass `reader.MAX_DEGREE` in z (see `reader.degrees`)."""
+    """One Grassmann algebra as the ring of `reader.evaluate`, which
+    checks its rules: its elements' coefficients are in Q(z), and their
+    grade is their degree in the odd generators, unbounded."""
 
-    neg = staticmethod(operator.neg)
+    var, gens, max_grade = EVEN, "the odd generators", None
+    neg, add, mul, pow = map(staticmethod, (operator.neg, operator.add,
+                                            operator.mul, operator.pow))
+    inverse = staticmethod(GrassmannElement.inverse)
 
     def __init__(self, alg: "GrassmannAlgebra"):
         self.alg = alg
 
-    @staticmethod
-    def _degrees(a: GrassmannElement) -> Tuple[int, int]:
-        return degrees((c.num, c.den) for c in a.terms.values())
-
     def const(self, c: Fraction) -> GrassmannElement:
         return self.alg.scalar(c)
 
-    def add(self, a: GrassmannElement, b: GrassmannElement
-            ) -> GrassmannElement:
-        check_degree(*degrees((c.num, c.den) for e in (a, b)
-                              for c in e.terms.values()), EVEN)
-        return a + b
+    @staticmethod
+    def pairs(a: GrassmannElement):
+        return [(c.num, c.den) for c in a.terms.values()]
 
-    def mul(self, a: GrassmannElement, b: GrassmannElement
-            ) -> GrassmannElement:
-        (na, da), (nb, db) = self._degrees(a), self._degrees(b)
-        check_degree(na + nb, da + db, EVEN)
-        return a * b
-
-    def div(self, a: GrassmannElement, b: GrassmannElement
-            ) -> GrassmannElement:
-        return self.mul(a, self.alg.scalar(_scalar_inverse(b, "division by")))
-
-    def pow(self, a: GrassmannElement, n: int) -> GrassmannElement:
-        if n < 0:
-            a = self.alg.scalar(_scalar_inverse(a, "negative power of"))
-        na, da = self._degrees(a)
-        check_degree(abs(n) * na, abs(n) * da, EVEN)
-        return a ** abs(n)
+    @staticmethod
+    def grade(a: GrassmannElement) -> int:
+        return max(map(len, a.terms), default=-1)
 
 
 class GrassmannAlgebra:
@@ -815,7 +788,8 @@ def check_superconformal(zp: GrassmannElement, tp: GrassmannElement,
         raise ValueError("z' must be an even element")
     if not tp.has_parity(1):
         raise ValueError("theta' must be an odd element")
-    size = sum(_Reader._degrees(zp)) + 2 * sum(_Reader._degrees(tp))
+    size = (sum(degrees(_Reader.pairs(zp)))
+            + 2 * sum(degrees(_Reader.pairs(tp))))
     if size > MAX_CHECK_DEGREE:
         raise ValueError(f"check-superconformal stops at deg z' + "
                          f"2 deg theta' = {MAX_CHECK_DEGREE} (degrees in "

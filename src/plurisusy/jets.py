@@ -142,16 +142,15 @@ class SectionJets:
         (x - x0)^i in At has order 2i and in Bt order 2i + 1, each up to
         the factor u(0)^i of the whole row: the windows of At and Bt
         interleave by parity.  Elsewhere t = x - x0 and y = v(t), the
-        Taylor window of y (polyq.sqrt_window), and the column is the
-        window of At + Bt v."""
+        Taylor window of y (HyperellipticCurve._y_window), and the
+        column is the window of At + Bt v."""
         x0, branch = P.x, P.y == 0
         e = 2 if branch else 1
         o = e * sum(polyq.mult_at(d, x0) for d in self.dens) - self.D[P]
         top = max(0, o + self.nterms)
         n = (top + 1) // 2 if branch else top
         if not branch:
-            v = polyq.sqrt_window(polyq.taylor(self.curve.f, x0, top), P.y,
-                                  top)
+            v = self.curve._y_window(P, top)
         cols = []
         for j, (a, b) in enumerate(zip(self.A, self.B)):
             tA, tB = (polyq.taylor(p, x0, n) for p in (a, b))

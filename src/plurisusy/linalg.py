@@ -1,4 +1,5 @@
-"""Exact rational linear algebra: kernels and incremental column spaces."""
+"""Exact rational linear algebra: one elimination, which keeps the basis
+of a `ColumnSpace` in reduced echelon form, and the kernels read off it."""
 
 from __future__ import annotations
 
@@ -7,45 +8,32 @@ from typing import List, Sequence
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Basis of the null space of the matrix given by `rows`, via Gauss-Jordan."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivot_cols: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        if pv != 1:
-            mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    in_pivots = set(pivot_cols)
+    """Basis of the null space of the matrix given by `rows`: for each
+    column c without a pivot, 1 at c and -b[c] at the pivot of each
+    vector b of the row space's reduced echelon basis."""
+    space = ColumnSpace(ncols)
+    for r in rows:
+        space.add(r)
+    pivots = {p for p, _ in space.basis}
     basis: List[List[Fraction]] = []
-    for fc in range(ncols):
-        if fc in in_pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = -mat[i][fc]
-        basis.append(v)
+    for c in range(ncols):
+        if c not in pivots:
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            for p, b in space.basis:
+                v[p] = -b[c]
+            basis.append(v)
     return basis
 
 
 class ColumnSpace:
-    """Incrementally built column space of vectors of fixed dimension.
+    """Incrementally built column space of vectors of fixed dimension,
+    its basis each 1 at its pivot and 0 at every other pivot.
 
-    `reduce` returns the residual of a vector against the space; a vector
-    lies in the space iff its residual is zero.  Built once and reused for
-    many membership tests.
+    `reduce` returns the residual of a vector against the space, the one
+    vector of its coset that is 0 at every pivot; a vector lies in the
+    space iff its residual is zero.  Built once and reused for many
+    membership tests.
     """
 
     def __init__(self, dim: int):
@@ -56,19 +44,23 @@ class ColumnSpace:
         v = [Fraction(x) for x in vec]
         for pivot, b in self.basis:
             c = v[pivot]
-            if c != 0:
-                f = c / b[pivot]
-                for i in range(self.dim):
-                    if b[i] != 0:
-                        v[i] -= f * b[i]
+            if c:
+                for i, x in enumerate(b):
+                    if x:
+                        v[i] -= c * x
         return v
 
     def add(self, vec: Sequence[Fraction]) -> bool:
         """Add a vector; returns True if it enlarged the space."""
         r = self.reduce(vec)
-        p = next((i for i, x in enumerate(r) if x != 0), None)
+        p = next((i for i, x in enumerate(r) if x), None)
         if p is None:
             return False
+        r = [x / r[p] for x in r]
+        for k, (q, b) in enumerate(self.basis):
+            c = b[p]
+            if c:  # clear the new pivot from the older vectors
+                self.basis[k] = (q, [x - c * y for x, y in zip(b, r)])
         self.basis.append((p, r))
         return True
 

@@ -573,7 +573,7 @@ class SuperPointFamily:
         h = deformation
         if not isinstance(h, FunctionFieldElement):
             h = curve.one_fn() * h
-        if h.curve is not curve:
+        if h.curve != curve:
             raise ValueError("deformation lives on a different curve")
         # den is coprime to gcd(A, B), so each root of den is a pole at
         # some point above it: only W may lie above one

@@ -4,16 +4,22 @@ arithmetic, and its one JSON writer, `dumps`.
 evaluate(text, names, ring) reads text in this grammar: integer and
 decimal literals (a decimal is the exact rational of its digits, 0.1 is
 1/10), the keys of names, unary + and -, binary + - * /, parentheses, and
-** or ^ raised to an integer literal.  It evaluates the tree bottom-up in
-ring, an object with the methods
+** or ^ raised to an integer literal.  A name evaluates to its value in
+names, the rest bottom-up in ring, an object with unchecked arithmetic
 
     const(c)               the element of the Fraction c
-    neg(a), add(a, b), mul(a, b)
-    div(a, b), pow(a, n)   b nonzero, n an int; each raises ValueError
-                           where the ring cannot divide
+    neg(a), add(a, b), mul(a, b), pow(a, n) for an int n >= 0
+    inverse(a)             1/a, for an a of grade 0
 
-while a name evaluates to its value in names.  Anything else, a syntax
-error, and nesting too deep for the parser raise ValueError.
+and a description of its elements
+
+    pairs(a)               the (num, den) of a's coefficients in Q(var)
+    grade(a)               a's degree in gens, -1 at 0
+    var, gens, max_grade   names for messages; the largest grade, or None
+
+A divisor, and the base of a negative power, must have grade 0: be a
+nonzero coefficient.  Anything else, a syntax error, and nesting too deep
+for the parser raise ValueError.
 
 An exponent, times every exponent its base is raised to, stops at
 MAX_EXPONENT, and so does the exponent of a decimal, times the same; a
@@ -25,10 +31,10 @@ largest degree the CLI allows) and no decimal exponent.
 A bounded power still leaves a sum or product of them unbounded:
 (1+z)**100/(2+z)**100 + (3+z)**100/(5+z)**100 has degree 200 over its
 common denominator, and the arithmetic behind it grows faster than its
-degree.  So a ring checks, before each operation, the degree its result
-can reach, read from the operands' degrees with `degrees`, against
-MAX_DEGREE (by `check_degree`), as large as MAX_EXPONENT so that x**100
-and 1/z**100 still read.
+degree.  So before each sum, product, quotient and power the reader
+checks the grade its result can reach against max_grade, then its degree
+in var, read from the operands' pairs by `degrees`, against MAX_DEGREE,
+as large as MAX_EXPONENT so that x**100 and 1/z**100 still read.
 """
 
 from __future__ import annotations
@@ -54,13 +60,6 @@ def degrees(pairs: Iterable[Tuple[tuple, tuple]]) -> Tuple[int, int]:
     d = sum(len(den) - 1 for den in {den for _, den in pairs})
     return max((len(num) - len(den) + d for num, den in pairs),
                default=0), d
-
-
-def check_degree(n: int, d: int, var: str) -> None:
-    """Raise ValueError when n or d passes MAX_DEGREE."""
-    if max(n, d) > MAX_DEGREE:
-        raise ValueError(f"degrees in {var} stop at {MAX_DEGREE}; "
-                         f"got {max(n, d)}")
 
 
 def _check_exponent(n: int, what: str) -> None:
@@ -93,6 +92,31 @@ def _exponent(node: ast.expr) -> int:
     return sign * node.value
 
 
+def _check(ring, grade: int, n: int, d: int) -> None:
+    """ValueError if a result of grade and degrees (n, d) may pass a bound."""
+    if ring.max_grade is not None and grade > ring.max_grade:
+        raise ValueError(f"{ring.gens}-degrees stop at {ring.max_grade}; "
+                         f"got {grade}")
+    if max(n, d) > MAX_DEGREE:
+        raise ValueError(f"degrees in {ring.var} stop at {MAX_DEGREE}; "
+                         f"got {max(n, d)}")
+
+
+def _inverse(ring, a, what: str):
+    """1/a for an a of grade 0, else ValueError naming what needed it."""
+    grade = ring.grade(a)
+    if grade:
+        raise ValueError("division by zero" if grade < 0 else
+                         f"{what} an expression in {ring.gens}")
+    return ring.inverse(a)
+
+
+def _mul(ring, a, b):
+    (na, da), (nb, db) = degrees(ring.pairs(a)), degrees(ring.pairs(b))
+    _check(ring, ring.grade(a) + ring.grade(b), na + nb, da + db)
+    return ring.mul(a, b)
+
+
 def _eval(names: Mapping, ring, src: str, node: ast.expr, scale: int):
     """The value of node, which is raised to the power scale in all."""
     if isinstance(node, ast.Name) and node.id in names:
@@ -110,17 +134,24 @@ def _eval(names: Mapping, ring, src: str, node: ast.expr, scale: int):
         n = _exponent(node.right)
         _check_exponent(n * scale, "exponents (nested ones multiplied)")
         a = _eval(names, ring, src, node.left, max(abs(n), 1) * scale)
+        if n < 0:
+            a, n = _inverse(ring, a, "negative power of"), -n
+        na, da = degrees(ring.pairs(a))
+        _check(ring, n * ring.grade(a), n * na, n * da)
         return ring.pow(a, n)
     if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
         a = _eval(names, ring, src, node.left, scale)
         b = _eval(names, ring, src, node.right, scale)
         if isinstance(node.op, ast.Mult):
-            return ring.mul(a, b)
+            return _mul(ring, a, b)
         if isinstance(node.op, ast.Div):
-            return ring.div(a, b)
-        return ring.add(a, b if isinstance(node.op, ast.Add)
-                        else ring.neg(b))
+            return _mul(ring, a, _inverse(ring, b, "division by"))
+        if isinstance(node.op, ast.Sub):
+            b = ring.neg(b)
+        _check(ring, max(ring.grade(a), ring.grade(b)),
+               *degrees([*ring.pairs(a), *ring.pairs(b)]))
+        return ring.add(a, b)
     raise ValueError(
         f"unsupported expression {ast.get_source_segment(src, node)!r}")
 

@@ -81,8 +81,8 @@ def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement
     (x - x0)^k divides A and B: the smaller demand k of the two sheets
     joins U_A and U_B.  An inert fibre is symmetric, as D is
     Galois-stable.  On a rational fibre the sheet P with the larger demand
-    m > k asks (x - x0)^m | A + B v, with v = y mod (x - x0)^m there, the
-    Hensel lift of sqrt(f) (polyq.sqrt_window): m rows of _remainder_rows.
+    m > k asks (x - x0)^m | A + B v, v = y mod (x - x0)^m; by the CRT these
+    excess sheets {P: m} together ask u | A + B v, (u, v) their Mumford pair.
 
     Without such rows the kernel is U_A | A, U_B | B, and its reduced
     echelon basis is written down (Mumford, Tata Lectures on Theta II,
@@ -98,7 +98,7 @@ def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement
         return []
     roots_A: List[Fraction] = []
     roots_B: List[Fraction] = []
-    rows: List[List[Fraction]] = []
+    excess: Dict[CurvePoint, int] = {}
     for x0, P in {P.x: P for P in D.data if not P.at_infinity}.items():
         e = exps[x0]
         if P.is_branch():
@@ -113,12 +113,11 @@ def rr_space(curve: HyperellipticCurve, D: Divisor) -> List[FunctionFieldElement
         roots_A += [x0] * k
         roots_B += [x0] * k
         if m > k:
-            u = polyq.from_roots([x0] * m)
-            v = polyq.shift(polyq.poly(polyq.sqrt_window(
-                polyq.taylor(curve.f, x0, m), P.y, m)), -x0)
-            rows += _remainder_rows(u, n_x, n_y, polyq.ONE, v)
+            excess[P] = m
     U_A, U_B = polyq.from_roots(roots_A), polyq.from_roots(roots_B)
-    if rows:
+    if excess:
+        u, v = _mumford_pair(curve, excess)
+        rows = _remainder_rows(u, n_x, n_y, polyq.ONE, v)
         rows += _remainder_rows(U_A, n_x, n_y, polyq.ONE, polyq.ZERO)
         rows += _remainder_rows(U_B, n_x, n_y, polyq.ZERO, polyq.ONE)
         pairs = [(polyq.poly(v[:n_x]), polyq.poly(v[n_x:]))
@@ -234,11 +233,11 @@ def _mumford_pair(curve: HyperellipticCurve, E: Dict[CurvePoint, int]
 def _mumford_step(curve: HyperellipticCurve, P: CurvePoint, m: int,
                   u: polyq.Poly, v: polyq.Poly) -> polyq.Poly:
     """w = (y - v)/u mod t^m at a finite non-branch point P, t = x - x_P.
-    With c the Taylor window of y at P (polyq.sqrt_window) and U, V the
+    With c the Taylor window of y at P (curve._y_window) and U, V the
     Taylor coefficients of u and v, U w = c - V mod t^m is triangular:
     w_n = (c_n - V_n - sum_{i>=1} U_i w_(n-i)) / U_0, as U_0 = u(x_P) != 0."""
     x0, zero = P.x, Fraction(0)
-    c = polyq.sqrt_window(polyq.taylor(curve.f, x0, m), P.y, m)
+    c = curve._y_window(P, m)
     U, V = (list(p) + [zero] * (m - len(p))
             for p in (polyq.taylor(u, x0, m), polyq.taylor(v, x0, m)))
     w: List[Fraction] = []
@@ -408,8 +407,13 @@ def _census(curve: HyperellipticCurve) -> Iterator[ThetaCharacteristic]:
 
 
 def theta_from_subset(curve: HyperellipticCurve, subset) -> ThetaCharacteristic:
+    """The theta of the indices `subset` into branch_roots, each an int."""
+    entries = tuple(subset)
+    if any(type(i) is not int for i in entries):  # bool is an int too
+        raise ValueError(
+            f"theta subset must be a list of integers, got {subset!r}")
     rs = branch_roots(curve)
-    subset = tuple(sorted(int(i) for i in subset))
+    subset = tuple(sorted(entries))
     g, e = curve.genus, len(subset)
     if len(set(subset)) != e or any(not 0 <= i < len(rs) for i in subset):
         raise ValueError(f"invalid branch-root subset {subset}")

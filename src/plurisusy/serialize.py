@@ -6,22 +6,19 @@ with y outside Q is stored as {"x": ..., "y_in_ext": [u, v]} meaning
 u + v*sqrt(f(x)).  Every writer sorts its keys and every reader rebuilds
 the identical in-memory value, so artifacts round-trip bit for bit.
 
-parse_function reads a function string with the package's `reader`.
-Its grammar: integer and decimal literals (a decimal is the exact
-rational of its digits, 0.1 is 1/10), the names x and y, unary + and -,
-binary + - * /, parentheses, and ** or ^ raised to an integer literal.
-The string is evaluated in Q(x)[y] without applying y^2 = f and must come
-out of y-degree at most 1.  A negative power needs a nonzero y-free base
-and a divisor must be nonzero and y-free, so y/y and x*y/y, which earlier
-versions cancelled, are rejected.  Exponents, and the exponent of a
-decimal, here and in a rational string, stop at `reader.MAX_EXPONENT`.
-Anything else raises ValueError.
+parse_function reads a function string in the grammar of the package's
+`reader`, with the names x and y, in Q(x)[y] without applying y^2 = f,
+and the result must have y-degree at most 1.  A negative power needs a
+nonzero y-free base and a divisor must be nonzero and y-free, so y/y and
+x*y/y, which earlier versions cancelled, are rejected.  Exponents, and
+the exponent of a decimal, here and in a rational string, stop at
+`reader.MAX_EXPONENT`.  Anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from . import polyq, reader
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
@@ -103,8 +100,7 @@ def theta_to_json(theta: ThetaCharacteristic) -> Dict:
 
 def theta_from_json(curve: HyperellipticCurve, obj: Dict) -> ThetaCharacteristic:
     subset = obj["subset"]
-    if not isinstance(subset, list) or any(
-            type(i) is not int for i in subset):  # bool is an int too
+    if not isinstance(subset, list):
         raise ValueError(
             f"theta subset must be a list of integers, got {subset!r}")
     return theta_from_subset(curve, subset)
@@ -165,24 +161,14 @@ def _ymul(a: _YPoly, b: _YPoly) -> _YPoly:
 
 
 class _YRing:
-    """Q(x)[y] as the ring of `reader.evaluate`: a divisor, and the base
-    of a negative power, must be nonzero and y-free.  No result may pass
-    y-degree MAX_Y_DEGREE or `reader.MAX_DEGREE` in x (see
-    `reader.degrees`)."""
+    """Q(x)[y] as the ring of `reader.evaluate`, which checks its rules:
+    its elements' coefficients are the y-free elements of Q(x), and no
+    result may pass y-degree MAX_Y_DEGREE."""
+
+    var, gens, max_grade = "x", "y", MAX_Y_DEGREE
 
     def __init__(self, curve: HyperellipticCurve):
         self.curve = curve
-
-    @staticmethod
-    def _degrees(a: _YPoly) -> Tuple[int, int]:
-        return reader.degrees((c.A, c.den) for c in a)
-
-    @staticmethod
-    def _check(y_degree: int, n: int, d: int) -> None:
-        if y_degree > MAX_Y_DEGREE:
-            raise ValueError(f"y-degrees stop at {MAX_Y_DEGREE}; "
-                             f"got {y_degree}")
-        reader.check_degree(n, d, "x")
 
     def const(self, c: Fraction) -> _YPoly:
         return [self.curve.function((c,))] if c else []
@@ -191,35 +177,31 @@ class _YRing:
     def neg(a: _YPoly) -> _YPoly:
         return [-c for c in a]
 
-    def add(self, a: _YPoly, b: _YPoly) -> _YPoly:
-        self._check(max(len(a), len(b)) - 1, *self._degrees(a + b))
+    @staticmethod
+    def add(a: _YPoly, b: _YPoly) -> _YPoly:
         return _trim([p + q for p, q in zip(a, b)] + a[len(b):] + b[len(a):])
 
-    def mul(self, a: _YPoly, b: _YPoly) -> _YPoly:
-        (na, da), (nb, db) = self._degrees(a), self._degrees(b)
-        self._check(len(a) + len(b) - 2, na + nb, da + db)
-        return _ymul(a, b)
-
-    def div(self, a: _YPoly, b: _YPoly) -> _YPoly:
-        if len(b) != 1:
-            raise ValueError("division by an expression in y" if b else
-                             "division by zero")
-        return self.mul(a, [b[0] ** -1])
+    mul = staticmethod(_ymul)
 
     def pow(self, a: _YPoly, n: int) -> _YPoly:
-        if n < 0 and len(a) != 1:
-            raise ValueError("division by zero" if not a else
-                             "negative power of an expression in y")
-        if n < 0:
-            a, n = [a[0] ** -1], -n
-        na, da = self._degrees(a)
-        self._check(n * (len(a) - 1), n * na, n * da)
         if len(a) == 1:
             return [a[0] ** n]
         out = [self.curve.one_fn()]
         for _ in range(n):
             out = _ymul(out, a)
         return out
+
+    @staticmethod
+    def pairs(a: _YPoly):
+        return [(c.A, c.den) for c in a]
+
+    @staticmethod
+    def grade(a: _YPoly) -> int:
+        return len(a) - 1
+
+    @staticmethod
+    def inverse(a: _YPoly) -> _YPoly:
+        return [a[0] ** -1]
 
 
 def parse_function(curve: HyperellipticCurve, s: str) -> FunctionFieldElement:

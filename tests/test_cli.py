@@ -546,6 +546,19 @@ def test_degree_bound_applies_to_curve_files(capsys, tmp_path):
     assert err.endswith(f"got {2 * (nu + 1)} at nu {nu}, genus 3\n")
 
 
+@pytest.mark.parametrize("genus", [2, 50])
+def test_thresholds_past_its_degree_bound_exits_at_once(capsys, genus):
+    bound = cli.MAX_DEGREE["thresholds"]
+    nu = bound // (genus - 1)  # the smallest nu past the bound
+    start = time.perf_counter()
+    assert run(capsys, "thresholds", "--genus", str(genus),
+               "--nu", str(nu)) == (
+        2, "", f"error: thresholds stops at degree (nu + 1)(g - 1) = "
+               f"{bound}; got {(nu + 1) * (genus - 1)} at nu {nu}, "
+               f"genus {genus}\n")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_superpoint_rank_has_no_degree_bound(capsys):
     # (nu + 1)(g - 1) = 195 at g = 40, nu = 4; from nu = 3 on the answer
     # is the closed-form h1 = 0 and the rank pair of Riemann-Roch
@@ -595,6 +608,27 @@ def test_malformed_input_file_is_usage_error(capsys, tmp_path, argv,
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert str(path) in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [("verify", "FILE"), _RANK_FILE])
+def test_input_file_nested_too_deeply_is_usage_error(capsys, tmp_path, argv):
+    # the JSON decoder raises RecursionError, not JSONDecodeError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_theta_nested_too_deeply_is_usage_error(capsys):
+    code, out, err = run(capsys, "rank", "--genus", "2", "--nu", "3",
+                         "--theta", "[" * 50_000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --theta must be 'even', 'odd' or a JSON "
+                          "subset object: ")
     assert err.count("\n") == 1 and err.endswith("\n")
 
 

@@ -649,6 +649,14 @@ def test_divisor_class_arithmetic():
         hash(a)
 
 
+@pytest.mark.parametrize("subset", [[0.9], [True], ["1"]])
+def test_theta_subset_entries_must_be_ints(subset):
+    # int() would have read these as the subsets (0,), (1,) and (1,)
+    with pytest.raises(ValueError, match=r"^theta subset must be a list of "
+                                         r"integers, got \["):
+        theta_from_subset(C2, subset)
+
+
 def test_classes_on_different_curves_are_unequal():
     C = HyperellipticCurve(polyq.from_roots(
         [Fraction(r) for r in (0, 1, 2, 3, 5)]))

@@ -140,6 +140,19 @@ def test_superpoint_off_the_theta_classes_matches_cech_oracle():
         SuperPointFamily(Xc, 1)
 
 
+def test_deformation_on_an_equal_curve_object_is_accepted():
+    # curves are equal by their f, as for function field arithmetic
+    C = standard_curve(2)
+    for theta in parity_representatives(C):
+        X = make_split_supercurve(C, theta)
+        for nu in (1, 2, 3):
+            other = SuperPointFamily(
+                X, random_deformation(standard_curve(2), seed=5))
+            own = SuperPointFamily(X, random_deformation(C, seed=5))
+            assert (pushforward_over_superpoint(other, nu)
+                    == pushforward_over_superpoint(own, nu))
+
+
 @pytest.mark.parametrize("h_text, nus", [("x**6", (1, 2, 3)),
                                           ("y/x**5", (1, 2))],
                          ids=["x**6", "y/x**5"])
