@@ -10,9 +10,10 @@ fixed seed; JSON output sorts its keys.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO
 
 if TYPE_CHECKING:
     from .curve import HyperellipticCurve
@@ -59,12 +60,19 @@ def _load_json(path: str, reader):
             f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _write(path: Optional[str], text: str) -> None:
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """The stream to write to: the file at path, else stdout."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write(path: Optional[str], text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _emit(args, payload, text: str) -> None:
@@ -143,10 +151,17 @@ def cmd_rank(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    from .pluricanonical import threshold_table
+    from .pluricanonical import threshold_cells
     _check_bounds(args, args.genus)
-    cells = threshold_table(args.genus, args.nu)
-    _emit(args, [c.to_json() for c in cells], "\n".join(map(str, cells)))
+    cells = threshold_cells(args.genus, args.nu)
+    # written as made: at the degree bound the grid has 300 000 cells
+    with _output(args.out) as fh:
+        if args.format == "json":
+            from .reader import dump_list
+            dump_list((c.to_json() for c in cells), fh)
+        else:
+            for c in cells:
+                fh.write(f"{c}\n")
     return 0
 
 

@@ -159,7 +159,7 @@ class HyperellipticCurve:
         def t2(n: int) -> TSeries:
             return TSeries.from_poly_coeffs([Fraction(0), Fraction(0), Fraction(1)], n)
 
-        s = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), 1 / fshift[1]], cut)
+        s = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), Fraction(1) / fshift[1]], cut)
         prec = 4  # s is exact below t^prec
         while prec < cut:
             prec = min(2 * prec, cut)
@@ -439,7 +439,7 @@ class FunctionFieldElement:
             den = polyq.exact_div(den, g)
         lc = polyq.lead(den)
         if lc != 1:
-            inv = 1 / lc
+            inv = Fraction(1) / lc
             A = polyq.scale(A, inv)
             B = polyq.scale(B, inv)
             den = polyq.scale(den, inv)
@@ -520,7 +520,7 @@ class FunctionFieldElement:
         return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return self._coerce(other) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

@@ -1,10 +1,11 @@
 """Quadratic extensions of the rationals, exactly.
 
-Elements are u + v*sqrt(d) with u, v rational and d a squarefree integer
-(negative allowed).  The squarefree normal form makes equality and hashing
-structural: sqrt(8) is always stored as 2*sqrt(2).  Constructions with
-v == 0 collapse to the base element, so a QuadExt instance always has a
-genuinely irrational part.
+Elements are u + v*sqrt(d) with u, v rational (ints or Fractions; a float
+raises TypeError) and d a squarefree integer (negative allowed).  The
+squarefree normal form makes equality and hashing structural: sqrt(8) is
+always stored as 2*sqrt(2).  Constructions with v == 0 collapse to the
+base element, so a QuadExt instance always has a genuinely irrational
+part.
 
 Rows over one such field are compared for linear dependence exactly,
 by `rows_independent` on field elements or by `row_key` on their
@@ -145,11 +146,16 @@ def _is_scalar(x) -> bool:
 
 
 class QuadExt:
-    """u + v*sqrt(d); u and v are Fractions, d a squarefree integer."""
+    """u + v*sqrt(d) with d a squarefree integer; u and v are ints or
+    Fractions, as the coefficients of `polyq` are, and anything else, a
+    float above all, raises TypeError."""
 
     __slots__ = ("u", "v", "d")
 
     def __init__(self, u, v, d: int):
+        if not (_is_scalar(u) and _is_scalar(v)):
+            raise TypeError(f"QuadExt parts must be ints or Fractions, "
+                            f"got {u!r} and {v!r}")
         if v == 0:
             raise ValueError("QuadExt with zero irrational part; use qext()")
         self.u = u
@@ -216,7 +222,8 @@ class QuadExt:
         nr = self.norm()
         if nr == 0:
             raise ZeroDivisionError("zero divisor in quadratic extension")
-        return qext(self.u / nr, -self.v / nr, self.d)
+        inv = Fraction(1) / nr
+        return qext(self.u * inv, -self.v * inv, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, QuadExt):

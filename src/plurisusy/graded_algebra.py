@@ -61,7 +61,7 @@ class RationalFunction:
             if polyq.deg(g) > 0:
                 num, den = polyq.exact_div(num, g), polyq.exact_div(den, g)
         if den[-1] != 1:
-            num, den = polyq.scale(num, 1 / den[-1]), polyq.monic(den)
+            num, den = polyq.scale(num, Fraction(1) / den[-1]), polyq.monic(den)
         self.num, self.den = num, den
 
     @classmethod

@@ -1,10 +1,13 @@
 """Exact rational linear algebra: one elimination, which keeps the basis
-of a `ColumnSpace` in reduced echelon form, and the kernels read off it."""
+of a `ColumnSpace` in reduced echelon form, and the kernels read off it.
+Entries are ints or Fractions, as in `polyq`; a float raises TypeError."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import List, Sequence
+
+from .polyq import rational
 
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fraction]]:
@@ -18,8 +21,8 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[List[Fr
     basis: List[List[Fraction]] = []
     for c in range(ncols):
         if c not in pivots:
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
+            v = [0] * ncols
+            v[c] = 1
             for p, b in space.basis:
                 v[p] = -b[c]
             basis.append(v)
@@ -33,7 +36,8 @@ class ColumnSpace:
     `reduce` returns the residual of a vector against the space, the one
     vector of its coset that is 0 at every pivot; a vector lies in the
     space iff its residual is zero.  Built once and reused for many
-    membership tests.
+    membership tests.  A vector whose length is not `dim` raises
+    ValueError.
     """
 
     def __init__(self, dim: int):
@@ -41,7 +45,10 @@ class ColumnSpace:
         self.basis: List[tuple] = []  # (pivot index, reduced vector)
 
     def reduce(self, vec: Sequence[Fraction]) -> List[Fraction]:
-        v = [Fraction(x) for x in vec]
+        if len(vec) != self.dim:
+            raise ValueError(f"vector of length {len(vec)} in a space of "
+                             f"dimension {self.dim}")
+        v = [rational(x) for x in vec]
         for pivot, b in self.basis:
             c = v[pivot]
             if c:
@@ -56,7 +63,8 @@ class ColumnSpace:
         p = next((i for i, x in enumerate(r) if x), None)
         if p is None:
             return False
-        r = [x / r[p] for x in r]
+        inv = Fraction(1) / r[p]
+        r = [rational(x * inv) for x in r]
         for k, (q, b) in enumerate(self.basis):
             c = b[p]
             if c:  # clear the new pivot from the older vectors

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
@@ -339,22 +339,32 @@ def threshold_table(g_max: int = 6, nu_max: int = 6) -> List[ThresholdCell]:
     """Very-ampleness grid over 2 <= g <= g_max, 3 <= nu <= nu_max,
     quantified over theta characteristics through the parity
     representatives."""
+    return list(threshold_cells(g_max, nu_max))
+
+
+def threshold_cells(g_max: int = 6, nu_max: int = 6
+                    ) -> Iterator[ThresholdCell]:
+    """The cells of threshold_table, by g and then nu, each made when it
+    is read, so that a writer holds one at a time.  Bad bounds raise
+    ValueError here, before any cell is made."""
     if g_max < 2:
         raise ValueError("genus must be at least 2")
     if nu_max < 3:
         raise ValueError("nu must be at least 3")
-    cells = []
-    for g in range(2, g_max + 1):
-        curve = standard_curve(g)
-        even, odd = parity_representatives(curve)
-        Xe = make_split_supercurve(curve, even)
-        Xo = make_split_supercurve(curve, odd)
-        for nu in range(3, nu_max + 1):
-            re_ = very_ample_check(Xe, nu)
-            ro = very_ample_check(Xo, nu)
-            witness = re_.witness if not re_.passed else ro.witness
-            cells.append(ThresholdCell(g, nu, re_.passed, ro.passed, witness))
-    return cells
+    return (cell for g in range(2, g_max + 1)
+            for cell in _genus_cells(g, nu_max))
+
+
+def _genus_cells(g: int, nu_max: int) -> Iterator[ThresholdCell]:
+    curve = standard_curve(g)
+    even, odd = parity_representatives(curve)
+    Xe = make_split_supercurve(curve, even)
+    Xo = make_split_supercurve(curve, odd)
+    for nu in range(3, nu_max + 1):
+        re_ = very_ample_check(Xe, nu)
+        ro = very_ample_check(Xo, nu)
+        witness = re_.witness if not re_.passed else ro.witness
+        yield ThresholdCell(g, nu, re_.passed, ro.passed, witness)
 
 
 class PluriCanonicalModel(frozen("PluriCanonicalModel", "curve nu ambient "
@@ -656,7 +666,7 @@ def _infinity_residue(B: polyq.Poly, den: polyq.Poly) -> Fraction:
         return Fraction(0)
     rem = polyq.divmod_(B, den)[1]
     c = rem[d - 1] if len(rem) == d else Fraction(0)
-    return -2 * c / polyq.lead(den)
+    return Fraction(-2 * c) / polyq.lead(den)
 
 
 def _rank(matrix: Matrix) -> int:

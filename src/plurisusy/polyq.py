@@ -1,26 +1,43 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-A polynomial is an immutable tuple of Fraction coefficients in ascending
-order of degree with no trailing zeros; the zero polynomial is the empty
-tuple.  Everything here is exact: no floating point is ever introduced.
+A polynomial is an immutable tuple of coefficients in ascending order of
+degree with no trailing zeros; the zero polynomial is the empty tuple.  A
+coefficient is an int when it is integral and a Fraction otherwise, so
+that integral polynomials compute in int arithmetic; equality, hashing and
+str do not tell the two apart.  Everything here is exact: `poly` raises
+TypeError on a float rather than convert it, and every division has a
+Fraction operand, as int / int would be a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as gcd_int, isqrt, lcm as lcm_int
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-Poly = Tuple[Fraction, ...]
+Poly = Tuple[Union[int, Fraction], ...]
 
 ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
-X: Poly = (Fraction(0), Fraction(1))
+ONE: Poly = (1,)
+X: Poly = (0, 1)
+
+
+def rational(c) -> Union[int, Fraction]:
+    """c as an int when it is integral and as a Fraction otherwise; a
+    float raises TypeError, since Fraction(0.1) is not 1/10."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError(f"float coefficient {c!r}: pass an int, a "
+                            f"Fraction or a string such as '1/10'")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def poly(coeffs: Iterable) -> Poly:
     """Build a polynomial from ascending coefficients, trimming zeros."""
-    cs = [Fraction(c) for c in coeffs]
+    cs = [rational(c) for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
@@ -55,16 +72,16 @@ def sub(p: Poly, q: Poly) -> Poly:
 
 
 def scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
+    c = rational(c)
     if c == 0:
         return ZERO
-    return tuple(a * c for a in p)
+    return tuple(rational(a * c) for a in p)
 
 
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO
-    cs = [Fraction(0)] * (len(p) + len(q) - 1)
+    cs = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -78,11 +95,11 @@ def divmod_(p: Poly, q: Poly) -> Tuple[Poly, Poly]:
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
-    quot = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    quot = [0] * max(0, len(p) - len(q) + 1)
     dq = deg(q)
     lc = q[-1]
     for k in range(len(rem) - len(q), -1, -1):
-        c = rem[k + dq] / lc
+        c = rem[k + dq] if lc == 1 else rational(Fraction(rem[k + dq]) / lc)
         if c == 0:
             continue
         quot[k] = c
@@ -101,7 +118,7 @@ def exact_div(p: Poly, q: Poly) -> Poly:
 def monic(p: Poly) -> Poly:
     if not p:
         return ZERO
-    return scale(p, 1 / p[-1])
+    return scale(p, Fraction(1) / p[-1])
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
@@ -123,7 +140,7 @@ def eval_at(p: Poly, x0):
     for c in reversed(p):
         acc = c if acc is None else acc * x0 + c
     if acc is None:
-        return Fraction(0)
+        return 0
     return acc
 
 
@@ -149,7 +166,7 @@ def taylor(p: Poly, x0, n: int) -> Poly:
         for i in range(n):
             for k in range(N - 1, i - 1, -1):
                 cs[k] += a * cs[k + 1]
-    out = [Fraction(cs[k], L * b ** (N - k)) for k in range(n)]
+    out = [rational(Fraction(cs[k], L * b ** (N - k))) for k in range(n)]
     while out and not out[-1]:
         out.pop()
     return tuple(out)
@@ -169,7 +186,7 @@ def sqrt_window(F: Sequence, root0, n: int) -> List:
     inv2r = Fraction(1) / (root0 + root0)
     out = [root0]
     for k in range(1, n):
-        acc = F[k] if k < len(F) else Fraction(0)
+        acc = F[k] if k < len(F) else 0
         for i in range(1, k):
             acc = acc - out[i] * out[k - i]
         out.append(inv2r * acc)
@@ -186,17 +203,17 @@ def deflate(p: Poly, x0, most: Optional[int] = None) -> Tuple[int, Poly]:
         if most is None:
             raise ValueError("zero polynomial has roots everywhere")
         return most, p
-    x0 = Fraction(x0)
+    x0 = rational(x0)
     m = 0
     while most is None or m < most:
-        acc = Fraction(0)
+        acc = 0
         quot = [acc] * (len(p) - 1)
         for i in range(len(p) - 1, 0, -1):
             acc = acc * x0 + p[i]
             quot[i - 1] = acc
         if acc * x0 + p[0]:
             break
-        p, m = tuple(quot), m + 1
+        p, m = tuple(map(rational, quot)), m + 1
     return m, p
 
 
@@ -207,13 +224,13 @@ def mult_at(p: Poly, x0) -> int:
 
 def from_roots(roots: Sequence) -> Poly:
     """Monic product of the factors (x - r)."""
-    cs = [Fraction(1)]
+    cs = [1]
     for r in roots:
-        r = Fraction(r)
-        cs.insert(0, Fraction(0))  # times x; the loop subtracts r times cs
+        r = rational(r)
+        cs.insert(0, 0)  # times x; the loop subtracts r times cs
         for i in range(len(cs) - 1):
             cs[i] -= r * cs[i + 1]
-    return tuple(cs)
+    return tuple(map(rational, cs))
 
 
 def is_squarefree(p: Poly) -> bool:

@@ -155,10 +155,10 @@ def _remainder_rows(U: polyq.Poly, n_x: int, n_y: int, p: polyq.Poly,
 def _multiples(U: polyq.Poly, n: int) -> Iterator[polyq.Poly]:
     """x^c - (x^c mod U) for deg U <= c < n, U monic: the reduced echelon
     basis of its multiples of degree below n."""
-    a, zero = polyq.deg(U), Fraction(0)
+    a = polyq.deg(U)
     xa = [-u for u in U[:-1]]  # x^a mod U
     for c, rem in enumerate(_times_x_mod(U, xa, n - a), a):
-        yield tuple(-r for r in rem) + (zero,) * (c - a) + (Fraction(1),)
+        yield tuple(-r for r in rem) + (0,) * (c - a) + (1,)
 
 
 def _times_x_mod(U: polyq.Poly, p: Sequence[Fraction],
@@ -168,13 +168,13 @@ def _times_x_mod(U: polyq.Poly, p: Sequence[Fraction],
     coefficients.  The remainders follow one another as
     x^(c+1) p mod U = x (x^c p mod U) - top U, with top the coefficient of
     x^(deg U - 1) in x^c p mod U."""
-    a, zero = polyq.deg(U), Fraction(0)
-    rem = [p[i] if i < len(p) else zero for i in range(a)]
+    a = polyq.deg(U)
+    rem = [p[i] if i < len(p) else 0 for i in range(a)]
     for _ in range(n):
         yield rem
         if a:
             top = rem[-1]
-            rem = [zero] + rem[:-1]
+            rem = [0] + rem[:-1]
             if top:
                 rem = [r - top * u for r, u in zip(rem, U)]
 
@@ -222,7 +222,8 @@ def _mumford_pair(curve: HyperellipticCurve, E: Dict[CurvePoint, int]
     u, v = polyq.ONE, polyq.ZERO
     for P, m in E.items():
         if P.y == 0:
-            w = polyq.poly([-polyq.eval_at(v, P.x) / polyq.eval_at(u, P.x)])
+            w = polyq.poly([Fraction(-polyq.eval_at(v, P.x))
+                            / polyq.eval_at(u, P.x)])
         else:
             w = _mumford_step(curve, P, m, u, v)
         v = polyq.add(v, polyq.mul(u, w))
@@ -236,14 +237,14 @@ def _mumford_step(curve: HyperellipticCurve, P: CurvePoint, m: int,
     With c the Taylor window of y at P (curve._y_window) and U, V the
     Taylor coefficients of u and v, U w = c - V mod t^m is triangular:
     w_n = (c_n - V_n - sum_{i>=1} U_i w_(n-i)) / U_0, as U_0 = u(x_P) != 0."""
-    x0, zero = P.x, Fraction(0)
+    x0 = P.x
     c = curve._y_window(P, m)
-    U, V = (list(p) + [zero] * (m - len(p))
+    U, V = (list(p) + [0] * (m - len(p))
             for p in (polyq.taylor(u, x0, m), polyq.taylor(v, x0, m)))
     w: List[Fraction] = []
     for n in range(m):
         acc = c[n] - V[n] - sum(U[i] * w[n - i] for i in range(1, n + 1))
-        w.append(acc / U[0])
+        w.append(Fraction(acc) / U[0])
     return polyq.shift(polyq.poly(w), -x0)
 
 

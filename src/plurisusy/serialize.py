@@ -64,9 +64,10 @@ def point_to_json(P: CurvePoint) -> Dict:
     # P.y = u + v*sqrt(d) with d squarefree and f(x) = d*s^2; report the
     # coordinates relative to sqrt(f(x)) itself.
     fx = polyq.eval_at(P.curve.f, P.x)
-    s = rational_sqrt(fx / P.y.d)
+    ratio = Fraction(fx) / P.y.d
+    s = rational_sqrt(ratio)
     if s is None:
-        raise ValueError(f"{fx / P.y.d} is not a rational square")
+        raise ValueError(f"{ratio} is not a rational square")
     return {"x": str(P.x), "y_in_ext": [str(P.y.u), str(P.y.v / s)]}
 
 

@@ -6,6 +6,7 @@ import re
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -144,6 +145,36 @@ def test_thresholds_table(capsys):
         "g=3 nu=3 FAIL(all-thetas): even PASS, odd FAIL witness x=(0, 0), y=Inf",
         "g=3 nu=4 PASS",
     ]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_thresholds_streamed_equal_the_whole_table(capsys, tmp_path, fmt):
+    """thresholds writes each cell as it is made, the same text as the
+    whole table built first and then written."""
+    cells = pluricanonical.threshold_table(4, 7)
+    want = (reader.dumps([c.to_json() for c in cells]) if fmt == "json"
+            else "".join(f"{c}\n" for c in cells))
+    argv = ("thresholds", "--genus", "4", "--nu", "7", "--format", fmt)
+    assert run(capsys, *argv) == (0, want, "")
+    out = tmp_path / "grid"
+    assert run(capsys, *argv, "--out", str(out))[:2] == (0, "")
+    assert out.read_text(encoding="utf-8") == want
+
+
+def test_dump_list_writes_what_dumps_does_a_chunk_at_a_time():
+    chunk = reader.DUMP_CHUNK
+    items = [{"b": [1, {"c": "x\ny"}], "a": None}, [], "s", 2.5] * chunk
+    for n in (0, 1, 2, chunk, chunk + 1, 3 * chunk + 2):
+        writes, made = [], []  # made: the writes done as each item is made
+
+        def gen(n=n):
+            for item in items[:n]:
+                made.append(len(writes))
+                yield item
+
+        reader.dump_list(gen(), SimpleNamespace(write=writes.append))
+        assert "".join(writes) == reader.dumps(items[:n])
+        assert made == [i // chunk for i in range(n)]
 
 
 def test_census(capsys):

@@ -9,6 +9,7 @@ matrices with no rows, no columns, and zero, repeated and dependent rows.
 import random
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 
 from plurisusy.linalg import ColumnSpace, kernel_basis
@@ -108,3 +109,14 @@ def test_reduce_is_zero_at_the_pivots_and_off_by_a_span_element():
             assert inside == (not any(res)), (rows, v)
             seen[inside] += 1
     assert min(seen.values()) >= 50
+
+
+def test_a_vector_of_another_length_is_a_value_error():
+    space = ColumnSpace(3)
+    space.add([1, Fraction(1, 2), 0])
+    for vec in ([1, 2], [1, 2, 3, 4], []):
+        with pytest.raises(ValueError, match="length"):
+            space.add(vec)
+        with pytest.raises(ValueError, match="length"):
+            space.reduce(vec)
+    assert space.rank == 1

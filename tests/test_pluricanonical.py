@@ -426,7 +426,7 @@ def test_irrational_witness_polynomial():
     C = HyperellipticCurve(polyq.from_roots([0, 1, 2, 3, -7]))
     P = C.point(-1, 12)
     f1, f2 = polyq.shift(C.f, -1)[1:3]
-    b = f1 / 24
+    b = Fraction(f1) / 24  # coefficients may be ints: keep / exact
     c = (f2 - b * b) / 24
     w = polyq.shift(polyq.poly([12, b, c]), 1)  # 12 + b t + c t^2, t = x + 1
     q = polyq.exact_div(polyq.sub(C.f, polyq.mul(w, w)),

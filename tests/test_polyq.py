@@ -328,6 +328,13 @@ def _fraction_shift(p, x0):
     return polyq.poly(cs)
 
 
+def _int_or_fraction(p) -> bool:
+    """polyq's invariant: each coefficient is an int when its denominator
+    is 1 and a Fraction otherwise."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction)
+               for c in p)
+
+
 def test_taylor_matches_fraction_shift():
     rng = random.Random(23)
     for _ in range(600):
@@ -342,7 +349,7 @@ def test_taylor_matches_fraction_shift():
         for n in range(len(p) + 3):
             got = polyq.taylor(p, x0, n)
             assert got == polyq.poly(full[:n]), (p, x0, n)
-            assert all(type(c) is Fraction for c in got)
+            assert _int_or_fraction(got)
 
 
 def test_taylor_edges():
@@ -383,6 +390,108 @@ def test_mult_at_matches_repeated_division():
                 k, q = polyq.deflate(p, x0, most)
                 assert k == min(m, most)
                 assert polyq.mul(q, polyq.from_roots([x0] * k)) == p
-                assert all(type(c) is Fraction for c in q)
+                assert _int_or_fraction(q)
     with pytest.raises(ValueError):
         polyq.mult_at(polyq.ZERO, 1)
+
+
+# All-Fraction reference arithmetic for the differential test below:
+# ascending lists of Fractions with no trailing zeros, computed without
+# polyq, as every coefficient of polyq was a Fraction before it kept
+# integral ones as ints.
+
+def _ref(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_mul(p, q):
+    cs = [Fraction(0)] * max(0, len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            cs[i + j] += Fraction(a) * b
+    return _ref(cs)
+
+
+def _ref_divmod(p, q):
+    rem, quot = _ref(p), [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    while len(rem) >= len(q):
+        k = len(rem) - len(q)
+        quot[k] = c = rem[-1] / Fraction(q[-1])
+        rem = _ref(r - c * q[i - k] if i >= k else r
+                   for i, r in enumerate(rem))
+    return _ref(quot), rem
+
+
+def _ref_deflate(p, x0, most):
+    m = 0
+    while m < most:
+        quot, rem = _ref_divmod(p, [-Fraction(x0), Fraction(1)])
+        if rem:
+            break
+        p, m = quot, m + 1
+    return m, _ref(p)
+
+
+def _ref_taylor(p, x0, n):
+    acc = []  # Horner in x0 + t
+    for c in reversed(p):
+        acc = _ref_mul(acc, [x0, 1])
+        acc = _ref([Fraction(c) + (acc[0] if acc else 0)] + acc[1:])
+    return _ref(acc[:n])
+
+
+def _ref_gcd(p, q):
+    p, q = _ref(p), _ref(q)
+    while q:
+        p, q = q, _ref_divmod(p, q)[1]
+    return _ref(c / p[-1] for c in p) if p else []
+
+
+def _mixed(rng, n):
+    """n coefficients as a tuple, each an int, an integral Fraction or a
+    Fraction of denominator 2..6, the last nonzero."""
+    def coefficient():
+        num = rng.randint(-12, 12)
+        return rng.choice([num, Fraction(num),
+                           Fraction(num, rng.randint(2, 6))])
+    cs = [coefficient() for _ in range(n)]
+    if cs:
+        cs[-1] = cs[-1] or rng.choice([1, Fraction(-3), Fraction(5, 4)])
+    return tuple(cs)
+
+
+def test_int_and_fraction_coefficients_match_fraction_arithmetic():
+    """polyq on mixed int and Fraction coefficients equals the all-Fraction
+    reference, and every result keeps an integral coefficient as an int
+    and any other as a Fraction."""
+    rng = random.Random(31)
+    for _ in range(300):
+        p, q = _mixed(rng, rng.randint(0, 7)), _mixed(rng, rng.randint(1, 5))
+        c = _mixed(rng, 1)[0]
+        x0 = rng.choice([rng.randint(-4, 4),
+                         Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+        roots = [rng.choice([x0, rng.randint(-3, 3), Fraction(1, 2)])
+                 for _ in range(rng.randint(0, 4))]
+        results = [
+            (polyq.mul(p, q), _ref_mul(p, q)),
+            (polyq.scale(p, c), _ref(a * Fraction(c) for a in p)),
+            (polyq.from_roots(roots),
+             reduce(_ref_mul, ([-Fraction(r), 1] for r in roots), [1])),
+            (polyq.gcd(p, q), _ref_gcd(p, q)),
+            (polyq.taylor(p, x0, 4), _ref_taylor(p, x0, 4)),
+            *zip(polyq.divmod_(p, q), _ref_divmod(p, q)),
+        ]
+        # p times (x - x0)^k has x0 as a root of multiplicity at least k
+        lifted = polyq.mul(p, polyq.from_roots(roots))
+        if lifted:
+            for most in (0, 2, 9):
+                k, quot = polyq.deflate(lifted, x0, most)
+                want_k, want = _ref_deflate(lifted, x0, most)
+                assert k == want_k, (lifted, x0, most)
+                results.append((quot, want))
+        for got, want in results:
+            assert list(got) == want, (p, q, c, x0, roots)
+            assert _int_or_fraction(got), got
