@@ -31,8 +31,7 @@ _EXPORTS = {
         "verify_embedding"),
     "graded_algebra": (
         "GrassmannAlgebra", "GrassmannElement", "SuperMatrix",
-        "VectorFieldSC", "berezinian", "bracket", "check_superconformal",
-        "grassmann_mul", "superconformal_derivation",
+        "VectorFieldSC", "check_superconformal", "superconformal_derivation",
         "susy_generator_square"),
 }
 

@@ -260,10 +260,10 @@ _ODD_NAMES = ("theta", "eta", "xi", "zeta", "chi")
 
 
 def cmd_check_sc(args) -> int:
-    from .graded_algebra import GrassmannAlgebra, check_superconformal
+    from .graded_algebra import ODD, GrassmannAlgebra, check_superconformal
 
     used = [n for n in _ODD_NAMES
-            if n == "theta" or n in args.zp or n in args.tp]
+            if n == ODD or n in args.zp or n in args.tp]
     alg = GrassmannAlgebra(tuple(used))
     report = check_superconformal(alg.parse(args.zp), alg.parse(args.tp))
     _emit(args, report.to_json(), str(report))

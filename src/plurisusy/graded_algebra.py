@@ -1,12 +1,13 @@
 """Supercommutative algebra with nilpotent odd generators, exactly.
 
-Elements live in the Grassmann algebra over a fixed ordered list of odd
-generators, with coefficients in Q(z), the rational functions of the one
-even coordinate z, held as `RationalFunction`s: reduced pairs of `polyq`
-polynomials, so that the zero test is decidable and no float ever enters.
-On top of the element arithmetic this module provides supermatrices with
-their Berezinian, graded vector fields in one even and one odd coordinate
-with the super Lie bracket, and the superconformality test
+The coordinates are fixed: (z | theta), named EVEN and ODD.  Elements
+live in the Grassmann algebra over a fixed ordered list of odd
+generators, theta among them where D is used, with coefficients in Q(z)
+held as `RationalFunction`s: reduced pairs of `polyq` polynomials, so
+that the zero test is decidable and no float ever enters.  On top of the
+element arithmetic this module provides supermatrices with their
+Berezinian, graded vector fields in (z | theta) with the super Lie
+bracket, and the superconformality test
 
     D z' = theta' * D theta'      where D = d/dtheta + theta * d/dz,
 
@@ -33,17 +34,19 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate, count, repeat
+from math import factorial, lcm
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from . import polyq
 from .polyq import Poly
 from .reader import degrees, evaluate
-from .records import Record
+from .records import frozen
 
 Subset = Tuple[int, ...]
 
 EVEN = "z"  # the name of the one even coordinate
+ODD = "theta"  # the odd coordinate of D = d/dtheta + theta * d/dz
 
 
 class RationalFunction:
@@ -220,6 +223,14 @@ def _even_name(z) -> str:
     return EVEN
 
 
+def _gen_index(gens: Tuple[str, ...], name: str) -> int:
+    """Position of the odd generator `name` among gens."""
+    if name not in gens:
+        raise ValueError(f"{name!r} is not an odd generator of the algebra "
+                         f"on {gens}")
+    return gens.index(name)
+
+
 def _merge_sign(s: Subset, t: Subset) -> int:
     """Koszul sign for theta_s * theta_t with s, t disjoint sorted tuples:
     (-1)^(number of out-of-order generator pairs)."""
@@ -266,11 +277,6 @@ class GrassmannElement:
     @staticmethod
     def scalar(gens: Sequence[str], c) -> "GrassmannElement":
         return GrassmannElement._of(tuple(gens), {(): _coeff(c)})
-
-    @staticmethod
-    def generator(gens: Sequence[str], name: str) -> "GrassmannElement":
-        gens = tuple(gens)
-        return GrassmannElement._of(gens, {(gens.index(name),): _ONE})
 
     # -- structure ---------------------------------------------------------
 
@@ -379,18 +385,20 @@ class GrassmannElement:
         b = self.body()
         if not b:
             raise ZeroDivisionError("element with zero body is not invertible")
-        binv = b.inverse()
-        n = self.soul()
-        result = GrassmannElement.scalar(self.gens, binv)
+        binv = b.inverse()  # 1/(b + n) = sum_k (-1)^k b^-(k+1) n^k
+        coeffs = accumulate(repeat(-binv), operator.mul, initial=binv)
+        return self.soul()._power_series(coeffs)
+
+    def _power_series(self, coeffs) -> "GrassmannElement":
+        """sum_k c_k * self^k for a nilpotent self, drawing the
+        RationalFunctions c_0, c_1, ... from coeffs while self^k != 0."""
+        result = GrassmannElement._of(self.gens, {})
         power = GrassmannElement.scalar(self.gens, 1)
-        coeff = binv
-        for _ in range(len(self.gens)):
-            power = power * n
+        for c in coeffs:
+            result = result + power * c
+            power = power * self
             if power.is_zero():
-                break
-            coeff = -coeff * binv
-            result = result + power * coeff
-        return result
+                return result
 
     def __truediv__(self, other):
         if isinstance(other, GrassmannElement):
@@ -399,15 +407,14 @@ class GrassmannElement:
 
     # -- calculus ----------------------------------------------------------
 
-    def d_even(self, sym=EVEN) -> "GrassmannElement":
+    def d_even(self) -> "GrassmannElement":
         """Coefficientwise d/dz."""
-        _even_name(sym)
         return GrassmannElement._of(
             self.gens, {k: c.derivative() for k, c in self.terms.items()})
 
     def d_odd(self, name: str) -> "GrassmannElement":
         """Left derivative with respect to an odd generator."""
-        idx = self.gens.index(name)
+        idx = _gen_index(self.gens, name)
         terms: Dict[Subset, RationalFunction] = {}
         for k, c in self.terms.items():
             if idx not in k:
@@ -427,40 +434,21 @@ class GrassmannElement:
         generators."""
         even_subs = {_even_name(k): v for k, v in (even_subs or {}).items()}
         odd_subs = dict(odd_subs or {})
-        for e in even_subs.values():
-            if not e.has_parity(0):
-                raise ValueError("even symbol must receive an even element")
-        for o in odd_subs.values():
-            if not o.has_parity(1):
-                raise ValueError("odd generator must receive an odd element")
+        if not all(e.has_parity(0) for e in even_subs.values()):
+            raise ValueError("even symbol must receive an even element")
+        if not all(o.has_parity(1) for o in odd_subs.values()):
+            raise ValueError("odd generator must receive an odd element")
 
+        z = even_subs.get(EVEN)
+        odd = [odd_subs.get(g, GrassmannElement._of(self.gens, {(i,): _ONE}))
+               for i, g in enumerate(self.gens)]
         result = GrassmannElement._of(self.gens, {})
         for k, c in self.terms.items():
-            piece = self._subst_coeff(c, even_subs.get(EVEN))
+            piece = (GrassmannElement.scalar(self.gens, c) if z is None
+                     else z.soul()._power_series(_taylor(c, z.body())))
             for idx in k:
-                name = self.gens[idx]
-                factor = odd_subs.get(name, GrassmannElement.generator(self.gens, name))
-                piece = piece * factor
+                piece = piece * odd[idx]
             result = result + piece
-        return result
-
-    def _subst_coeff(self, c: RationalFunction,
-                     elem: Optional["GrassmannElement"]) -> "GrassmannElement":
-        if elem is None:
-            return GrassmannElement.scalar(self.gens, c)
-        zb = elem.body()
-        nil = elem.soul()
-        result = GrassmannElement.scalar(self.gens, c.compose(zb))
-        power = GrassmannElement.scalar(self.gens, 1)
-        dc = c
-        fact = 1
-        for k in range(1, len(self.gens) + 1):
-            power = power * nil
-            if power.is_zero():
-                break
-            dc = dc.derivative()
-            fact *= k
-            result = result + power * (dc.compose(zb) * Fraction(1, fact))
         return result
 
     def __repr__(self):
@@ -472,6 +460,13 @@ class GrassmannElement:
             c = self.terms[k]
             bits.append(f"({c})" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _taylor(c: RationalFunction, at: RationalFunction):
+    """c^(k)(at) / k! for k = 0, 1, ...: the Taylor coefficients of c."""
+    for k in count():
+        yield c.compose(at) * Fraction(1, factorial(k))
+        c = c.derivative()
 
 
 class _Reader:
@@ -520,7 +515,8 @@ class GrassmannAlgebra:
         return GrassmannElement.scalar(self.gens, c)
 
     def gen(self, name: str) -> GrassmannElement:
-        return GrassmannElement.generator(self.gens, name)
+        return GrassmannElement._of(self.gens,
+                                    {(_gen_index(self.gens, name),): _ONE})
 
     def element(self, terms: Mapping[Subset, object]) -> GrassmannElement:
         return GrassmannElement(self.gens, terms)
@@ -674,14 +670,11 @@ class VectorFieldSC:
     """Vector field a(z,theta) d/dz + b(z,theta) d/dtheta with graded
     coefficients; supports application to elements and the super bracket."""
 
-    def __init__(self, a: GrassmannElement, b: GrassmannElement,
-                 z=EVEN, theta: str = "theta"):
+    def __init__(self, a: GrassmannElement, b: GrassmannElement):
         if a.gens != b.gens:
             raise ValueError("coefficients from different algebras")
         self.a = a
         self.b = b
-        self.z = _even_name(z)
-        self.theta = theta
 
     def parity(self) -> Optional[int]:
         """Parity of the field: d/dz is even and d/dtheta odd, so an
@@ -692,10 +685,10 @@ class VectorFieldSC:
         return None
 
     def apply(self, e: GrassmannElement) -> GrassmannElement:
-        return self.a * e.d_even(self.z) + self.b * e.d_odd(self.theta)
+        return self.a * e.d_even() + self.b * e.d_odd(ODD)
 
     def scale(self, c) -> "VectorFieldSC":
-        return VectorFieldSC(self.a * c, self.b * c, self.z, self.theta)
+        return VectorFieldSC(self.a * c, self.b * c)
 
     def bracket(self, other: "VectorFieldSC") -> "VectorFieldSC":
         """Super Lie bracket [X, Y] = X Y - (-1)^{|X||Y|} Y X, computed by
@@ -706,44 +699,25 @@ class VectorFieldSC:
         sign = -1 if (px * py) % 2 else 1
         new_a = self.apply(other.a) - sign * other.apply(self.a)
         new_b = self.apply(other.b) - sign * other.apply(self.b)
-        return VectorFieldSC(new_a, new_b, self.z, self.theta)
+        return VectorFieldSC(new_a, new_b)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VectorFieldSC)
-            and self.z == other.z
-            and self.theta == other.theta
-            and self.a == other.a
-            and self.b == other.b
-        )
+        return (isinstance(other, VectorFieldSC)
+                and self.a == other.a and self.b == other.b)
 
     def __repr__(self):
-        return f"({self.a!r}) d/d{self.z} + ({self.b!r}) d/d{self.theta}"
+        return f"({self.a!r}) d/d{EVEN} + ({self.b!r}) d/d{ODD}"
 
 
-def superconformal_derivation(algebra: GrassmannAlgebra, z=EVEN,
-                              theta: str = "theta") -> VectorFieldSC:
+def superconformal_derivation(algebra: GrassmannAlgebra) -> VectorFieldSC:
     """D = d/dtheta + theta d/dz, the odd derivation whose square generates
     d/dz."""
-    return VectorFieldSC(algebra.gen(theta), algebra.one(), z, theta)
+    return VectorFieldSC(algebra.gen(ODD), algebra.one())
 
 
 def susy_generator_square(X: VectorFieldSC) -> VectorFieldSC:
     """(1/2)[X, X]; for X = D this is exactly d/dz."""
     return X.bracket(X).scale(Fraction(1, 2))
-
-
-def grassmann_mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """Product in the Grassmann algebra (Koszul sign rule)."""
-    return a * b
-
-
-def berezinian(M: SuperMatrix) -> GrassmannElement:
-    return M.berezinian()
-
-
-def bracket(X: VectorFieldSC, Y: VectorFieldSC) -> VectorFieldSC:
-    return X.bracket(Y)
 
 
 # Each term of the residual D z' - theta' D theta' holds z' once and
@@ -754,14 +728,9 @@ def bracket(X: VectorFieldSC, Y: VectorFieldSC) -> VectorFieldSC:
 MAX_CHECK_DEGREE = 150
 
 
-class SuperconformalReport(Record):
-    __slots__ = ("ok", "residual", "jacobian_body_invertible")
-
-    def __init__(self, ok: bool, residual: GrassmannElement,
-                 jacobian_body_invertible: bool):
-        self.ok = ok
-        self.residual = residual
-        self.jacobian_body_invertible = jacobian_body_invertible
+class SuperconformalReport(frozen("SuperconformalReport",
+                                  "ok residual jacobian_body_invertible")):
+    __slots__ = ()
 
     def __str__(self):
         if self.ok:
@@ -776,8 +745,8 @@ class SuperconformalReport(Record):
         }
 
 
-def check_superconformal(zp: GrassmannElement, tp: GrassmannElement,
-                         z=EVEN, theta: str = "theta") -> SuperconformalReport:
+def check_superconformal(zp: GrassmannElement,
+                         tp: GrassmannElement) -> SuperconformalReport:
     """Decide whether (z', theta') = (zp, tp) satisfies D z' = theta' D theta'.
 
     zp must be even and tp odd, and deg zp + 2 deg tp at most
@@ -793,9 +762,8 @@ def check_superconformal(zp: GrassmannElement, tp: GrassmannElement,
     if size > MAX_CHECK_DEGREE:
         raise ValueError(f"check-superconformal stops at deg z' + "
                          f"2 deg theta' = {MAX_CHECK_DEGREE} (degrees in "
-                         f"{z}, numerator plus denominator); got {size}")
-    alg = GrassmannAlgebra(zp.gens)
-    D = superconformal_derivation(alg, z, theta)
+                         f"{EVEN}, numerator plus denominator); got {size}")
+    D = superconformal_derivation(GrassmannAlgebra(zp.gens))
     residual = D.apply(zp) - tp * D.apply(tp)
-    jac_ok = bool(zp.d_even(z).body())
+    jac_ok = bool(zp.d_even().body())
     return SuperconformalReport(residual.is_zero(), residual, jac_ok)

@@ -18,7 +18,7 @@ from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve, standard_curve)
 from .fieldext import row_key
 from .linalg import ColumnSpace
-from .records import Record, frozen
+from .records import frozen
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, _reduce,
                            canonical_divisor, class_eq, h0,
                            parity_representatives, rr_space, semi_reduce)
@@ -165,9 +165,6 @@ class VeryAmpleReport(frozen("VeryAmpleReport", "nu passed condition1_ok "
                              "condition2_ok witness note", defaults=("",))):
     __slots__ = ()
 
-    def witness_str(self) -> str:
-        return witness_str(self.witness)
-
 
 def witness_str(witness: Optional[Tuple[CurvePoint, CurvePoint]]) -> str:
     """Witness pair as "x=P, y=Q", or "x=y=P" for a tangent witness."""
@@ -278,14 +275,15 @@ def minimal_nu(g: int, quantifier: str = "all-thetas",
         even, odd = parity_representatives(curve)
         pairs = [(curve, even), (curve, odd)]
     elif quantifier == "this-theta":
-        if theta is None:
-            raise ValueError("this-theta quantification needs a theta")
-        if isinstance(theta, str):
-            curve = standard_curve(g)
-            even, odd = parity_representatives(curve)
-            pairs = [(curve, {"even": even, "odd": odd}[theta])]
-        else:
+        if isinstance(theta, ThetaCharacteristic):
             pairs = [(theta.curve, theta)]
+        elif theta in ("even", "odd"):
+            curve = standard_curve(g)
+            reps = dict(zip(("even", "odd"), parity_representatives(curve)))
+            pairs = [(curve, reps[theta])]
+        else:
+            raise ValueError(f"this-theta quantification needs theta 'even', "
+                             f"'odd' or a ThetaCharacteristic, got {theta!r}")
     else:
         raise ValueError(f"unknown quantifier {quantifier!r}")
     models = [make_split_supercurve(c, th) for c, th in pairs]
@@ -405,7 +403,7 @@ def build_model(X: SplitSupercurve, nu: int,
     if not report.passed and not force:
         detail = report.note
         if report.witness is not None:
-            detail += f"; witness {report.witness_str()}"
+            detail += f"; witness {witness_str(report.witness)}"
         raise NotVeryAmpleError(f"power {nu} is not very ample ({detail})")
     curve = X.curve
     k_even, k_odd = summand_powers(nu)
@@ -418,25 +416,14 @@ def build_model(X: SplitSupercurve, nu: int,
                                odd_sections, {"even": D_even, "odd": D_odd})
 
 
-class EmbeddingReport(Record):
+class EmbeddingReport(frozen("EmbeddingReport", "model pairs_checked "
+                             "points_checked pair_failures tangent_failures "
+                             "odd_failures")):
     """What verify_embedding checked and where it failed.  Two reports
     are equal only when they are the same object."""
 
-    __slots__ = ("model", "pairs_checked", "points_checked", "pair_failures",
-                 "tangent_failures", "odd_failures")
+    __slots__ = ()
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, model: PluriCanonicalModel, pairs_checked: int,
-                 points_checked: int,
-                 pair_failures: List[Tuple[CurvePoint, CurvePoint]],
-                 tangent_failures: List[CurvePoint],
-                 odd_failures: List[CurvePoint]):
-        self.model = model
-        self.pairs_checked = pairs_checked
-        self.points_checked = points_checked
-        self.pair_failures = pair_failures
-        self.tangent_failures = tangent_failures
-        self.odd_failures = odd_failures
 
     @property
     def all_pass(self) -> bool:

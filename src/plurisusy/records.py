@@ -2,10 +2,11 @@
 
 No class of the package is a `dataclass`: importing the decorator's
 module takes about 4 ms and each decorated class about 0.3 ms more, paid
-again by every CLI process.  An immutable record subclasses a `frozen`
-base; a mutable one subclasses `Record` and names its fields in
-`__slots__`.  Both print as ClassName(field=value, ...), as a dataclass
-does, and `to_json()` is their serialisation where they have one."""
+again by every CLI process.  Every record subclasses a `frozen` base
+with `__slots__ = ()`: its fields cannot be reassigned, it prints as
+ClassName(field=value, ...), as a dataclass does, and `to_json()` is its
+serialisation where it has one.  A record that must equal only itself
+sets `__eq__, __hash__ = object.__eq__, object.__hash__`."""
 
 from collections import namedtuple
 
@@ -28,23 +29,3 @@ def frozen(name: str, fields: str, defaults=None) -> type:
     base.__lt__ = base.__le__ = base.__gt__ = base.__ge__ = _unordered
     return base
 
-
-class Record:
-    """Base of the mutable records: the fields are the subclass's
-    `__slots__`, equality is field by field with a record of the same
-    class, and a record does not hash."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"

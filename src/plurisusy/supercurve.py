@@ -10,15 +10,10 @@ ones), and the super moduli dimensions are (3g-3 | 2g-2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .curve import Divisor, HyperellipticCurve, standard_curve
-from .records import Record, frozen
+from .records import frozen
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, canonical_class,
                            class_eq, h0, parity_representatives)
-
-if TYPE_CHECKING:  # imported where used, as the package's __init__ explains
-    from .graded_algebra import GrassmannElement
 
 
 class RankPair(frozen("RankPair", "even odd")):
@@ -90,27 +85,21 @@ def is_autodual(X: SplitSupercurve) -> bool:
     return X.susy
 
 
-class TransitionReport(Record):
+class TransitionReport(frozen("TransitionReport", "superconformal "
+                              "d_factor_ok berezinian_ok residual")):
     """Outcome of the two-chart transition verification: the change
     (z, theta) -> (phi(z), psi(z) theta) is superconformal iff phi' = psi^2,
     and then D picks up the factor psi^(-1) while the Berezinian of the
     super-Jacobian is psi."""
 
-    __slots__ = ("superconformal", "d_factor_ok", "berezinian_ok", "residual")
-
-    def __init__(self, superconformal: bool, d_factor_ok: bool,
-                 berezinian_ok: bool, residual: GrassmannElement):
-        self.superconformal = superconformal
-        self.d_factor_ok = d_factor_ok
-        self.berezinian_ok = berezinian_ok
-        self.residual = residual
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return self.superconformal and self.d_factor_ok and self.berezinian_ok
 
 
-def verify_berezinian_transition(phi, psi, z="z") -> TransitionReport:
+def verify_berezinian_transition(phi, psi) -> TransitionReport:
     """Check the split transition z' = phi(z), theta' = psi(z) theta.
 
     Verifies (a) superconformality D z' = theta' D theta'; (b) the cocycle
@@ -120,27 +109,27 @@ def verify_berezinian_transition(phi, psi, z="z") -> TransitionReport:
     elements of Q(z), given as the `graded_algebra` coefficients are (a
     string is read by `GrassmannAlgebra.parse`).
     """
-    from .graded_algebra import (GrassmannAlgebra, SuperMatrix,
+    from .graded_algebra import (ODD, GrassmannAlgebra, SuperMatrix,
                                  check_superconformal,
                                  superconformal_derivation)
 
-    alg = GrassmannAlgebra(("theta",))
-    theta = alg.gen("theta")
+    alg = GrassmannAlgebra((ODD,))
+    theta = alg.gen(ODD)
     zp, psi = alg.scalar(phi), alg.scalar(psi)
     tp = theta * psi
 
-    sc = check_superconformal(zp, tp, z, "theta")
+    sc = check_superconformal(zp, tp)
 
-    D = superconformal_derivation(alg, z, "theta")
+    D = superconformal_derivation(alg)
     d_tp = D.apply(tp)
     d_zp = D.apply(zp)
     d_factor_ok = (d_tp == psi) and (d_zp == tp * psi)
 
     # super-Jacobian in block form [[dz'/dz, dtheta'/dz], [dz'/dtheta, dtheta'/dtheta]]
-    A = [[zp.d_even(z)]]
-    B = [[tp.d_even(z)]]
-    C = [[zp.d_odd("theta")]]
-    Dblk = [[tp.d_odd("theta")]]
+    A = [[zp.d_even()]]
+    B = [[tp.d_even()]]
+    C = [[zp.d_odd(ODD)]]
+    Dblk = [[tp.d_odd(ODD)]]
     ber = SuperMatrix.from_blocks(A, B, C, Dblk).berezinian()
     ber_ok = ber == psi
 
@@ -162,18 +151,13 @@ def moduli_dimension(g: int) -> RankPair:
     return RankPair(even, odd)
 
 
-class DeformationReport(Record):
+class DeformationReport(frozen("DeformationReport", "h1_superconformal "
+                               "h1_tangent injection_possible")):
     """Graded H^1 dimensions of the superconformal deformation sheaf against
     the full tangent sheaf of the split 1|1 manifold, and whether the
     componentwise inequality required for an injection holds."""
 
-    __slots__ = ("h1_superconformal", "h1_tangent", "injection_possible")
-
-    def __init__(self, h1_superconformal: RankPair, h1_tangent: RankPair,
-                 injection_possible: bool):
-        self.h1_superconformal = h1_superconformal
-        self.h1_tangent = h1_tangent
-        self.injection_possible = injection_possible
+    __slots__ = ()
 
 
 def deformation_injectivity_dims(g: int) -> DeformationReport:

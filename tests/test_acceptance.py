@@ -215,9 +215,9 @@ def test_criterion_6_berezinian_suite(capsys):
         b = sp.Rational(a * d - e * e, c)
         phi = (a * z + b) / (c * z + d)
         psi = e / (c * z + d)
-        ok = ok and verify_berezinian_transition(phi, psi, z).ok
+        ok = ok and verify_berezinian_transition(phi, psi).ok
     alg1 = GrassmannAlgebra(("theta",))
-    sq = susy_generator_square(superconformal_derivation(alg1, z))
+    sq = susy_generator_square(superconformal_derivation(alg1))
     ok = ok and sq.a == alg1.one() and sq.b.is_zero()
     dt = time.monotonic() - t0
     _report(capsys, 6, ok, dt,

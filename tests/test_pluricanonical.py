@@ -18,7 +18,7 @@ from plurisusy.pluricanonical import (SuperPointFamily, ThresholdCell,
                                       pushforward_over_superpoint,
                                       random_deformation, summand_powers,
                                       threshold_table, verify_embedding,
-                                      very_ample_check)
+                                      very_ample_check, witness_str)
 from plurisusy.riemann_roch import (DivisorClass, canonical_class,
                                     canonical_divisor, class_eq, h0, h1,
                                     parity_representatives, rr_space,
@@ -243,7 +243,7 @@ def test_very_ample_g2_boundary():
     assert not r4.passed
     P, Q = r4.witness
     assert P.at_infinity and Q.at_infinity
-    assert r4.witness_str() == "x=y=Inf"
+    assert witness_str(r4.witness) == "x=y=Inf"
     r5 = very_ample_check(XW0, 5)
     assert r5.passed and r5.witness is None
 
@@ -537,6 +537,13 @@ def test_minimal_nu_validation():
         minimal_nu(3, quantifier="this-theta")
     with pytest.raises(ValueError):
         minimal_nu(3, quantifier="some-thetas")
+
+
+@pytest.mark.parametrize("theta", ["EVEN", "", 0, 1.5, (0,)])
+def test_minimal_nu_names_the_thetas_it_accepts(theta):
+    with pytest.raises(ValueError, match="'even', 'odd' or a "
+                                         "ThetaCharacteristic, got "):
+        minimal_nu(2, "this-theta", theta)
 
 
 def test_threshold_table_grid():

@@ -221,4 +221,4 @@ def test_element_repr_matches_the_sympy_engine(n):
         assert repr(a) == reference_repr(gens, ra)
         assert repr(a * b) == reference_repr(gens, _mul(ra, rb))
         assert repr(a + b) == reference_repr(gens, _add(ra, rb))
-        assert repr(a.d_even(Z)) == reference_repr(gens, _dz(ra))
+        assert repr(a.d_even()) == reference_repr(gens, _dz(ra))

@@ -143,19 +143,19 @@ def test_dual_swaps_summands():
 
 
 def test_affine_transition():
-    r = verify_berezinian_transition(4 * z + 1, 2, z)
+    r = verify_berezinian_transition(4 * z + 1, 2)
     assert r.ok
     assert r.superconformal and r.d_factor_ok and r.berezinian_ok
 
 
 def test_identity_transition():
-    r = verify_berezinian_transition(z, 1, z)
+    r = verify_berezinian_transition(z, 1)
     assert r.ok
 
 
 def test_transition_wrong_psi_fails():
     # phi' = 2z but psi^2 = 1
-    r = verify_berezinian_transition(z ** 2, 1, z)
+    r = verify_berezinian_transition(z ** 2, 1)
     assert not r.superconformal
     assert not r.ok
     assert not r.residual.is_zero()
@@ -172,14 +172,14 @@ def test_mobius_transitions_random():
         b = sp.Rational(a * d - e * e, c)
         phi = (a * z + b) / (c * z + d)
         psi = e / (c * z + d)
-        r = verify_berezinian_transition(phi, psi, z)
+        r = verify_berezinian_transition(phi, psi)
         assert r.ok, (a, b, c, d, e)
 
 
 def test_transition_berezinian_equals_psi_factor():
     # the report separates the cocycle checks; a sign flip on psi breaks
     # superconformality only through D theta' = psi
-    r = verify_berezinian_transition(z, -1, z)
+    r = verify_berezinian_transition(z, -1)
     assert r.superconformal  # (-1)^2 = 1
     assert r.berezinian_ok is (sp.Integer(-1) == -1)
 
