@@ -8,8 +8,8 @@ base element, so a QuadExt instance always has a genuinely irrational
 part.
 
 Rows over one such field are compared for linear dependence exactly,
-by `rows_independent` on field elements or by `row_key` on their
-integer form (`int_row`).
+by `rows_independent` on field elements, or on their integer form
+(`int_row`) by `row_key` or by 2x2 minors (`int_rows_dependent`).
 
 The squarefree part is found by trial division up to 1000, then Pollard's
 rho on what is left, each prime factor certified by the Miller-Rabin test
@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .polyq import clear_denominators
 
@@ -315,3 +315,26 @@ def row_key(row: IntRow):
         return None
     g = gcd(*us) if lead > 0 else -gcd(*us)
     return tuple(u // g for u in us)
+
+
+def int_rows_dependent(r0: IntRow,
+                       r1: Callable[[int], Tuple[int, int]]) -> bool:
+    """Whether r0 and the row of entries r1(j) = (p, q), meaning
+    p + q sqrt d with r0's d, are dependent; r1 lies in r0's field, or r0
+    is rational.  With i r0's first nonzero entry, they are exactly when
+    r0 is zero or every minor r0[i] r1[j] - r0[j] r1[i] vanishes: the rule
+    of rows_independent in integers.  r1 is read at i, then at j = 0, 1,
+    ... up to the first nonzero minor."""
+    us, vs, d = r0
+    vs = vs or [0] * len(us)
+    i = next((j for j, u in enumerate(us) if u or vs[j]), None)
+    if i is None:
+        return True
+    (a, b), (c, e) = (us[i], vs[i]), r1(i)
+    for j, (u, v) in enumerate(zip(us, vs)):
+        if j != i:
+            p, q = r1(j)
+            if (a * p + b * q * d != u * c + v * e * d
+                    or a * q + b * p != u * e + v * c):
+                return False
+    return True

@@ -100,7 +100,8 @@ class RationalFunction:
         other = _coeff(other)
         if self.den == other.den == polyq.ONE:
             if len(self.num) == len(other.num) == 1:  # constants
-                return RationalFunction._reduced((self.num[0] * other.num[0],))
+                return RationalFunction._reduced(
+                    (polyq.rational(self.num[0] * other.num[0]),))
             return RationalFunction._reduced(polyq.mul(self.num, other.num))
         return RationalFunction(polyq.mul(self.num, other.num),
                                 polyq.mul(self.den, other.den))
@@ -429,19 +430,24 @@ class GrassmannElement:
         even_subs: Optional[Mapping[object, "GrassmannElement"]] = None,
         odd_subs: Optional[Mapping[str, "GrassmannElement"]] = None,
     ) -> "GrassmannElement":
-        """Substitute elements for coordinates: an even element for z
-        (Taylor expansion in its nilpotent part) and odd elements for odd
-        generators."""
-        even_subs = {_even_name(k): v for k, v in (even_subs or {}).items()}
-        odd_subs = dict(odd_subs or {})
-        if not all(e.has_parity(0) for e in even_subs.values()):
-            raise ValueError("even symbol must receive an even element")
-        if not all(o.has_parity(1) for o in odd_subs.values()):
-            raise ValueError("odd generator must receive an odd element")
-
-        z = even_subs.get(EVEN)
-        odd = [odd_subs.get(g, GrassmannElement._of(self.gens, {(i,): _ONE}))
-               for i, g in enumerate(self.gens)]
+        """Substitute elements for coordinates: an even element or a
+        rational scalar for z (Taylor expansion in its nilpotent part) and
+        odd elements for odd generators; anything else is a ValueError."""
+        z = {_even_name(k): v for k, v in (even_subs or {}).items()}.get(EVEN)
+        if isinstance(z, (int, Fraction)):
+            z = self.scalar(self.gens, z)
+        if z is not None and not (isinstance(z, GrassmannElement)
+                                  and z.has_parity(0)):
+            raise ValueError(f"{EVEN} must receive an even element or a "
+                             f"rational scalar, got {z!r}")
+        odd = [GrassmannElement._of(self.gens, {(i,): _ONE})
+               for i in range(len(self.gens))]
+        for name, o in (odd_subs or {}).items():
+            i = _gen_index(self.gens, name)
+            if not (isinstance(o, GrassmannElement) and o.has_parity(1)):
+                raise ValueError(f"odd generator {name!r} must receive an "
+                                 f"odd element, got {o!r}")
+            odd[i] = o
         result = GrassmannElement._of(self.gens, {})
         for k, c in self.terms.items():
             piece = (GrassmannElement.scalar(self.gens, c) if z is None

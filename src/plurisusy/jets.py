@@ -11,19 +11,20 @@ coefficients against the Taylor window of y at the other finite points.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
-from typing import List, Optional, Sequence
+from operator import add, mul
+from typing import List, Optional, Sequence, Tuple
 
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
-from .fieldext import IntRow, QuadExt, int_row
+from .fieldext import IntRow, QuadExt, int_row, int_rows_dependent
 
 
 class SectionJets:
-    """The value row, and with nterms = 2 the derivative row, of one section
-    list at sample points, as IntRows.  A row matters only up to what
-    keeps every check of verify_embedding: a nonzero factor per row, a
+    """The value row and the derivative row of one section list at
+    sample points, as IntRows, or as much of them as a check of
+    verify_embedding needs (value_and_tangent, vanishes).  A row matters
+    only up to what keeps every check: a nonzero factor per row, a
     nonzero constant lam_j per column, and multiplying all sections by one
     function phi with phi(P) != 0, which sends the rows (r0, r1) to
     (phi(P) r0, phi(P) r1 + phi'(P) r0).
@@ -33,9 +34,11 @@ class SectionJets:
     At_j, Bt_j.  At a finite non-branch point P = (x0, y0) off D where no
     denominator vanishes, row 0 is At(x0) + Bt(x0) y0, and row 1 times
     2 f(x0) is 2 f At'(x0) + (2 f Bt'(x0) + f'(x0) Bt(x0)) y0, as
-    y' = f'/(2y): integer pairs once scaled as PointFrame says.  At
-    infinity, where At and Bt y never cancel, each row is one coefficient
-    of At or of Bt (_infinity_rows).  At the other finite points, branch
+    y' = f'/(2y): integer pairs once scaled as PointFrame says.  Nothing
+    can raise there, so entries are computed only until a check's verdict
+    is settled; elsewhere the rows are computed in full.  At infinity,
+    where At and Bt y never cancel, each row is one coefficient of At or
+    of Bt (_infinity_rows).  At the other finite points, branch
     points, D's support and the zeros of a denominator, the rows are
     Taylor coefficients at x0 (_taylor_rows): of At and Bt interleaved by
     parity at a branch point, and of At + Bt v, with v the Taylor window
@@ -44,12 +47,12 @@ class SectionJets:
 
     def __init__(self, curve: HyperellipticCurve,
                  sections: Sequence[FunctionFieldElement], D: Divisor,
-                 nterms: int, summand: str):
+                 summand: str):
         for j, s in enumerate(sections):
             if s.is_zero():
                 raise ValueError(f"model section {j} is zero")
         self.curve, self.D = curve, D
-        self.nterms, self.summand = nterms, summand
+        self.summand = summand
         dens = list(dict.fromkeys(s.den for s in sections))
         cofactors = {}  # phi / den for phi the product of the distinct dens
         for d in dens:
@@ -77,37 +80,55 @@ class SectionJets:
         self.degree = max(len(p) - 1 for p in self.A + self.B + self.dens
                           + [self.F])
 
-    def rows(self, P: CurvePoint,
-             frame: Optional["PointFrame"]) -> List[IntRow]:
-        """Rows 0 .. nterms - 1 at P; frame is P's, None at infinity."""
+    def _full_rows(self, P: CurvePoint, frame: Optional["PointFrame"],
+                   nterms: int) -> Optional[List[IntRow]]:
+        """Rows 0 .. nterms - 1 at P, or None on the integer path; frame
+        is P's, None at infinity."""
         if P.at_infinity:
-            return self._infinity_rows()
+            return self._infinity_rows(nterms)
         if P.y == 0 or self.D[P] or not all(map(frame.ev, self.dens)):
-            return self._taylor_rows(P)
-        return self._integer_jets(frame)
+            return self._taylor_rows(P, nterms)
+        return None
+
+    def value_and_tangent(self, P: CurvePoint,
+                          frame: Optional["PointFrame"]
+                          ) -> Tuple[IntRow, bool]:
+        """Row 0 at P, and whether rows 0 and 1 are independent."""
+        rows = self._full_rows(P, frame, 2)
+        if rows is not None:
+            r0, (us1, vs1, _) = rows
+            return r0, not int_rows_dependent(
+                r0, lambda j: (us1[j], vs1[j] if vs1 else 0))
+        ev, cn, cd, d = frame.ev, frame.cn, frame.cd, frame.d
+        us = [ev(p) * cd for p in self.A]
+        vB = list(map(ev, self.B))
+        vs = [v * cn for v in vB]
+        r0 = (us, vs, d) if d != 1 else (list(map(add, us, vs)), None, 1)
+        F2, dF = 2 * frame.fx, ev(self.dF)
+
+        def r1(j: int) -> Tuple[int, int]:
+            p = F2 * ev(self.dA[j]) * cd
+            q = (F2 * ev(self.dB[j]) + dF * vB[j]) * cn
+            return (p, q) if d != 1 else (p + q, 0)
+
+        return r0, not int_rows_dependent(r0, r1)
+
+    def vanishes(self, P: CurvePoint, frame: Optional["PointFrame"]) -> bool:
+        """Whether row 0 at P is zero; in integers with d != 1 its entry
+        u cd + v cn sqrt d is zero exactly when u = v = 0."""
+        rows = self._full_rows(P, frame, 1)
+        if rows is not None:
+            (us, vs, _), = rows
+            return not (any(us) or vs and any(vs))
+        ev, cn, cd = frame.ev, frame.cn, frame.cd
+        return not any(ev(a) * cd + ev(b) * cn if frame.d == 1
+                       else ev(a) or ev(b) for a, b in zip(self.A, self.B))
 
     def _pole_past_D(self, j: int, P: CurvePoint) -> ValueError:
         return ValueError(f"{self.summand} section {j} has a pole past its "
                           f"cleared divisor at {P!r}")
 
-    def _integer_jets(self, frame: "PointFrame") -> List[IntRow]:
-        """The integer rows at a finite non-branch point off D where no
-        denominator vanishes (see the class docstring)."""
-        ev = frame.ev
-        cn, cd, d = frame.cn, frame.cd, frame.d
-        vA, vB = list(map(ev, self.A)), list(map(ev, self.B))
-        rows = [([u * cd for u in vA], [v * cn for v in vB])]
-        if self.nterms > 1:
-            F2, dF = 2 * ev(self.F), ev(self.dF)
-            rows.append(([F2 * ev(p) * cd for p in self.dA],
-                         [(F2 * ev(p) + dF * v) * cn
-                          for p, v in zip(self.dB, vB)]))
-        if d == 1:
-            return [([u + v for u, v in zip(us, vs)], None, 1)
-                    for us, vs in rows]
-        return [(us, vs, d) for us, vs in rows]
-
-    def _infinity_rows(self) -> List[IntRow]:
+    def _infinity_rows(self, nterms: int) -> List[IntRow]:
         """The rows at infinity, where no section may have a pole past D.
         Times phi, whose expansion in t has even orders only,
         the rows sit at orders -m, -m + 1 of At + Bt y, with
@@ -122,14 +143,14 @@ class SectionJets:
             if a and 2 * len(a) - 2 > m or b and 2 * len(b) - 2 + g1 > m:
                 raise self._pole_past_D(j, self.curve.infinity())
         rows = []
-        for pole in range(m, m - self.nterms, -1):
+        for pole in range(m, m - nterms, -1):
             i, polys = ((pole - g1) // 2, self.B) if pole % 2 else (
                 pole // 2, self.A)
             rows.append(([p[i] if 0 <= i < len(p) else 0 for p in polys],
                          None, 1))
         return rows
 
-    def _taylor_rows(self, P: CurvePoint) -> List[IntRow]:
+    def _taylor_rows(self, P: CurvePoint, nterms: int) -> List[IntRow]:
         """The rows at a finite point P = (x0, y0) that is a branch point,
         in D's support or a zero of a denominator, where no section may
         have a pole past D.  Times phi, of order e delta with
@@ -147,7 +168,7 @@ class SectionJets:
         x0, branch = P.x, P.y == 0
         e = 2 if branch else 1
         o = e * sum(polyq.mult_at(d, x0) for d in self.dens) - self.D[P]
-        top = max(0, o + self.nterms)
+        top = max(0, o + nterms)
         n = (top + 1) // 2 if branch else top
         if not branch:
             v = self.curve._y_window(P, top)
@@ -164,18 +185,19 @@ class SectionJets:
                 raise self._pole_past_D(j, P)
             cols.append(col)
         return [int_row([c[k] if k >= 0 else 0 for c in cols])
-                for k in range(o, o + self.nterms)]
+                for k in range(o, o + nterms)]
 
 
 class PointFrame:
     """A finite point P = (a/b, u + (cn/cd) sqrt d) as integers, with
-    ev(p) = b^N p(a/b) for integer polynomials p of degree at most N.  On
-    the curve u = 0, and each row of SectionJets.rows is homogenised by
-    b^N or b^(2N) and times cd, so its entries are integer pairs."""
+    ev(p) = b^N p(a/b) for integer polynomials p of degree at most N, and
+    fx = ev(F) for the curve's F.  On the curve u = 0, and each row of
+    SectionJets is homogenised by b^N or b^(2N) and times cd, so its
+    entries are integer pairs."""
 
-    __slots__ = ("pw", "u", "cn", "cd", "d")
+    __slots__ = ("pw", "u", "cn", "cd", "d", "fx")
 
-    def __init__(self, P: CurvePoint, N: int):
+    def __init__(self, P: CurvePoint, N: int, F: List[int]):
         a, b = P.x.numerator, P.x.denominator
         apow, bpow = [1], [1]
         for _ in range(N):
@@ -186,13 +208,14 @@ class PointFrame:
         self.u, c, self.d = ((y.u, y.v, y.d) if isinstance(y, QuadExt)
                              else (0, y, 1))
         self.cn, self.cd = c.numerator, c.denominator
+        self.fx = self.ev(F)
 
     def ev(self, p: List[int]) -> int:
         return sum(map(mul, p, self.pw))
 
-    def on_curve(self, lam_f: Fraction, F: List[int]) -> bool:
+    def on_curve(self, lam_f: Fraction) -> bool:
         """Whether y^2 = f(x) at P, for f = F / lam_f of degree at most N."""
         return not self.u and (self.cn ** 2 * self.d * self.pw[0]
                                * lam_f.numerator
-                               == self.ev(F) * self.cd ** 2
+                               == self.fx * self.cd ** 2
                                * lam_f.denominator)

@@ -488,8 +488,10 @@ def verify_embedding(M: PluriCanonicalModel,
     members runs check (b) in place of (a).  Rows are scaled Laurent
     coefficients, so points on the cleared divisors are fine; they are
     built by polynomial arithmetic (jets.SectionJets), in integers at
-    almost every finite point, and compared by their integer keys
-    (fieldext.row_key).
+    almost every finite point, where each check stops at its first
+    witness: (b) at the first nonzero minor (fieldext.int_rows_dependent)
+    and (c) at the first odd section not zero at the point.  Value rows
+    are compared by their integer keys (fieldext.row_key).
     A sample point off M.curve is a ValueError.  An integer
     `samples` draws that many point pairs deterministically from `seed`;
     a point list checks all pairs from the list.  Fewer than one sample
@@ -498,47 +500,43 @@ def verify_embedding(M: PluriCanonicalModel,
     curve = M.curve
     if isinstance(samples, int):
         rng = random.Random(seed)
-        pool = _sample_pool(curve, rng, 2 * samples)
-        pairs = [(pool[2 * i], pool[2 * i + 1]) for i in range(samples)]
-        pts = pool
+        pts = _sample_pool(curve, rng, 2 * samples)
+        pairs = [(2 * i, 2 * i + 1) for i in range(samples)]
     else:
         pts = list(samples)
-        pairs = [(pts[i], pts[j])
+        pairs = [(i, j)
                  for i in range(len(pts)) for j in range(i + 1, len(pts))]
     if not pts:
         raise ValueError("samples must be at least 1")
 
     index: Dict[CurvePoint, int] = {}  # the distinct points, in order
-    for P in pts:
-        index.setdefault(P, len(index))
+    slot = [index.setdefault(P, len(index)) for P in pts]
 
     D = M.cleared_divisors
-    even = SectionJets(curve, M.even_sections, D["even"], 2, "even")
-    odd = SectionJets(curve, M.odd_sections, D["odd"], 1, "odd")
+    even = SectionJets(curve, M.even_sections, D["even"], "even")
+    odd = SectionJets(curve, M.odd_sections, D["odd"], "odd")
     N = max(even.degree, odd.degree)
-    lam_f, F = even.lam_f, even.F
     value_keys = []
     pair_failures: List[Tuple[CurvePoint, CurvePoint]] = []
     tangent_failures: List[CurvePoint] = []
     odd_failures: List[CurvePoint] = []
     for P in index:
-        frame = None if P.at_infinity else PointFrame(P, N)
-        if P.curve != curve or frame and not frame.on_curve(lam_f, F):
+        frame = None if P.at_infinity else PointFrame(P, N, even.F)
+        if P.curve != curve or frame and not frame.on_curve(even.lam_f):
             raise ValueError(f"sample point {P!r} is not on {curve!r}")
-        k0, k1 = map(row_key, even.rows(P, frame))
-        value_keys.append(k0)
-        if k0 is None or k1 is None or k0 == k1:
+        r0, independent = even.value_and_tangent(P, frame)
+        value_keys.append(row_key(r0))
+        if not independent:
             tangent_failures.append(P)
-        (us, vs, _), = odd.rows(P, frame)
-        if not (any(us) or vs and any(vs)):
+        if odd.vanishes(P, frame):
             odd_failures.append(P)
-    for P, Q in pairs:
-        i, j = index[P], index[Q]
+    for a, b in pairs:
+        i, j = slot[a], slot[b]
         if i == j:
             continue  # covered by the tangent check at P
         kP, kQ = value_keys[i], value_keys[j]
         if kP is None or kQ is None or kP == kQ:
-            pair_failures.append((P, Q))
+            pair_failures.append((pts[a], pts[b]))
 
     return EmbeddingReport(M, len(pairs), len(index), pair_failures,
                            tangent_failures, odd_failures)

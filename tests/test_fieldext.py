@@ -1,7 +1,7 @@
-"""The exact rank-2 row test, the normalised-row rule it rests on and
-verify_embedding's integer row keys, against a sympy oracle on every 2x2
-minor; square roots in squarefree normal form against sympy's
-factorint."""
+"""The exact rank-2 row test, the normalised-row rule it rests on,
+verify_embedding's integer row keys and its integer minor rule, against
+a sympy oracle on every 2x2 minor or against rows_independent; square
+roots in squarefree normal form against sympy's factorint."""
 
 import random
 from fractions import Fraction
@@ -11,8 +11,8 @@ import sympy as sp
 
 from plurisusy import fieldext
 from plurisusy.fieldext import (_MR_BOUND, QuadExt, _square_factors,
-                                int_row, make_sqrt, normalised, qext,
-                                row_key, rows_independent,
+                                int_row, int_rows_dependent, make_sqrt,
+                                normalised, qext, row_key, rows_independent,
                                 sqrt_normal_form)
 
 DS = (1, 2, 3, -1, 6)
@@ -122,6 +122,56 @@ def test_cross_field_dependent_pair():
         r2 = [Fraction(1), make_sqrt(Fraction(d2))]
         assert rows_independent(r1, r2)
         _check(r1, r2)
+
+
+def _entries(row):
+    """A reader of the IntRow's entries as (p, q) pairs, and the list of
+    the indices it has read."""
+    us, vs, _ = row
+    reads = []
+
+    def read(j):
+        reads.append(j)
+        return us[j], vs[j] if vs else 0
+
+    return read, reads
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, -1, -3, -6])
+def test_integer_minor_rule_matches_rows_independent(d):
+    # row 0's first nonzero entry i is past entry 0, and row 1 is often 0
+    # at i; the rule reads row 1 at i, then at j = 0, 1, ... up to the
+    # first nonzero minor row0[i] row1[j] - row0[j] row1[i], and no further
+    rng = random.Random(24 + d)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        row0, row1 = _row(rng, d, n), _row(rng, d, n)
+        i = rng.randrange(n)
+        row0[:i] = [Fraction(0)] * i
+        row0[i] = row0[i] or qext(_rational(rng) or 1, 1 if d != 1 else 0, d)
+        if rng.random() < 0.5:
+            row1[i] = Fraction(0)
+        if rng.random() < 0.2:
+            lam = _element(rng, d)
+            row1 = [lam * x for x in row0]
+        if rng.random() < 0.05:
+            row0 = [Fraction(0)] * n
+        r0 = int_row([x * (j + 1) for j, x in enumerate(row0)])
+        read, reads = _entries(int_row([x * (j + 1)
+                                        for j, x in enumerate(row1)]))
+        dependent = int_rows_dependent(r0, read)
+        assert dependent != rows_independent(row0, row1), (row0, row1)
+        seen[dependent] += 1
+        if not any(row0):
+            assert reads == []
+            continue
+        order = [j for j in range(n) if j != i]
+        first = next((k for k, j in enumerate(order)
+                      if row0[i] * row1[j] - row0[j] * row1[i] != 0),
+                     len(order))
+        assert reads == [i] + order[:first + 1], (row0, row1, reads)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_row_mixing_two_fields_is_rejected():

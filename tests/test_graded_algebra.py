@@ -1,6 +1,7 @@
 """Grassmann algebra, Berezinian, and superconformal calculus."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -386,6 +387,40 @@ def test_a_missing_generator_is_named(call):
         call(alg)
 
 
+def test_substitute_names_a_key_that_is_not_a_generator():
+    f = ALG2.parse("theta*z")
+    with pytest.raises(ValueError, match=r"'psi' is not an odd generator of "
+                                         r"the algebra on \('theta', 'eta'\)"):
+        f.substitute(odd_subs={"psi": ALG2.gen("eta")})
+    with pytest.raises(ValueError, match="the even coordinate is z"):
+        f.substitute(even_subs={"w": ALG2.scalar(2)})
+
+
+def test_substitute_takes_a_rational_scalar_for_z():
+    f = ALG2.parse("theta*z + 1/(z + 1)")
+    for c in (2, Fraction(-1, 3)):
+        assert f.substitute(even_subs={"z": c}) == \
+            f.substitute(even_subs={"z": ALG2.scalar(c)})
+    assert f.substitute(even_subs={z: 2}) == ALG2.parse("2*theta + 1/3")
+
+
+@pytest.mark.parametrize("subs, message", [
+    ({"odd_subs": {"theta": 2}},
+     "odd generator 'theta' must receive an odd element, got 2"),
+    ({"odd_subs": {"theta": ALG2.scalar(z)}},
+     "odd generator 'theta' must receive an odd element, got (z)"),
+    ({"even_subs": {"z": 0.5}},
+     "z must receive an even element or a rational scalar, got 0.5"),
+    ({"even_subs": {"z": "z + 1"}},
+     "z must receive an even element or a rational scalar, got 'z + 1'"),
+    ({"even_subs": {"z": ALG2.gen("eta")}},
+     "z must receive an even element or a rational scalar, got (1)*eta"),
+])
+def test_substitute_rejects_a_value_that_is_not_an_element(subs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ALG2.parse("theta*z").substitute(**subs)
+
+
 # ---------------------------------------------------------------------------
 # coefficients in Q(z) and the expression reader
 # ---------------------------------------------------------------------------
@@ -449,6 +484,15 @@ def test_rational_taylor_substitution():
     assert g == f - th * eta * (1 / (z + 1) ** 2)
     assert f.substitute(even_subs={"z": ALG2.scalar(2)}) == \
         ALG2.scalar(sp.Rational(1, 3))
+
+
+def test_a_product_of_constants_holds_an_int_when_integral():
+    r = (RationalFunction((Fraction(2, 3),))
+         * RationalFunction((Fraction(3, 2),)))
+    assert r == 1
+    assert all(type(c) is int for c in r.num), r.num
+    r = RationalFunction((Fraction(2, 3),)) * Fraction(1, 5)
+    assert r.num == (Fraction(2, 15),)
 
 
 def _random_poly(rng, degree, sparse):

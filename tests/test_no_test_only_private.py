@@ -29,7 +29,8 @@ UNCALLED_PUBLIC = {
     ("curve", "Divisor.support"): "library API: the sorted support",
     ("curve", "Divisor.is_effective"): "library API: D >= 0",
     ("fieldext", "rows_independent"):
-        "the tests' reference for row_key; the benchmark wraps it",
+        "the tests' reference for row_key and int_rows_dependent; the "
+        "benchmark wraps it",
     ("graded_algebra", "GrassmannElement.substitute"):
         "library API: substitution for z and the odd generators",
     ("graded_algebra", "GrassmannAlgebra.element"):

@@ -3,8 +3,10 @@
 The reference is the row test verify_embedding used to run: the Laurent
 rows of `jet_rows` below, read from the public
 `HyperellipticCurve.laurent_at` at every sample point, compared through
-`fieldext.normalised` and `rows_independent`.  The integer rows and keys
-of verify_embedding must give the same report, failures included, on
+`fieldext.normalised` and `rows_independent`.  The integer rows, keys
+and minors of verify_embedding must give the same report, failures
+included, also where its checks stop early at a point off the cleared
+divisors (a minor anchored past entry 0, odd sections zero there), and on
 random models with sections dropped, at points with y in Q and in
 Q(sqrt d) for d > 0 and d < 0, at infinity, at branch points, and at a
 finite non-branch point in the support of a cleared divisor.  At infinity
@@ -249,6 +251,59 @@ def test_pencils_with_shared_fibres_and_scaled_columns():
         assert got.to_json() == reference_report(V, pts).to_json(), even
         failed_pairs |= {(P.y == 0, Q.y == 0) for P, Q in got.pair_failures}
     assert (True, False) in failed_pairs or (False, True) in failed_pairs
+
+
+def _integer_path_models():
+    """On y^2 = x(x - 1)(x - 2)(x - 3)(x + 7) at nu = 5, the point
+    P = (-1, 12), off the cleared divisors and the zeros of every
+    denominator, with: a model whose first even section vanishes to
+    order 2 at P and whose first two odd sections vanish there; and the
+    model with its last even sections dropped until the tangent check
+    fails at P, which takes rows (0, a), (0, b) there."""
+    C = _split((0, 1, 2, 3, -7))
+    M = build_model(make_split_supercurve(C, theta_from_subset(C, [0])), 5)
+    P = C.point(-1)
+    assert P.y == 12 and not M.cleared_divisors["even"][P]
+    assert not M.cleared_divisors["odd"][P]
+    assert all(polyq.eval_at(s.den, P.x) for s in
+               M.even_sections + M.odd_sections)
+    r0, r1 = jet_rows(C, M.even_sections[:3], M.cleared_divisors["even"],
+                      P, 2)
+    c = [r0[1] * r1[2] - r0[2] * r1[1], r0[2] * r1[0] - r0[0] * r1[2],
+         r0[0] * r1[1] - r0[1] * r1[0]]
+    double = sum((s * k for s, k in zip(M.even_sections, c)), C.zero_fn())
+    even = (double,) + M.even_sections[1:]
+    o = M.odd_sections
+    u = [C.evaluate(s, P) for s in o]
+    odd = (o[0] * u[1] - o[1] * u[0], o[0] * u[2] - o[2] * u[0]) + o[1:]
+    assert not double.is_zero() and C.evaluate(double, P) == 0
+    assert all(not s.is_zero() and C.evaluate(s, P) == 0 for s in odd[:2])
+    models = [PluriCanonicalModel(C, M.nu, RankPair(len(even) - 1,
+                                                    len(odd)),
+                                  even, odd, M.cleared_divisors)]
+    while len(even) > 2:
+        even = even[:-1]
+        models.append(PluriCanonicalModel(
+            C, M.nu, RankPair(len(even) - 1, len(odd)), even, odd,
+            M.cleared_divisors))
+    pts = [C.infinity(), P, P.conjugate(), C.branch_point(1), C.point(2),
+           C.point(Fraction(1, 2)), C.point(Fraction(-5, 3), sign=-1)]
+    return P, models, pts
+
+
+def test_lazy_checks_at_integer_points_match_laurent_rows():
+    # at P the even minor anchors past entry 0 and reads past a zero
+    # minor, and the odd scan passes two sections that vanish there
+    P, models, pts = _integer_path_models()
+    reports = [verify_embedding(V, samples=pts) for V in models]
+    for V, got in zip(models, reports):
+        assert got.to_json() == reference_report(V, pts).to_json(), (
+            len(V.even_sections))
+        assert P not in got.odd_failures
+    assert P not in reports[0].tangent_failures
+    tangent_at_P = [P in rep.tangent_failures for rep in reports]
+    assert tangent_at_P.index(True) == len(models) - 1
+    assert len(models[-1].even_sections) == 2
 
 
 def _theta_models(rng):
