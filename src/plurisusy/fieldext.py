@@ -9,7 +9,9 @@ part.
 
 Rows over one such field are compared for linear dependence exactly,
 by `rows_independent` on field elements, or on their integer form
-(`int_row`) by `row_key` or by 2x2 minors (`int_rows_dependent`).
+(`int_row`), read entry by entry and only as far as the verdict needs:
+two rows by 2x2 minors (`int_rows_dependent`), many rows at once by
+partition refinement on their normalised entries (`row_classes`).
 
 The squarefree part is found by trial division up to 1000, then Pollard's
 rho on what is left, each prime factor certified by the Miller-Rabin test
@@ -25,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .polyq import clear_denominators
 
@@ -277,64 +279,82 @@ IntRow = Tuple[List[int], Optional[List[int]], int]
 def int_row(row: Sequence) -> IntRow:
     """The row of rationals and QuadExts of one field Q(sqrt d) as an
     IntRow, up to a positive rational factor."""
-    us: List[Fraction] = []
-    vs: List[Fraction] = []
-    d = 1
-    for x in row:
-        if isinstance(x, QuadExt):
-            us.append(Fraction(x.u))
-            vs.append(Fraction(x.v))
-            d = x.d
-        else:
-            us.append(Fraction(x))
-            vs.append(Fraction(0))
-    _, (ius, ivs) = clear_denominators(us, vs)
-    return (ius, ivs if d != 1 else None, d)
+    quad = [x for x in row if isinstance(x, QuadExt)]
+    d = quad[0].d if quad else 1
+    _, (us, vs) = clear_denominators(
+        [x.u if isinstance(x, QuadExt) else x for x in row],
+        [x.v if isinstance(x, QuadExt) else 0 for x in row])
+    return (us, vs if d != 1 else None, d)
 
 
-def row_key(row: IntRow):
-    """Canonical key of a row up to a nonzero factor in Q(sqrt d), or None
-    for the zero row.  The row is multiplied by the conjugate of its first
-    nonzero entry, which makes that entry rational, then divided by the
-    gcd of its integers, with the sign that makes that entry positive; a
-    row whose sqrt(d) parts are then all 0 is keyed without d.  Two rows
-    are dependent iff either key is None or the keys are equal: the rule
-    of rows_independent, in integers."""
-    us, vs, d = row
-    if vs is not None and any(vs):
-        p, q = next((u, v) for u, v in zip(us, vs) if u or v)
-        us, vs = ([u * p - v * q * d for u, v in zip(us, vs)],
-                  [v * p - u * q for u, v in zip(us, vs)])
-        if any(vs):
-            g = gcd(*us, *vs)
-            if p * p - q * q * d < 0:
-                g = -g
-            return (tuple(u // g for u in us), tuple(v // g for v in vs), d)
-    lead = next((u for u in us if u), 0)
-    if not lead:
-        return None
-    g = gcd(*us) if lead > 0 else -gcd(*us)
-    return tuple(u // g for u in us)
+# A reader of a row's entries j -> (u, v), meaning u + v sqrt d with
+# integers u, v; the rules below read a row only as far as they need.
+Entries = Callable[[int], Tuple[int, int]]
 
 
-def int_rows_dependent(r0: IntRow,
-                       r1: Callable[[int], Tuple[int, int]]) -> bool:
-    """Whether r0 and the row of entries r1(j) = (p, q), meaning
-    p + q sqrt d with r0's d, are dependent; r1 lies in r0's field, or r0
-    is rational.  With i r0's first nonzero entry, they are exactly when
-    r0 is zero or every minor r0[i] r1[j] - r0[j] r1[i] vanishes: the rule
-    of rows_independent in integers.  r1 is read at i, then at j = 0, 1,
-    ... up to the first nonzero minor."""
-    us, vs, d = r0
-    vs = vs or [0] * len(us)
-    i = next((j for j, u in enumerate(us) if u or vs[j]), None)
+def int_entries(row: IntRow) -> Entries:
+    us, vs, _ = row
+    return (lambda j: (us[j], vs[j])) if vs else (lambda j: (us[j], 0))
+
+
+def anchor(r: Entries, n: int) -> Optional[int]:
+    """The index of the first nonzero of the n entries of r, or None."""
+    for j in range(n):
+        if r(j) != (0, 0):
+            return j
+    return None
+
+
+def int_rows_dependent(r0: Entries, r1: Entries, n: int, d: int) -> bool:
+    """Whether rows r0 of Q(sqrt d) and r1 (in r0's field, or r0 is
+    rational) of n entries are dependent: with i r0's anchor, exactly
+    when r0 is zero or every minor r0[i] r1[j] - r0[j] r1[i] vanishes,
+    the rule of rows_independent.  r0 is read up to i, r1 at i, then
+    both at j = 0, 1, ... up to the first nonzero minor."""
+    i = anchor(r0, n)
     if i is None:
         return True
-    (a, b), (c, e) = (us[i], vs[i]), r1(i)
-    for j, (u, v) in enumerate(zip(us, vs)):
+    (a, b), (c, e) = r0(i), r1(i)
+    for j in range(n):
         if j != i:
-            p, q = r1(j)
+            (u, v), (p, q) = r0(j), r1(j)
             if (a * p + b * q * d != u * c + v * e * d
                     or a * q + b * p != u * e + v * c):
                 return False
     return True
+
+
+def quotient_key(e: Tuple[int, int], a: Tuple[int, int], d: int):
+    """A key of e / a in Q(sqrt d), a nonzero: its reduced rational part
+    alone when its sqrt(d) part is 0, else both parts with d.  Keys are
+    equal exactly when the quotients are, as in rows_independent."""
+    (u, v), (p, q) = e, a
+    if v or q:  # times the conjugate of a, over its norm
+        u, v, p = u * p - v * q * d, v * p - u * q, p * p - q * q * d
+    g = gcd(u, v, p) if p > 0 else -gcd(u, v, p)
+    return (u // g, v // g, p // g, d) if v else (u // g, p // g)
+
+
+def row_classes(rows: Sequence[Tuple[Entries, int]],
+                n: int) -> List[Optional[int]]:
+    """Classes of rows (r, d) of n entries in Q(sqrt d): two are dependent
+    exactly when either class is None (a zero row) or they are equal.  By
+    partition refinement: the rows are grouped by anchor i, then each
+    group of two or more is split by r(j) / r(i) (quotient_key) for
+    j = i + 1, ..., until it is a singleton or j reaches n."""
+    classes: Dict[int, int] = {}
+    groups: Dict[Optional[int], List[int]] = {}
+    for k, (r, _) in enumerate(rows):
+        groups.setdefault(anchor(r, n), []).append(k)
+    todo = [(ks, i + 1, i) for i, ks in groups.items() if i is not None]
+    while todo:
+        ks, j, i = todo.pop()
+        if len(ks) == 1 or j == n:
+            classes.update(dict.fromkeys(ks, ks[0]))
+            continue
+        split: Dict[tuple, List[int]] = {}
+        for k in ks:
+            r, d = rows[k]
+            split.setdefault(quotient_key(r(j), r(i), d), []).append(k)
+        todo += [(part, j + 1, i) for part in split.values()]
+    return [classes.get(k) for k in range(len(rows))]

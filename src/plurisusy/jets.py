@@ -11,39 +11,35 @@ coefficients against the Taylor window of y at the other finite points.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve)
-from .fieldext import IntRow, QuadExt, int_row, int_rows_dependent
+from .fieldext import Entries, IntRow, QuadExt, int_entries, int_row
 
 
 class SectionJets:
-    """The value row and the derivative row of one section list at
-    sample points, as IntRows, or as much of them as a check of
-    verify_embedding needs (value_and_tangent, vanishes).  A row matters
-    only up to what keeps every check: a nonzero factor per row, a
-    nonzero constant lam_j per column, and multiplying all sections by one
+    """Readers of the value row and the derivative row of one section
+    list at sample points (rows).  A row matters only up to what keeps
+    every check of verify_embedding: a nonzero factor per row, a nonzero
+    constant lam_j per column, and multiplying all sections by one
     function phi with phi(P) != 0, which sends the rows (r0, r1) to
     (phi(P) r0, phi(P) r1 + phi'(P) r0).
 
-    With phi the product of the distinct denominators and lam_j clearing
-    denominators, section j becomes At_j + Bt_j y for integer polynomials
-    At_j, Bt_j.  At a finite non-branch point P = (x0, y0) off D where no
-    denominator vanishes, row 0 is At(x0) + Bt(x0) y0, and row 1 times
-    2 f(x0) is 2 f At'(x0) + (2 f Bt'(x0) + f'(x0) Bt(x0)) y0, as
-    y' = f'/(2y): integer pairs once scaled as PointFrame says.  Nothing
-    can raise there, so entries are computed only until a check's verdict
-    is settled; elsewhere the rows are computed in full.  At infinity,
-    where At and Bt y never cancel, each row is one coefficient of At or
-    of Bt (_infinity_rows).  At the other finite points, branch
-    points, D's support and the zeros of a denominator, the rows are
-    Taylor coefficients at x0 (_taylor_rows): of At and Bt interleaved by
-    parity at a branch point, and of At + Bt v, with v the Taylor window
-    of y, elsewhere.  A section that is not in L(D) at the point raises a
-    ValueError naming it."""
+    Times phi, the product of the distinct denominators, and lam_j, 1 if
+    that leaves integer coefficients and else what clears them, section
+    j is At_j + Bt_j y with integer polynomials At_j, Bt_j.  At a finite
+    non-branch point P = (x0, y0) off D where no denominator vanishes,
+    row 0 is At(x0) + Bt(x0) y0, and row 1 times 2 f(x0) is
+    2 f At'(x0) + (2 f Bt'(x0) + f'(x0) Bt(x0)) y0, as y' = f'/(2y):
+    integer pairs once scaled as PointFrame says.  Nothing can raise
+    there, so an entry is computed only when a check reads it.  At
+    infinity (_infinity_rows), at branch points, on D's support and at
+    the zeros of a denominator (_taylor_rows) the rows are computed in
+    full, and a section not in L(D) at the point raises a ValueError
+    naming it."""
 
     def __init__(self, curve: HyperellipticCurve,
                  sections: Sequence[FunctionFieldElement], D: Divisor,
@@ -51,78 +47,63 @@ class SectionJets:
         for j, s in enumerate(sections):
             if s.is_zero():
                 raise ValueError(f"model section {j} is zero")
-        self.curve, self.D = curve, D
-        self.summand = summand
+        self.curve, self.D, self.summand = curve, D, summand
         dens = list(dict.fromkeys(s.den for s in sections))
-        cofactors = {}  # phi / den for phi the product of the distinct dens
+        cofactors = dict.fromkeys(dens, polyq.ONE)  # phi / den
         for d in dens:
-            q = polyq.ONE
             for e in dens:
                 if e != d:
-                    q = polyq.mul(q, e)
-            cofactors[d] = q
-        self.A: List[List[int]] = []
-        self.B: List[List[int]] = []
+                    cofactors[d] = polyq.mul(cofactors[d], e)
+        self.A: List[Sequence[int]] = []
+        self.B: List[Sequence[int]] = []
         for s in sections:
             q = cofactors[s.den]
             A, B = ((s.A, s.B) if q == polyq.ONE
                     else (polyq.mul(q, s.A), polyq.mul(q, s.B)))
-            _, (At, Bt) = polyq.clear_denominators(A, B)
-            self.A.append(At)
-            self.B.append(Bt)
-        self.dA = [polyq.int_derivative(p) for p in self.A]
-        self.dB = [polyq.int_derivative(p) for p in self.B]
+            if not all(type(c) is int for p in (A, B) for c in p):
+                A, B = polyq.clear_denominators(A, B)[1]
+            self.A.append(A)
+            self.B.append(B)
         self.lam_f, (self.F,) = polyq.clear_denominators(curve.f)
-        self.dF = polyq.int_derivative(self.F)
         self.dens = polyq.clear_denominators(
             *(d for d in dens if len(d) > 1))[1]
         self.phi_degree = sum(len(d) - 1 for d in self.dens)
         self.degree = max(len(p) - 1 for p in self.A + self.B + self.dens
                           + [self.F])
 
-    def _full_rows(self, P: CurvePoint, frame: Optional["PointFrame"],
-                   nterms: int) -> Optional[List[IntRow]]:
-        """Rows 0 .. nterms - 1 at P, or None on the integer path; frame
-        is P's, None at infinity."""
-        if P.at_infinity:
-            return self._infinity_rows(nterms)
-        if P.y == 0 or self.D[P] or not all(map(frame.ev, self.dens)):
-            return self._taylor_rows(P, nterms)
-        return None
-
-    def value_and_tangent(self, P: CurvePoint,
-                          frame: Optional["PointFrame"]
-                          ) -> Tuple[IntRow, bool]:
-        """Row 0 at P, and whether rows 0 and 1 are independent."""
-        rows = self._full_rows(P, frame, 2)
-        if rows is not None:
-            r0, (us1, vs1, _) = rows
-            return r0, not int_rows_dependent(
-                r0, lambda j: (us1[j], vs1[j] if vs1 else 0))
+    def rows(self, P: CurvePoint, frame: Optional["PointFrame"],
+             nterms: int) -> Tuple[List[Entries], int]:
+        """Readers of rows 0 .. nterms - 1 at P, for nterms 1 or 2, and
+        row 0's d; frame is P's, None at infinity.  On the integer path an
+        entry is computed when it is first read, and row 0's are kept."""
+        if frame is None or not frame.cn or self.D[P] or not all(
+                map(frame.ev, self.dens)):
+            full = (self._infinity_rows(nterms) if frame is None
+                    else self._taylor_rows(P, nterms))
+            return [int_entries(r) for r in full], full[0][2]
         ev, cn, cd, d = frame.ev, frame.cn, frame.cd, frame.d
-        us = [ev(p) * cd for p in self.A]
-        vB = list(map(ev, self.B))
-        vs = [v * cn for v in vB]
-        r0 = (us, vs, d) if d != 1 else (list(map(add, us, vs)), None, 1)
-        F2, dF = 2 * frame.fx, ev(self.dF)
+        A, B = self.A, self.B
+        row: List[Optional[Tuple[int, int]]] = [None] * len(A)
+        bs = row[:]  # Bt_j(x0), set with row[j]
+
+        def r0(j: int) -> Tuple[int, int]:
+            if row[j] is None:
+                b = bs[j] = ev(B[j])
+                u, v = ev(A[j]) * cd, b * cn
+                row[j] = (u, v) if d != 1 else (u + v, 0)
+            return row[j]
+
+        if nterms == 1:
+            return [r0], d
+        dev, F2, dF = frame.dev, 2 * frame.fx, frame.dev(self.F)
 
         def r1(j: int) -> Tuple[int, int]:
-            p = F2 * ev(self.dA[j]) * cd
-            q = (F2 * ev(self.dB[j]) + dF * vB[j]) * cn
+            r0(j)  # sets bs[j]
+            p = F2 * dev(A[j]) * cd
+            q = (F2 * dev(B[j]) + dF * bs[j]) * cn
             return (p, q) if d != 1 else (p + q, 0)
 
-        return r0, not int_rows_dependent(r0, r1)
-
-    def vanishes(self, P: CurvePoint, frame: Optional["PointFrame"]) -> bool:
-        """Whether row 0 at P is zero; in integers with d != 1 its entry
-        u cd + v cn sqrt d is zero exactly when u = v = 0."""
-        rows = self._full_rows(P, frame, 1)
-        if rows is not None:
-            (us, vs, _), = rows
-            return not (any(us) or vs and any(vs))
-        ev, cn, cd = frame.ev, frame.cn, frame.cd
-        return not any(ev(a) * cd + ev(b) * cn if frame.d == 1
-                       else ev(a) or ev(b) for a, b in zip(self.A, self.B))
+        return [r0, r1], d
 
     def _pole_past_D(self, j: int, P: CurvePoint) -> ValueError:
         return ValueError(f"{self.summand} section {j} has a pole past its "
@@ -190,28 +171,28 @@ class SectionJets:
 
 class PointFrame:
     """A finite point P = (a/b, u + (cn/cd) sqrt d) as integers, with
-    ev(p) = b^N p(a/b) for integer polynomials p of degree at most N, and
-    fx = ev(F) for the curve's F.  On the curve u = 0, and each row of
-    SectionJets is homogenised by b^N or b^(2N) and times cd, so its
-    entries are integer pairs."""
+    ev(p) = b^N p(a/b) and dev(p) = b^N p'(a/b) for integer polynomials p
+    of degree at most N, and fx = ev(F) for the curve's F.  On the curve
+    u = 0, and each row of SectionJets is homogenised by b^N or b^(2N)
+    and times cd, so its entries are integer pairs."""
 
-    __slots__ = ("pw", "u", "cn", "cd", "d", "fx")
+    __slots__ = ("pw", "dpw", "u", "cn", "cd", "d", "fx")
 
     def __init__(self, P: CurvePoint, N: int, F: List[int]):
         a, b = P.x.numerator, P.x.denominator
-        apow, bpow = [1], [1]
-        for _ in range(N):
-            apow.append(apow[-1] * a)
-            bpow.append(bpow[-1] * b)
-        self.pw = [apow[k] * bpow[N - k] for k in range(N + 1)]
+        self.pw = [a ** k * b ** (N - k) for k in range(N + 1)]
+        self.dpw = [0] + [k * w for k, w in enumerate(self.pw[:-1], 1)]
         y = P.y
         self.u, c, self.d = ((y.u, y.v, y.d) if isinstance(y, QuadExt)
                              else (0, y, 1))
         self.cn, self.cd = c.numerator, c.denominator
         self.fx = self.ev(F)
 
-    def ev(self, p: List[int]) -> int:
+    def ev(self, p: Sequence[int]) -> int:
         return sum(map(mul, p, self.pw))
+
+    def dev(self, p: Sequence[int]) -> int:  # k a^(k-1) b^(N-k+1) = dpw[k]
+        return sum(map(mul, p, self.dpw))
 
     def on_curve(self, lam_f: Fraction) -> bool:
         """Whether y^2 = f(x) at P, for f = F / lam_f of degree at most N."""

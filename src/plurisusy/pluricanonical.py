@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from . import polyq
 from .curve import (CurvePoint, Divisor, FunctionFieldElement,
                     HyperellipticCurve, standard_curve)
-from .fieldext import row_key
+from .fieldext import anchor, int_rows_dependent, row_classes
 from .linalg import ColumnSpace
 from .records import frozen
 from .riemann_roch import (DivisorClass, ThetaCharacteristic, _reduce,
@@ -487,11 +487,12 @@ def verify_embedding(M: PluriCanonicalModel,
     (c) the odd-coordinate value row never vanishes.  A pair with equal
     members runs check (b) in place of (a).  Rows are scaled Laurent
     coefficients, so points on the cleared divisors are fine; they are
-    built by polynomial arithmetic (jets.SectionJets), in integers at
-    almost every finite point, where each check stops at its first
-    witness: (b) at the first nonzero minor (fieldext.int_rows_dependent)
-    and (c) at the first odd section not zero at the point.  Value rows
-    are compared by their integer keys (fieldext.row_key).
+    read from jets.SectionJets, which at almost every finite point
+    computes an entry only when a check reads it.  Each check stops at
+    its first witness: (b) at the first nonzero minor
+    (fieldext.int_rows_dependent), (c) at the first odd section not zero
+    at the point, and (a), for all pairs at once, once partition
+    refinement (fieldext.row_classes) has told each point's row apart.
     A sample point off M.curve is a ValueError.  An integer
     `samples` draws that many point pairs deterministically from `seed`;
     a point list checks all pairs from the list.  Fewer than one sample
@@ -516,27 +517,24 @@ def verify_embedding(M: PluriCanonicalModel,
     even = SectionJets(curve, M.even_sections, D["even"], "even")
     odd = SectionJets(curve, M.odd_sections, D["odd"], "odd")
     N = max(even.degree, odd.degree)
-    value_keys = []
-    pair_failures: List[Tuple[CurvePoint, CurvePoint]] = []
+    n, n_odd = len(M.even_sections), len(M.odd_sections)
+    rows = []  # a reader of each distinct point's value row, with its d
     tangent_failures: List[CurvePoint] = []
     odd_failures: List[CurvePoint] = []
     for P in index:
         frame = None if P.at_infinity else PointFrame(P, N, even.F)
         if P.curve != curve or frame and not frame.on_curve(even.lam_f):
             raise ValueError(f"sample point {P!r} is not on {curve!r}")
-        r0, independent = even.value_and_tangent(P, frame)
-        value_keys.append(row_key(r0))
-        if not independent:
+        (r0, r1), d = even.rows(P, frame, 2)
+        rows.append((r0, d))
+        if int_rows_dependent(r0, r1, n, d):
             tangent_failures.append(P)
-        if odd.vanishes(P, frame):
+        if anchor(odd.rows(P, frame, 1)[0][0], n_odd) is None:
             odd_failures.append(P)
-    for a, b in pairs:
-        i, j = slot[a], slot[b]
-        if i == j:
-            continue  # covered by the tangent check at P
-        kP, kQ = value_keys[i], value_keys[j]
-        if kP is None or kQ is None or kP == kQ:
-            pair_failures.append((pts[a], pts[b]))
+    classes = row_classes(rows, n)
+    c = [classes[i] for i in slot]  # a pair of equal points is check (b)
+    pair_failures = [(pts[a], pts[b]) for a, b in pairs if slot[a] != slot[b]
+                     and (c[a] is None or c[b] is None or c[a] == c[b])]
 
     return EmbeddingReport(M, len(pairs), len(index), pair_failures,
                            tangent_failures, odd_failures)

@@ -1,21 +1,50 @@
-"""The exact rank-2 row test, the normalised-row rule it rests on,
-verify_embedding's integer row keys and its integer minor rule, against
-a sympy oracle on every 2x2 minor or against rows_independent; square
-roots in squarefree normal form against sympy's factorint."""
+"""The exact rank-2 row test, the normalised-row rule it rests on, and
+row_key below, its form on integer rows, against a sympy oracle on every
+2x2 minor; verify_embedding's integer minor rule against
+rows_independent and its partition refinement against row_key, each
+reading no entry past its verdict; square roots in squarefree normal
+form against sympy's factorint."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy as sp
 
 from plurisusy import fieldext
 from plurisusy.fieldext import (_MR_BOUND, QuadExt, _square_factors,
-                                int_row, int_rows_dependent, make_sqrt,
-                                normalised, qext, row_key, rows_independent,
-                                sqrt_normal_form)
+                                int_entries, int_row, int_rows_dependent,
+                                make_sqrt, normalised, qext, row_classes,
+                                rows_independent, sqrt_normal_form)
 
 DS = (1, 2, 3, -1, 6)
+
+
+def row_key(row):
+    """Canonical key of an IntRow up to a nonzero factor in Q(sqrt d), or
+    None for the zero row.  The row is multiplied by the conjugate of its
+    first nonzero entry, which makes that entry rational, then divided by
+    the gcd of its integers, with the sign that makes that entry
+    positive; a row whose sqrt(d) parts are then all 0 is keyed without
+    d.  Two rows are dependent iff either key is None or the keys are
+    equal: the rule of rows_independent, in integers, and the reference
+    for row_classes."""
+    us, vs, d = row
+    if vs is not None and any(vs):
+        p, q = next((u, v) for u, v in zip(us, vs) if u or v)
+        us, vs = ([u * p - v * q * d for u, v in zip(us, vs)],
+                  [v * p - u * q for u, v in zip(us, vs)])
+        if any(vs):
+            g = gcd(*us, *vs)
+            if p * p - q * q * d < 0:
+                g = -g
+            return (tuple(u // g for u in us), tuple(v // g for v in vs), d)
+    lead = next((u for u in us if u), 0)
+    if not lead:
+        return None
+    g = gcd(*us) if lead > 0 else -gcd(*us)
+    return tuple(u // g for u in us)
 
 
 def _sym(x):
@@ -57,9 +86,12 @@ def _check(row1, row2):
         assert n is None or next(x for x in n if x != 0) == 1
     # the same rule on integer keys, with the columns scaled alike
     lam = [Fraction(j + 2, 3) for j in range(len(row1))]
-    k1, k2 = (row_key(int_row([x * c for x, c in zip(r, lam)]))
-              for r in (row1, row2))
+    i1, i2 = (int_row([x * c for x, c in zip(r, lam)]) for r in (row1, row2))
+    k1, k2 = row_key(i1), row_key(i2)
     assert (k1 is None or k2 is None or k1 == k2) != _oracle(row1, row2)
+    c1, c2 = row_classes([(int_entries(i1), i1[2]), (int_entries(i2), i2[2])],
+                         len(row1))
+    assert (c1 is None or c2 is None or c1 == c2) != _oracle(row1, row2)
 
 
 def test_random_rows_match_minor_oracle():
@@ -127,12 +159,12 @@ def test_cross_field_dependent_pair():
 def _entries(row):
     """A reader of the IntRow's entries as (p, q) pairs, and the list of
     the indices it has read."""
-    us, vs, _ = row
+    read_entry = int_entries(row)
     reads = []
 
     def read(j):
         reads.append(j)
-        return us[j], vs[j] if vs else 0
+        return read_entry(j)
 
     return read, reads
 
@@ -140,8 +172,9 @@ def _entries(row):
 @pytest.mark.parametrize("d", [1, 2, 5, -1, -3, -6])
 def test_integer_minor_rule_matches_rows_independent(d):
     # row 0's first nonzero entry i is past entry 0, and row 1 is often 0
-    # at i; the rule reads row 1 at i, then at j = 0, 1, ... up to the
-    # first nonzero minor row0[i] row1[j] - row0[j] row1[i], and no further
+    # at i; the rule reads row 0 up to i, then row 1 at i, then both at
+    # j = 0, 1, ... up to the first nonzero minor
+    # row0[i] row1[j] - row0[j] row1[i], and no further
     rng = random.Random(24 + d)
     seen = {True: 0, False: 0}
     for _ in range(300):
@@ -158,20 +191,87 @@ def test_integer_minor_rule_matches_rows_independent(d):
         if rng.random() < 0.05:
             row0 = [Fraction(0)] * n
         r0 = int_row([x * (j + 1) for j, x in enumerate(row0)])
+        read0, reads0 = _entries(r0)
         read, reads = _entries(int_row([x * (j + 1)
                                         for j, x in enumerate(row1)]))
-        dependent = int_rows_dependent(r0, read)
+        dependent = int_rows_dependent(read0, read, n, r0[2])
         assert dependent != rows_independent(row0, row1), (row0, row1)
         seen[dependent] += 1
         if not any(row0):
-            assert reads == []
+            assert reads == [] and set(reads0) == set(range(n))
             continue
         order = [j for j in range(n) if j != i]
         first = next((k for k, j in enumerate(order)
                       if row0[i] * row1[j] - row0[j] * row1[i] != 0),
                      len(order))
         assert reads == [i] + order[:first + 1], (row0, row1, reads)
+        assert set(reads0) == set(range(i + 1)) | set(order[:first + 1])
     assert min(seen.values()) >= 40, seen
+
+
+def _row_family(rng, n):
+    """Rows of n entries over Q and Q(sqrt d) for several d, with zero
+    rows, multiples of one another by a rational or by an element of
+    another field, and rows that agree with another up to its last
+    entry."""
+    rows = []
+    for _ in range(rng.randint(2, 9)):
+        kind = rng.random()
+        if rows and kind < 0.3:
+            base = rng.choice(rows)
+            d = rng.choice(DS)
+            lam = qext(_rational(rng) or 1, _rational(rng) if d != 1 else 0, d)
+            if any(isinstance(x, QuadExt) for x in base):
+                lam = _rational(rng) or 1  # one field per row
+            rows.append([lam * x for x in base])
+        elif rows and kind < 0.5:
+            row = list(rng.choice(rows))
+            row[-1] = row[-1] + (_rational(rng) or 1)
+            rows.append(row)
+        elif kind < 0.55:
+            rows.append([Fraction(0)] * n)
+        else:
+            rows.append(_row(rng, rng.choice(DS), n))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_partition_refinement_matches_row_key():
+    # every pair of rows is dependent under row_classes exactly when it is
+    # under row_key, with the columns scaled alike; a row whose anchor no
+    # other row shares is read only up to its anchor, and rows that agree
+    # up to their last entry are read to the end
+    rng = random.Random(25)
+    seen = {"dependent": 0, "last entry": 0}
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        lam = [Fraction(rng.randint(1, 9), rng.randint(1, 4))
+               * rng.choice((1, -1)) for _ in range(n)]
+        rows = [int_row([x * c for x, c in zip(r, lam)])
+                for r in _row_family(rng, n)]
+        readers = [_entries(r) for r in rows]
+        classes = row_classes([(read, r[2]) for (read, _), r
+                               in zip(readers, rows)], n)
+        keys = [row_key(r) for r in rows]
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                want = keys[a] is None or keys[b] is None or keys[a] == keys[b]
+                got = (classes[a] is None or classes[b] is None
+                       or classes[a] == classes[b])
+                assert got == want, (rows[a], rows[b])
+                seen["dependent"] += want
+        anchors = [next((j for j in range(n) if row_key(
+            ([r[0][j]], [r[1][j]] if r[1] else None, r[2])) is not None),
+            None) for r in rows]
+        for (_, reads), i in zip(readers, anchors):
+            if i is None:
+                assert sorted(set(reads)) == list(range(n))
+            elif anchors.count(i) == 1:
+                assert max(reads) == i, reads
+        for a, (_, reads) in enumerate(readers):
+            if anchors[a] is not None and n - 1 in reads[anchors[a] + 1:]:
+                seen["last entry"] += 1
+    assert seen["dependent"] >= 1000 and seen["last entry"] >= 300, seen
 
 
 def test_row_mixing_two_fields_is_rejected():

@@ -401,3 +401,185 @@ def test_sections_past_the_cleared_divisor_are_named_in_the_error(
     assert capsys.readouterr().err == (
         "error: even section 3 has a pole past its cleared divisor at "
         "(0, 1)\n")
+
+
+def _with_even(M, even, D_even=None):
+    """M with the even sections `even`, and D_even as the even cleared
+    divisor when given."""
+    D = dict(M.cleared_divisors)
+    if D_even is not None:
+        D["even"] = D_even
+    return PluriCanonicalModel(M.curve, M.nu,
+                               RankPair(len(even) - 1, len(M.odd_sections)),
+                               tuple(even), M.odd_sections, D)
+
+
+def _g2_model():
+    """The nu = 5 model on y^2 = x(x - 1)(x - 2)(x - 3)(x + 7), whose even
+    sections are 1, x, x^2, x^3, y with D_even = 6 inf, and its points
+    with x = -3, 7/2, 5 (y in Q(sqrt 10)), -1 (y = 12), -2 (Q(sqrt 6))
+    and 1/2 (Q(sqrt -2))."""
+    C = _split((0, 1, 2, 3, -7))
+    M = build_model(make_split_supercurve(C, theta_from_subset(C, [0])), 5)
+    x, y = C.x_fn(), C.y_fn()
+    assert [str(s) for s in M.even_sections] == ["1", "x", "x^2", "x^3", "y"]
+    pts = [C.point(Fraction(k)) for k in (-3, Fraction(7, 2), 5, -1, -2,
+                                          Fraction(1, 2))]
+    assert [P.y.d if isinstance(P.y, QuadExt) else 1 for P in pts] == [
+        10, 10, 10, 1, 6, -2]
+    return M, x, y, pts
+
+
+def test_conjugate_points_differ_in_the_last_entry_only():
+    # P and iota P have rows (1, x0, x0^2, x0^3, +-y0): with the section
+    # y last they agree on every entry but the last, so the refinement
+    # reads to the end and separates them; without it they collide
+    M, x, y, pts = _g2_model()
+    C = M.curve
+    conj = pts + [P.conjugate() for P in pts]
+    sample = [C.infinity(), C.branch_point(1)] + conj
+    full = verify_embedding(M, samples=sample)
+    no_y = _with_even(M, M.even_sections[:4])
+    dropped = verify_embedding(no_y, samples=sample)
+    for V, got in ((M, full), (no_y, dropped)):
+        assert got.to_json() == reference_report(V, sample).to_json()
+    assert full.all_pass
+    iota = {(P, P.conjugate()) for P in pts}
+    assert set(dropped.pair_failures) == iota
+    # x is no local parameter where the map to P^1 ramifies
+    assert dropped.tangent_failures == sample[:2]
+
+
+def test_rational_normalised_rows_over_three_fields():
+    # the pencil y, (x + 3)(x + 2)(x + 1) y, x (x + 3)(x + 2)(x + 1) y, in
+    # L(13 inf), has rows y0 (1, c, x0 c), rational once normalised: at
+    # x = -3, -2, -1, with y in Q(sqrt 10), Q(sqrt 6) and Q, they are
+    # (1, 0, 0) and collide across the three fields; elsewhere they differ
+    M, x, y, pts = _g2_model()
+    C = M.curve
+    c = (x + 3) * (x + 2) * (x + 1)
+    V = _with_even(M, [y, c * y, x * c * y],
+                   Divisor({C.infinity(): 13}))
+    P3, P2, P1 = pts[0], pts[4], pts[3]
+    sample = [P3, pts[1], P2, P1, pts[5], P1.conjugate(), C.infinity()]
+    got = verify_embedding(V, samples=sample)
+    assert got.to_json() == reference_report(V, sample).to_json()
+    collide = {(P3, P2), (P3, P1), (P2, P1), (P3, P1.conjugate()),
+               (P2, P1.conjugate()), (P1, P1.conjugate())}
+    assert set(got.pair_failures) == collide
+
+
+def test_a_dropped_section_makes_two_points_collide():
+    # f(-3) = f(5), so P = (-3, 12 sqrt 10) and R = (5, 12 sqrt 10) have
+    # rows (1, 0, 0, 12 sqrt 10, x0) under 1, (x + 3)(x - 5),
+    # x (x + 3)(x - 5), y, x: they differ in the last entry only, and
+    # dropping the section x makes them collide
+    M, x, y, pts = _g2_model()
+    C = M.curve
+    P, R = pts[0], pts[2]
+    assert P.y == R.y
+    q = (x + 3) * (x - 5)
+    even = [C.one_fn(), q, x * q, y, x]
+    sample = [C.infinity(), P, R, R.conjugate(), pts[3], pts[5]]
+    reports = []
+    for V in (_with_even(M, even), _with_even(M, even[:4])):
+        reports.append(verify_embedding(V, samples=sample))
+        assert reports[-1].to_json() == reference_report(V, sample).to_json()
+    assert (P, R) not in reports[0].pair_failures
+    assert (P, R) in reports[1].pair_failures
+    assert (P, R.conjugate()) not in reports[1].pair_failures
+
+
+def _even_sections_read(monkeypatch, V, pts):
+    """verify_embedding's report on V, and for each point on the integer
+    path the indices of the even sections whose value there it computed."""
+    from plurisusy.jets import PointFrame, SectionJets
+    made, points, read = [], {}, {}
+    init, frame_init, ev = (SectionJets.__init__, PointFrame.__init__,
+                            PointFrame.ev)
+
+    def track(jets, *args):
+        init(jets, *args)
+        jets.A = [list(p) for p in jets.A]  # one object per section
+        made.append(jets)
+
+    def track_frame(frame, P, *args):
+        points[frame] = P
+        frame_init(frame, P, *args)
+
+    def count(frame, p):
+        even = next(j for j in made if j.summand == "even")
+        js = {j for j, a in enumerate(even.A) if a is p}
+        if js:
+            read.setdefault(points[frame], set()).update(js)
+        return ev(frame, p)
+
+    with monkeypatch.context() as m:
+        m.setattr(SectionJets, "__init__", track)
+        m.setattr(PointFrame, "__init__", track_frame)
+        m.setattr(PointFrame, "ev", count)
+        report = verify_embedding(V, samples=pts)
+    return report, read
+
+
+def test_a_passing_model_reads_two_even_sections_per_point(monkeypatch):
+    # the even sections of these models start 1, x: the tangent minor is
+    # settled at entry 1 and the refinement splits points of distinct x
+    # there, so no integer point evaluates a third even section; the
+    # models of g = 2 and 3 at their smallest very-ample power
+    rng = random.Random(3407)
+    for g, nu in ((2, 5), (2, 5), (3, 4), (3, 4)):
+        C = _split(sorted(rng.sample(range(-6, 7), 2 * g + 1)))
+        X = make_split_supercurve(C, theta_from_subset(
+            C, rng.sample(range(2 * g + 1), rng.randint(0, g))))
+        M = build_model(X, nu)
+        kinds = _finite_points(C)
+        pts = [C.infinity(), C.branch_point(C.rational_branch_points()[0].x)]
+        for P in rng.sample(kinds["Q"] + kinds["real"] + kinds["imaginary"],
+                            12):
+            if all(Q.x != P.x for Q in pts):
+                pts.append(P)
+        report, read = _even_sections_read(monkeypatch, M, pts)
+        assert report.all_pass
+        assert report.to_json() == reference_report(M, pts).to_json()
+        assert len(read) == len(pts) - 2
+        assert max(map(len, read.values())) == 2, read
+    # P and iota P agree up to the last entry, so there all are read
+    M, x, y, pts = _g2_model()
+    P = pts[0]
+    _, read = _even_sections_read(monkeypatch, M, pts + [P.conjugate()])
+    assert read[P] == read[P.conjugate()] == set(range(5))
+    assert all(len(read[Q]) == 2 for Q in pts[1:])
+
+
+def test_scaling_one_section_leaves_the_report_unchanged():
+    # a section scaled by an integer keeps int coefficients and enters
+    # the rows as it is, one scaled by 2/3 has Fraction coefficients and
+    # is cleared; a nonzero constant per column changes no check
+    P, models, pts = _integer_path_models()
+    M, x, y, g2_pts = _g2_model()
+    q = (x + 3) * (x - 5)
+    dropped = _with_even(M, [M.curve.one_fn(), q, x * q, y])
+    cases = [(V, pts) for V in (models[0], models[-1])]
+    cases.append((dropped, [M.curve.infinity()] + g2_pts
+                  + [g2_pts[2].conjugate()]))
+    seen_failures = set()
+    for V, sample in cases:
+        want = verify_embedding(V, samples=sample).to_json()
+        assert want == reference_report(V, sample).to_json()
+        seen_failures |= {k for k in ("pair_failures", "tangent_failures")
+                          if want[k]}
+        for summand in ("even", "odd"):
+            sections = getattr(V, f"{summand}_sections")
+            for j in (0, len(sections) - 1):
+                for c in (6, -1, Fraction(2, 3)):
+                    scaled = list(sections)
+                    scaled[j] = scaled[j] * c
+                    lists = {"even": V.even_sections, "odd": V.odd_sections,
+                             summand: tuple(scaled)}
+                    W = PluriCanonicalModel(V.curve, V.nu, V.ambient,
+                                            lists["even"], lists["odd"],
+                                            V.cleared_divisors)
+                    got = verify_embedding(W, samples=sample).to_json()
+                    assert got == want, (summand, j, c)
+    assert seen_failures == {"pair_failures", "tangent_failures"}
