@@ -26,7 +26,7 @@ from .fieldext import QuadExt, make_sqrt
 if TYPE_CHECKING:  # imported by the routines that build a series
     from .series import TSeries
 
-Scalar = Union[Fraction, QuadExt]
+Scalar = Union[int, Fraction, QuadExt]
 
 
 class UnrepresentableSupportError(ValueError):
@@ -34,12 +34,11 @@ class UnrepresentableSupportError(ValueError):
     over Q with at worst a quadratic extension in y."""
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"expected a rational number, got {v!r}")
+def _rational(v) -> Union[int, Fraction]:
+    """polyq.rational(v) of an int or a Fraction; TypeError otherwise."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"expected a rational number, got {v!r}")
+    return polyq.rational(v)
 
 
 class HyperellipticCurve:
@@ -54,8 +53,8 @@ class HyperellipticCurve:
             raise ValueError("f must be squarefree")
         self.f = f
         self.genus = (d - 1) // 2
-        self._roots: Optional[Tuple[List[Tuple[Fraction, int]], Poly]] = None
-        self._branch: Optional[Dict[Fraction, CurvePoint]] = None
+        self._roots: Optional[Tuple[list, Poly]] = None  # see _f_roots
+        self._branch: Optional[Dict[Union[int, Fraction], CurvePoint]] = None
         # points are never mutated, so every caller shares this one
         self._infinity = CurvePoint(self, None, None, at_infinity=True)
 
@@ -78,7 +77,7 @@ class HyperellipticCurve:
     def point(self, x, y=None, sign: int = 1) -> "CurvePoint":
         """Finite point with rational x.  If y is omitted it is taken to be
         sign * sqrt(f(x)), possibly in a quadratic extension."""
-        x = _as_fraction(x)
+        x = _rational(x)
         fx = polyq.eval_at(self.f, x)
         if y is None:
             y = make_sqrt(fx)
@@ -86,13 +85,13 @@ class HyperellipticCurve:
                 y = -y
         else:
             if not isinstance(y, QuadExt):
-                y = _as_fraction(y)
+                y = _rational(y)
             if y * y != fx:
                 raise ValueError(f"({x}, {y}) does not lie on the curve")
         return CurvePoint(self, x, y)
 
     def branch_point(self, r) -> "CurvePoint":
-        r = _as_fraction(r)
+        r = _rational(r)
         P = self._branch_points().get(r)
         if P is None:
             raise ValueError(f"{r} is not a root of f")
@@ -130,18 +129,18 @@ class HyperellipticCurve:
         off the branch locus: the Hensel lift of sqrt(f) from y0."""
         return polyq.sqrt_window(polyq.taylor(self.f, P.x, n), P.y, n)
 
-    def _f_roots(self) -> Tuple[List[Tuple[Fraction, int]], Poly]:
+    def _f_roots(self) -> Tuple[List[Tuple[Union[int, Fraction], int]], Poly]:
         """Rational roots of f with multiplicities, and the cofactor.
         The constructor has proved f squarefree, so no second gcd runs."""
         if self._roots is None:
             self._roots = polyq.rational_roots(self.f, squarefree=True)
         return self._roots
 
-    def _branch_points(self) -> Dict[Fraction, "CurvePoint"]:
+    def _branch_points(self) -> Dict[Union[int, Fraction], "CurvePoint"]:
         """The rational branch points, keyed by x-coordinate and in
         increasing order; built on the first call."""
         if self._branch is None:
-            self._branch = {r: CurvePoint(self, r, Fraction(0))
+            self._branch = {r: CurvePoint(self, r, 0)
                             for r, _m in self._f_roots()[0]}
         return self._branch
 
@@ -157,9 +156,9 @@ class HyperellipticCurve:
         dshift = polyq.derivative(fshift)  # f'(r+s), f'(r) != 0
 
         def t2(n: int) -> TSeries:
-            return TSeries.from_poly_coeffs([Fraction(0), Fraction(0), Fraction(1)], n)
+            return TSeries.from_poly_coeffs([0, 0, 1], n)
 
-        s = TSeries.from_poly_coeffs([Fraction(0), Fraction(0), Fraction(1) / fshift[1]], cut)
+        s = TSeries.from_poly_coeffs([0, 0, Fraction(1) / fshift[1]], cut)
         prec = 4  # s is exact below t^prec
         while prec < cut:
             prec = min(2 * prec, cut)
@@ -176,7 +175,7 @@ class HyperellipticCurve:
         if P.at_infinity:
             raise ValueError("y_series_at needs a finite point")
         if P.y == 0:
-            return TSeries.from_poly_coeffs([Fraction(0), Fraction(1)], cut)
+            return TSeries.from_poly_coeffs([0, 1], cut)
         fx = TSeries.from_poly_coeffs(polyq.taylor(self.f, P.x, cut), cut)
         return fx.sqrt_with(P.y)
 
@@ -190,7 +189,7 @@ class HyperellipticCurve:
         coeffs: List = []
         for c in reversed(self.f):
             coeffs.append(c)
-            coeffs.append(Fraction(0))
+            coeffs.append(0)
         inner = TSeries.from_poly_coeffs(coeffs, cut + m)
         root = inner.sqrt_with(make_sqrt(polyq.lead(self.f)))
         return TSeries(-m, root.coeffs, cut)  # times t^-m
@@ -208,7 +207,7 @@ class HyperellipticCurve:
             lo = -2 * n
             if cut <= lo:
                 return TSeries.zero(cut)  # all exponents of p(t^-2) lie at or above cut
-            coeffs: List = [Fraction(0)] * (cut - lo)
+            coeffs: List = [0] * (cut - lo)
             for i, c in enumerate(p):
                 k = -2 * i - lo
                 if 0 <= k < len(coeffs):
@@ -379,15 +378,15 @@ class CurvePoint:
         if at_infinity:
             self.x = None
             self.y = None
-            self._key = (1, Fraction(0), 0, Fraction(0), Fraction(0), 0)
+            self._key = (1, 0, 0, 0, 0, 0)
         else:
-            self.x = _as_fraction(x)
+            self.x = _rational(x)
             if isinstance(y, QuadExt):
-                self.y = y
-                self._key = (0, self.x, 1, y.u, y.v, y.d)
+                self.y = QuadExt(polyq.rational(y.u), polyq.rational(y.v), y.d)
+                self._key = (0, self.x, 1, self.y.u, self.y.v, y.d)
             else:
-                self.y = _as_fraction(y)
-                self._key = (0, self.x, 0, self.y, Fraction(0), 0)
+                self.y = _rational(y)
+                self._key = (0, self.x, 0, self.y, 0, 0)
         # points are never mutated, so the sort key and hash are kept
         self._hash = hash(self._key)
 
@@ -467,7 +466,7 @@ class FunctionFieldElement:
     def _coerce(self, other) -> "FunctionFieldElement":
         if isinstance(other, FunctionFieldElement):
             return other
-        c = _as_fraction(other)
+        c = _rational(other)
         return FunctionFieldElement(self.curve, (c,), polyq.ZERO, polyq.ONE)
 
     def __add__(self, other):
@@ -642,4 +641,4 @@ def standard_curve(g: int) -> HyperellipticCurve:
     """y^2 = x(x-1)...(x-2g): all 2g+1 finite branch points rational."""
     if g < 2:
         raise ValueError("genus must be at least 2")
-    return HyperellipticCurve(polyq.from_roots([Fraction(i) for i in range(2 * g + 1)]))
+    return HyperellipticCurve(polyq.from_roots(range(2 * g + 1)))

@@ -27,20 +27,21 @@ from collections import Counter
 from fractions import Fraction
 from itertools import count
 from math import gcd, isqrt
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .polyq import clear_denominators
+from .polyq import clear_denominators, rational
 
 
-def rational_sqrt(fr: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
+def rational_sqrt(fr: Fraction) -> Optional[Union[int, Fraction]]:
+    """Exact square root of a nonnegative rational, as polyq.rational
+    gives it, or None."""
     fr = Fraction(fr)
     if fr < 0:
         return None
     pn, qn = fr.numerator, fr.denominator
     rp, rq = isqrt(pn), isqrt(qn)
     if rp * rp == pn and rq * rq == qn:
-        return Fraction(rp, rq)
+        return rational(Fraction(rp, rq))
     return None
 
 
@@ -114,15 +115,15 @@ def _square_factors(n: int):
     yield from primes.items()
 
 
-def sqrt_normal_form(fr: Fraction) -> Tuple[Fraction, int]:
+def sqrt_normal_form(fr: Fraction) -> Tuple[Union[int, Fraction], int]:
     """Write sqrt(fr) = coeff * sqrt(d) with d a squarefree integer.
 
-    Returns (coeff, d); d == 1 means fr is a perfect square, d may be
-    negative, and fr == 0 gives (0, 1).
+    Returns (coeff, d), coeff as polyq.rational gives it; d == 1 means fr
+    is a perfect square, d may be negative, and fr == 0 gives (0, 1).
     """
     fr = Fraction(fr)
     if fr == 0:
-        return Fraction(0), 1
+        return 0, 1
     n = fr.numerator * fr.denominator  # sqrt(p/q) = sqrt(p*q)/q
     sign = -1 if n < 0 else 1
     square = 1
@@ -131,16 +132,17 @@ def sqrt_normal_form(fr: Fraction) -> Tuple[Fraction, int]:
         square *= q ** (e // 2)
         if e % 2:
             d *= q
-    return Fraction(square, fr.denominator), sign * d
+    return rational(Fraction(square, fr.denominator)), sign * d
 
 
 def make_sqrt(fr: Fraction):
-    """A square root of fr: a Fraction when fr is a perfect square, else
-    a QuadExt generator coefficient in squarefree normal form."""
+    """A square root of fr: a rational, as polyq.rational gives it, when
+    fr is a perfect square, else a QuadExt generator coefficient in
+    squarefree normal form."""
     coeff, d = sqrt_normal_form(fr)
     if d == 1:
         return coeff
-    return QuadExt(Fraction(0), coeff, d)
+    return QuadExt(0, coeff, d)
 
 
 def _is_scalar(x) -> bool:
@@ -214,7 +216,7 @@ class QuadExt:
             )
         if _is_scalar(other):
             if other == 0:
-                return Fraction(0)
+                return 0
             return QuadExt(self.u * other, self.v * other, self.d)
         return NotImplemented
 

@@ -630,17 +630,8 @@ class SuperMatrix:
     def __mul__(self, other: "SuperMatrix") -> "SuperMatrix":
         if (self.p, self.q) != (other.p, other.q):
             raise ValueError("supermatrix size mismatch")
-        n = self.p + self.q
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = GrassmannElement(self.gens, {})
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return SuperMatrix(self.p, self.q, rows)
+        return SuperMatrix(self.p, self.q,
+                           _matmul(self.gens, self.rows, other.rows))
 
     def berezinian(self) -> GrassmannElement:
         """Ber = det(A - B D^-1 C) * det(D)^-1; defined iff det(D) has an
@@ -654,17 +645,17 @@ class SuperMatrix:
         if self.p == 0:
             return det_D.inverse()
         A, B, C = self.block("A"), self.block("B"), self.block("C")
-        Dinv = _inv_even(D)
-        # S = A - B Dinv C
-        S = [[None] * self.p for _ in range(self.p)]
-        for i in range(self.p):
-            for j in range(self.p):
-                acc = A[i][j]
-                for k in range(self.q):
-                    for m in range(self.q):
-                        acc = acc - B[i][k] * Dinv[k][m] * C[m][j]
-                S[i][j] = acc
+        BDC = _matmul(self.gens, _matmul(self.gens, B, _inv_even(D)), C)
+        S = [[a - bdc for a, bdc in zip(*rows)] for rows in zip(A, BDC)]
         return _det_even(S) * det_D.inverse()
+
+
+def _matmul(gens: Tuple[str, ...], X, Y) -> list:
+    """The product of the matrices X and Y, lists of rows of elements
+    over gens."""
+    return [[sum((x * Y[k][j] for k, x in enumerate(row)),
+                 GrassmannElement(gens, {})) for j in range(len(Y[0]))]
+            for row in X]
 
 
 # ---------------------------------------------------------------------------

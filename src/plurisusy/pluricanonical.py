@@ -603,7 +603,7 @@ def random_deformation(curve: HyperellipticCurve, rng=None,
     return h
 
 
-Matrix = Tuple[Tuple[Fraction, ...], ...]
+Matrix = Tuple[Tuple[Union[int, Fraction], ...], ...]
 
 
 def _residue_matrix(curve: HyperellipticCurve, D: Divisor,
@@ -641,15 +641,15 @@ def _residue_matrix(curve: HyperellipticCurve, D: Divisor,
     return tuple(rows)
 
 
-def _infinity_residue(B: polyq.Poly, den: polyq.Poly) -> Fraction:
+def _infinity_residue(B: polyq.Poly, den: polyq.Poly) -> Union[int, Fraction]:
     """Res_inf(B dx/den) on the curve: -2 c / lc(den), where c is the
     coefficient of x^(deg den - 1) in B mod den."""
     d = polyq.deg(den)
     if d == 0:
-        return Fraction(0)
+        return 0
     rem = polyq.divmod_(B, den)[1]
-    c = rem[d - 1] if len(rem) == d else Fraction(0)
-    return Fraction(-2 * c) / polyq.lead(den)
+    c = rem[d - 1] if len(rem) == d else 0
+    return polyq.rational(Fraction(-2 * c) / polyq.lead(den))
 
 
 def _rank(matrix: Matrix) -> int:

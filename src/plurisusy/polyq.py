@@ -1,10 +1,12 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
 A polynomial is an immutable tuple of coefficients in ascending order of
-degree with no trailing zeros; the zero polynomial is the empty tuple.  A
-coefficient is an int when it is integral and a Fraction otherwise, so
-that integral polynomials compute in int arithmetic; equality, hashing and
-str do not tell the two apart.  Everything here is exact: `poly` raises
+degree with no trailing zeros; the zero polynomial is the empty tuple.
+Every exact scalar of the package follows one rule, `rational`: an int
+when it is integral and a Fraction otherwise.  It covers coefficients
+here, the roots of `rational_roots`, point coordinates and square roots,
+so integral data computes in int arithmetic; equality, hashing and str do
+not tell 3 from Fraction(3).  Everything here is exact: `poly` raises
 TypeError on a float rather than convert it, and every division has a
 Fraction operand, as int / int would be a float.
 """
@@ -203,7 +205,6 @@ def deflate(p: Poly, x0, most: Optional[int] = None) -> Tuple[int, Poly]:
         if most is None:
             raise ValueError("zero polynomial has roots everywhere")
         return most, p
-    x0 = rational(x0)
     m = 0
     while most is None or m < most:
         acc = 0
@@ -226,7 +227,6 @@ def from_roots(roots: Sequence) -> Poly:
     """Monic product of the factors (x - r)."""
     cs = [1]
     for r in roots:
-        r = rational(r)
         cs.insert(0, 0)  # times x; the loop subtracts r times cs
         for i in range(len(cs) - 1):
             cs[i] -= r * cs[i + 1]
@@ -362,11 +362,12 @@ def _integer_roots(b: List[int]) -> List[int]:
 
 
 def rational_roots(p: Poly, *, squarefree: bool = False
-                   ) -> Tuple[List[Tuple[Fraction, int]], Poly]:
-    """All rational roots of p with multiplicities, in increasing order,
-    plus the cofactor: the primitive part, with a positive leading
-    coefficient, of p with its rational linear factors divided out (ONE
-    when nothing of positive degree is left).
+                   ) -> Tuple[List[Tuple[Union[int, Fraction], int]], Poly]:
+    """All rational roots of p, each as `rational` gives it, with
+    multiplicities, in increasing order, plus the cofactor: the primitive
+    part, with a positive leading coefficient, of p with its rational
+    linear factors divided out (ONE when nothing of positive degree is
+    left).
 
     The roots are those of the squarefree part of p, written as a
     primitive integer polynomial s of degree n.  Each is z / s_n for an
@@ -386,7 +387,8 @@ def rational_roots(p: Poly, *, squarefree: bool = False
     s = rest if len(d) == 1 else _int_div(rest, d)
     n, lc = len(s) - 1, s[-1]
     b = [c * lc ** (n - 1 - i) for i, c in enumerate(s[:-1])] + [1]
-    roots = [(Fraction(z, lc), 1) for z in sorted(_integer_roots(b))]
+    roots = [(rational(Fraction(z, lc)), 1)
+             for z in sorted(_integer_roots(b))]
     if len(d) == 1 and len(roots) == n:
         return roots, ONE
     for i, (r, _) in enumerate(roots):

@@ -154,10 +154,15 @@ def _remainder_rows(U: polyq.Poly, n_x: int, n_y: int, p: polyq.Poly,
 
 def _multiples(U: polyq.Poly, n: int) -> Iterator[polyq.Poly]:
     """x^c - (x^c mod U) for deg U <= c < n, U monic: the reduced echelon
-    basis of its multiples of degree below n."""
+    basis of its multiples of degree below n.  A product of Fractions can
+    be integral, so the remainders of a U that is not integral are put in
+    polyq.rational's form."""
     a = polyq.deg(U)
     xa = [-u for u in U[:-1]]  # x^a mod U
+    whole = all(type(u) is int for u in U)
     for c, rem in enumerate(_times_x_mod(U, xa, n - a), a):
+        if not whole:
+            rem = map(polyq.rational, rem)
         yield tuple(-r for r in rem) + (0,) * (c - a) + (1,)
 
 

@@ -68,7 +68,7 @@ def point_to_json(P: CurvePoint) -> Dict:
     s = rational_sqrt(ratio)
     if s is None:
         raise ValueError(f"{ratio} is not a rational square")
-    return {"x": str(P.x), "y_in_ext": [str(P.y.u), str(P.y.v / s)]}
+    return {"x": str(P.x), "y_in_ext": [str(P.y.u), str(Fraction(P.y.v) / s)]}
 
 
 def point_from_json(curve: HyperellipticCurve, obj: Dict) -> CurvePoint:

@@ -21,9 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "plurisusy"
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # (module, name): why that name, as an operand of `/`, is never an int
-ALLOWED = {
-    ("serialize", "s"): "point_to_json: rational_sqrt returns a Fraction",
-}
+ALLOWED = {}
 
 # (module, scope) of the divisions that would divide int by int without
 # their Fraction(...) wrapper: dropping any one must fail the check.
